@@ -22,7 +22,6 @@ from . import __version__
 from .errors import (
     ConfigInvalid,
     ConfvolError,
-    ExpressionMismatch,
     GridResolutionInsufficient,
     IllConditionedFit,
     NoConvergence,
@@ -35,7 +34,7 @@ from .errors import (
 )
 
 _NUMERICAL_ERRORS = (
-    NoConvergence, StepRejected, ExpressionMismatch, IllConditionedFit,
+    NoConvergence, StepRejected, IllConditionedFit,
     GridResolutionInsufficient, NonPositiveDefinite, NotCritical,
     NotTotallyGeodesic, TruncationTooShort,
 )
@@ -215,7 +214,7 @@ def cmd_variation(config: dict) -> dict:
     from .variation import delta_vk, first_variation_Fk, functional_Fk
 
     m = build_model(config)
-    basis = basis_for(m, lmax=config["lmax"])
+    basis = basis_for(m, config["lmax"])
     k = config["k"]
     member = basis.members[config["member"]]
     rng = np.random.default_rng(config["seed"])
@@ -233,7 +232,7 @@ def cmd_hessian(config: dict) -> dict:
     from .variation import hessian_Fk, hessian_V
 
     m = build_model(config)
-    basis = basis_for(m, lmax=config["lmax"])
+    basis = basis_for(m, config["lmax"])
     if config["functional"] == "V":
         form = hessian_V(m, basis)
     else:

@@ -18,21 +18,18 @@ import numpy as np
 
 from . import jets
 from .errors import (
-    DerivativeOrderUnavailable,
     DimensionTooSmall,
     KOutOfRange,
     NonPositiveDefinite,
 )
 from .jets import Jet
 from .models import (
-    ConformalDeformation,
     FlatTorus,
     HyperbolicSpace,
     ModelMetric,
     ProductOfSpheres,
     RoundSphere,
     WarpedRadial,
-    einstein_constant,
 )
 
 
@@ -48,7 +45,7 @@ class CurvaturePack:
     scalar: np.ndarray          # (B,)
     schouten: np.ndarray        # (B, n, n)
     weyl: np.ndarray            # (B, n, n, n, n)
-    bach: np.ndarray | None     # (B, n, n) when four orders were available
+    bach: np.ndarray | None     # (B, n, n) when requested
 
     @property
     def n(self) -> int:
@@ -60,10 +57,7 @@ def curvature_pack(m: ModelMetric, points, want_bach=None,
     """Curvature tensors of ``m`` at the given chart points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if want_bach is None:
-        want_bach = m.max_order >= 4 and m.n >= 3
-    if want_bach and m.max_order < 4:
-        raise DerivativeOrderUnavailable(
-            "Bach tensor needs a derivative order 4 evaluator")
+        want_bach = m.n >= 3
     if method == "auto":
         method = "fast" if _has_fast_path(m) else "chart"
     if method == "fast":
@@ -78,7 +72,7 @@ def schouten_weyl_bach(m: ModelMetric, points, method: str = "auto"):
     """(Schouten, Weyl, Bach) at the given points; n >= 3 required."""
     if m.n < 3:
         raise DimensionTooSmall("Schouten tensor undefined for n = 2 here")
-    pack = curvature_pack(m, points, want_bach=m.max_order >= 4, method=method)
+    pack = curvature_pack(m, points, want_bach=True, method=method)
     return pack.schouten, pack.weyl, pack.bach
 
 
@@ -133,26 +127,12 @@ def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
     return res[0] if single else res
 
 
-def gradient_squared(m: ModelMetric, field, points) -> np.ndarray:
-    """|grad f|^2_g at chart points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    space = jets.jet_space(m.n, 1)
-    x = jets.coordinates(space, points.T)
-    grad = field(x).gradient_value()                          # (n, B)
-    g0 = np.moveaxis(m.chart(x).value, -1, 0)                 # (B, n, n)
-    ginv0 = np.linalg.inv(g0)
-    return np.einsum("...ij,i...,j...->...", ginv0, grad, grad)
-
-
 # -- chart pipeline --------------------------------------------------------
 
 
 def _chart_pack(m: ModelMetric, points: np.ndarray, want_bach: bool) -> CurvaturePack:
     n = m.n
     order = 4 if want_bach else 2
-    if m.max_order < order:
-        raise DerivativeOrderUnavailable(
-            f"metric evaluator supplies order {m.max_order} < {order}")
     space = jets.jet_space(n, order)
     x = jets.coordinates(space, points.T)
     G = m.chart(x)                                            # (n, n, B, nc)

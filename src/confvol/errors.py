@@ -11,10 +11,6 @@ class NonPositiveDefinite(ConfvolError):
     """Metric components are degenerate or indefinite at a sampled point."""
 
 
-class DerivativeOrderUnavailable(ConfvolError):
-    """A computation needs more derivative orders than the evaluator has."""
-
-
 class DimensionTooSmall(ConfvolError):
     """Operation undefined below the minimum dimension (e.g. Schouten at n=2)."""
 
@@ -39,10 +35,6 @@ class NotEinstein(ConfvolError):
 
 class TruncationTooShort(ConfvolError):
     """Series truncation order below what the operation needs."""
-
-
-class ExpressionMismatch(ConfvolError):
-    """Internal consistency failure between two equivalent expressions."""
 
 
 class GeneralFGUnavailable(ConfvolError):

@@ -15,7 +15,7 @@ available through the pointwise curvature formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -26,8 +26,8 @@ from .models import (
     FlatTorus,
     ModelMetric,
     RoundSphere,
-    sphere_embedding,
     sphere_volume,
+    zonal_field,
 )
 from .spectral import _gegenbauer_coeffs, field_values
 
@@ -129,16 +129,7 @@ class SphereZonal:
         poly = np.zeros(self.degree + 1)
         for c, p, nm in zip(coef, self._polys, self._norms):
             poly[: len(p)] += c * p / nm
-        sphere = self.base
-
-        def field(x):
-            t = sphere_embedding(sphere, x)[0]
-            out = poly[-1] * (t * 0.0 + 1.0)
-            for c in poly[-2::-1]:
-                out = out * t + c
-            return out
-
-        return field
+        return zonal_field(self.base, poly, 0)
 
     def vk(self, omega, k):
         n, L = self.base.n, self.base.radius

@@ -30,10 +30,6 @@ class ModelMetric:
     def sample_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    @property
-    def max_order(self) -> int:
-        return 4
-
 
 def _delta_matrix(x: Sequence[Jet], scale=None) -> Jet:
     space = x[0].space
@@ -190,28 +186,6 @@ class WarpedRadial(ModelMetric):
 
 
 @dataclass(frozen=True)
-class ChartMetric(ModelMetric):
-    """Generic metric given by a jet-evaluable component function."""
-
-    n: int
-    components: Callable
-    derivative_order: int = 4
-    sampler: Callable = None
-
-    def chart(self, x):
-        return self.components(x)
-
-    def sample_points(self, count, rng):
-        if self.sampler is not None:
-            return self.sampler(count, rng)
-        return rng.normal(size=(count, self.n)) * 0.3
-
-    @property
-    def max_order(self) -> int:
-        return self.derivative_order
-
-
-@dataclass(frozen=True)
 class ConformalDeformation(ModelMetric):
     """e^{2 omega} times a base metric; omega is a jet-evaluable field."""
 
@@ -325,16 +299,6 @@ def combined_field(fields, weights):
     return field
 
 
-def constant_field(value: float):
-    def field(x):
-        ref = x[0]
-        if isinstance(ref, Jet):
-            return Jet.constant(ref.space, np.full(ref.c.shape[:-1], value))
-        return np.full(np.shape(ref), value)
-
-    return field
-
-
 def fourier_field(torus: FlatTorus, mode: Sequence[int], amplitude: float = 1.0,
                   phase: float = 0.0):
     """amplitude * cos(2 pi sum_i m_i x_i / p_i + phase) on a flat torus."""
@@ -358,10 +322,3 @@ def sphere_volume(n: int, radius: float = 1.0) -> float:
 
     return 2.0 * pi ** ((n + 1) / 2.0) / gamma((n + 1) / 2.0) * radius ** n
 
-
-def metric_chart_jets(m: ModelMetric, points: np.ndarray, order: int) -> Jet:
-    """Metric component jets at the given chart points (batched)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    space = jets.jet_space(m.n, order)
-    x = jets.coordinates(space, points.T)
-    return m.chart(x)

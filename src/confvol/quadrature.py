@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import roots_legendre
 
-from . import jets
 from .errors import GridResolutionInsufficient
 from .models import (
     ConformalDeformation,
@@ -21,6 +20,7 @@ from .models import (
     RoundSphere,
     WarpedRadial,
 )
+from .spectral import field_values
 
 _MAX_DOUBLINGS = 6
 _MAX_NODES = 3_000_000
@@ -84,7 +84,7 @@ def grid_with_weights(m: ModelMetric, resolution: int):
         return pts, w
     if isinstance(m, ConformalDeformation):
         pts, w = grid_with_weights(m.base, resolution)
-        om = _field_values(m.omega, pts)
+        om = field_values(m.omega, pts)
         return pts, w * np.exp(m.n * om)
     raise GridResolutionInsufficient(
         f"no quadrature rule for model kind {type(m).__name__}")
@@ -95,18 +95,6 @@ def _integrate_once(m: ModelMetric, f, resolution: int) -> float:
     if f is None:
         return float(np.sum(w))
     return float(np.sum(w * np.asarray(f(pts), dtype=float)))
-
-
-def _field_values(field, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a jet-style field on plain chart points."""
-    space = jets.jet_space(pts.shape[1], 0)
-    x = jets.coordinates(space, pts.T)
-    out = field(x)
-    return out.value if isinstance(out, jets.Jet) else np.asarray(out)
-
-
-def field_on_points(field, pts: np.ndarray) -> np.ndarray:
-    return _field_values(field, pts)
 
 
 def _mesh(axes):

@@ -36,6 +36,7 @@ from .jets import Jet
 from .models import ConformalDeformation, ModelMetric, WarpedRadial
 from .quadrature import integrate
 from .series import v_direct
+from .spectral import field_values
 
 # conditioning of the weighted monomial fit grows quickly with the number of
 # divergent terms; beyond this the analytic path is the only reliable route
@@ -61,13 +62,12 @@ class AHNormalForm:
         return self.boundary.n
 
     def __post_init__(self):
-        d1, d2 = _warp_derivatives(self.warp)
+        d1 = _warp_derivative(self.warp)
         if abs(self.warp(0.0) - 1.0) > 1e-12:
             raise InvalidRange(f"warp(0) = {self.warp(0.0)}, expected 1")
         if abs(d1) > _GEODESIC_TOL:
             raise InvalidRange(
                 f"warp must be even in r: f'(0) = {d1:.3e}")
-        del d2
 
 
 def hyperbolic_normal_form(boundary: ModelMetric) -> AHNormalForm:
@@ -80,13 +80,10 @@ def hyperbolic_normal_form(boundary: ModelMetric) -> AHNormalForm:
     )
 
 
-def _warp_derivatives(warp: Callable) -> tuple:
-    space = jets.jet_space(1, 2)
-    f = warp(Jet.variable(space, 0, 0.0))
-    if not isinstance(f, Jet):
-        return 0.0, 0.0
-    c = f.c
-    return float(c[1]), float(2.0 * c[2])
+def _warp_derivative(warp: Callable) -> float:
+    """f'(0) of the warp."""
+    f = warp(Jet.variable(jets.jet_space(1, 2), 0, 0.0))
+    return float(f.c[1]) if isinstance(f, Jet) else 0.0
 
 
 def _density_poly(a: AHNormalForm) -> np.ndarray:
@@ -190,8 +187,7 @@ def geodesic_compactification(a: AHNormalForm) -> WarpedRadial:
 def boundary_shape_value(warp: Callable) -> float:
     """Common eigenvalue of the boundary shape operator of {r = 0} for the
     metric dr^2 + f(r)^2 g (inward normal): f'(0) / f(0)."""
-    d1, _ = _warp_derivatives(warp)
-    return d1 / float(warp(0.0))
+    return _warp_derivative(warp) / float(warp(0.0))
 
 
 def renorm_coefficient(n: int) -> float:
@@ -220,10 +216,7 @@ def bulk_coefficient_integral(compact: WarpedRadial, k: int, omega=None,
         base = np.asarray(compact.warp(r), dtype=float) ** q
         if omega is None:
             return base
-        space = jets.jet_space(1, 0)
-        om = omega([Jet.variable(space, 0, r)])
-        om = om.value if isinstance(om, Jet) else np.asarray(om)
-        return base * np.exp((q + 1) * om)
+        return base * np.exp((q + 1) * field_values(omega, r[:, None]))
 
     pts = np.concatenate([rs[:, None], np.tile(fiber_pts[0], (nodes, 1))], axis=1)
     vals = v_direct(model, k, points=pts)

@@ -3,8 +3,8 @@
 A MetricSeries stores the Taylor coefficients of a one-parameter family of
 metrics g(rho) pointwise on a batch of chart points.  Volume coefficients
 v_k come from the log-determinant expansion of (det g(rho)/det g)^{1/2};
-the associated contravariant tensors L_(k) are computed through two
-independent expressions and cross-asserted on every call.
+the associated contravariant tensors L_(k) are the Taylor coefficients of
+-v(rho) int_0^rho g^{ij}(u) du.
 
 Einstein backgrounds (Ric = 2a(n-1)g) have the closed family
 g(rho) = (1 + a rho)^2 g, which makes every quantity here available in
@@ -21,7 +21,6 @@ import numpy as np
 from .curvature import curvature_pack, sigma_k
 from .errors import (
     DimensionFour,
-    ExpressionMismatch,
     GeneralFGUnavailable,
     InvalidRange,
     KOutOfRange,
@@ -53,19 +52,14 @@ class MetricSeries:
 
 @dataclass(frozen=True)
 class VolumeCoefficients:
-    """v_0..v_K pointwise; normalization records which convention is stored.
-
-    The two conventions differ by v_k = (-2)^k v^(2k).
-    """
+    """v_0..v_K pointwise; v2k(k) gives v^(2k) = v_k / (-2)^k."""
 
     values: np.ndarray          # shape (K+1, npts)
-    normalization: str = "vk"   # "vk" or "v2k"
 
     def vk(self, k: int) -> np.ndarray:
         if k >= self.values.shape[0]:
             raise TruncationTooShort(f"v_{k} beyond stored order {self.values.shape[0] - 1}")
-        v = self.values[k]
-        return v if self.normalization == "vk" else (-2.0) ** k * v
+        return self.values[k]
 
     def v2k(self, k: int) -> np.ndarray:
         return self.vk(k) / (-2.0) ** k
@@ -186,16 +180,12 @@ def vk_from_series(s: MetricSeries, kmax: int | None = None) -> VolumeCoefficien
         for j in range(1, mdeg + 1):
             acc += j * 0.5 * w[j] * v[mdeg - j]
         v[mdeg] = acc / mdeg
-    return VolumeCoefficients(values=v, normalization="vk")
+    return VolumeCoefficients(values=v)
 
 
 def L_tensor(s: MetricSeries, k: int) -> LTensor:
     """Contravariant tensor L^{ij}_(k), the k-th Taylor coefficient of
     -v(rho) int_0^rho g^{ij}(u) du.
-
-    Computed through two independent expressions (the direct product-series
-    coefficient and the convolution sum over v_{k-l} with inverse-metric
-    derivatives) that must agree to 1e-12.
     """
     if k < 1:
         raise KOutOfRange(f"k = {k} must be at least 1")
@@ -207,23 +197,11 @@ def L_tensor(s: MetricSeries, k: int) -> LTensor:
     ginv = inverse_series(s)
     vk = vk_from_series(s, kmax=k - 1).values
 
-    # route 1: coefficient of rho^k in v(rho) * int_0^rho g^{ij}(u) du,
-    # where the integral contributes Ginv_{l} rho^{l+1} / (l+1)
+    # coefficient of rho^k in v(rho) * int_0^rho g^{ij}(u) du, where the
+    # integral contributes Ginv_{l} rho^{l+1} / (l+1)
     direct = np.zeros_like(ginv[0])
     for l in range(k):                 # integral term rho^{l+1}, v term rho^{k-1-l}
         direct += vk[k - 1 - l][:, None, None] * ginv[l] / (l + 1)
-
-    # route 2: sum_{l=1}^k v_{k-l} * d^{l-1} g^{ij}|_0 / l!
-    #        = sum_{l=1}^k v_{k-l} * Ginv_{l-1} / l
-    conv = np.zeros_like(ginv[0])
-    for l in range(1, k + 1):
-        conv += vk[k - l][:, None, None] * ginv[l - 1] / l
-
-    scale = max(1.0, float(np.max(np.abs(direct))))
-    gap = float(np.max(np.abs(direct - conv)))
-    if gap > 1e-12 * scale:
-        raise ExpressionMismatch(
-            f"L_({k}) expressions disagree by {gap:.3e} (scale {scale:.3e})")
     return LTensor(k=k, components=-direct)
 
 

@@ -56,13 +56,15 @@ class SpectralBasis:
         return float(np.min(self.eigenvalues))
 
 
-def basis_for(m: ModelMetric, **kw) -> SpectralBasis:
+def basis_for(m: ModelMetric, *args, **kw) -> SpectralBasis:
+    """Eigenbasis of the model's kind; a positional size argument is lmax
+    on spheres and products and mmax on tori."""
     if isinstance(m, RoundSphere):
-        return sphere_basis(m, **kw)
+        return sphere_basis(m, *args, **kw)
     if isinstance(m, FlatTorus):
-        return torus_basis(m, **kw)
+        return torus_basis(m, *args, **kw)
     if isinstance(m, ProductOfSpheres):
-        return product_basis(m, **kw)
+        return product_basis(m, *args, **kw)
     raise InvalidRange(f"no closed-form eigenbasis for {type(m).__name__}")
 
 
@@ -311,6 +313,7 @@ def _lifted_field(field, offset: int, d: int, norm: float):
 
 
 def field_values(field, pts: np.ndarray) -> np.ndarray:
+    """Values of a jet-style field at chart points pts of shape (npts, n)."""
     space = jets.jet_space(pts.shape[1], 0)
     x = jets.coordinates(space, pts.T)
     out = field(x)

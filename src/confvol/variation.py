@@ -36,6 +36,7 @@ from .spectral import SpectralBasis, field_gradients, field_values
 
 _NULL_THRESHOLD = 1e-8
 _CRITICAL_TOL = 1e-8
+_DIAGONAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,8 @@ def _classify(eigs: np.ndarray):
     neg = int(np.sum(eigs <= -thresh))
     if pos and neg:
         return "indefinite", null
+    if not (pos or neg):
+        return f"zero with nullity {null}", null
     if null:
         kind = "positive" if pos else "negative"
         return f"{kind} semi-definite with nullity {null}", null
@@ -147,32 +150,56 @@ def _basis_dir_gram(m: ModelMetric, basis: SpectralBasis, resolution: int):
     return dir_, gram
 
 
-def _volume_of(m: ModelMetric) -> float:
-    vol = getattr(m, "volume", None)
-    if vol is not None:
-        return float(vol)
-    return integrate(m)
-
-
 def hessian_Fk(background: ModelMetric, k: int, basis: SpectralBasis,
-               resolution: int = 8, cross_check_tol: float = 1e-9) -> HessianForm:
+               resolution: int = 8) -> HessianForm:
     """Second conformal variation of F_k at an Einstein metric over a basis.
 
     H[l][m] = -(n-2k)(cL * Dir[l][m] + 2k v_k * Gram[l][m]) with
-    cL = -a^{k-1} binom(n-1, k-1) and v_k = a^k binom(n, k).  When the basis
-    lives on the background itself, Dir and Gram are assembled by quadrature
-    and cross-checked against the exact diagonal
-    (n-2k) a^{k-1} binom(n-1, k-1) (lambda_l - 2na); otherwise (noncompact
-    backgrounds probed through a surrogate spectrum) the basis's exact
-    matrices are used directly.
+    cL = -a^{k-1} binom(n-1, k-1) and v_k = a^k binom(n, k); on the
+    background itself the exact diagonal is
+    (n-2k) a^{k-1} binom(n-1, k-1) (lambda_l - 2na).
     """
-    a = _require_einstein(background)
     n = background.n
     if not 1 <= k <= n:
         raise KOutOfRange(f"k = {k} outside 1..{n}")
     if n % 2 == 0 and k == n // 2:
         raise HalfDimension(
             f"F_{k} in dimension {n} is conformally invariant; use hessian_V")
+    return _second_variation(
+        background, k, basis, resolution, "F_k", -(n - 2 * k),
+        lambda a: (n - 2 * k) * a ** (k - 1) * comb(n - 1, k - 1))
+
+
+def hessian_V(background: ModelMetric, basis: SpectralBasis,
+              resolution: int = 8) -> HessianForm:
+    """Second conformal variation of the renormalized volume (n even).
+
+    H[l][m] = (-1)^{n/2+1} 2^{-n/2} (cL * Dir + n v_{n/2} * Gram) with the
+    k = n/2 tensors; on Einstein backgrounds this equals
+    -(-a)^{n/2-1} 2^{-n/2} binom(n-1, n/2-1) (lambda_l - 2na) delta_{lm}.
+    """
+    n = background.n
+    if n % 2:
+        raise OddDimension(f"renormalized volume Hessian needs even n, got {n}")
+    k = n // 2
+    return _second_variation(
+        background, k, basis, resolution, "V", (-1.0) ** (k + 1) * 2.0 ** (-k),
+        lambda a: -((-a) ** (k - 1)) * 2.0 ** (-k) * comb(n - 1, k - 1))
+
+
+def _second_variation(background: ModelMetric, k: int, basis: SpectralBasis,
+                      resolution: int, functional: str, pref: float,
+                      exact_diag) -> HessianForm:
+    """H = pref * (cL * Dir + 2k v_k * Gram) at an Einstein background.
+
+    When the basis lives on the background itself, Dir and Gram are
+    assembled by quadrature and H is checked against the closed-form
+    diagonal exact_diag(a) * (lambda_l - 2na); otherwise (noncompact
+    backgrounds probed through a surrogate spectrum) the basis's exact
+    matrices are used directly.
+    """
+    a = _require_einstein(background)
+    n = background.n
     vk = einstein_vk_exact(n, a, k)
     cL = einstein_L_exact(n, a, k)
     # criticality: v_k must be constant; exact for the Einstein closed form,
@@ -188,78 +215,26 @@ def hessian_Fk(background: ModelMetric, k: int, basis: SpectralBasis,
         dir_, gram = _basis_dir_gram(background, basis, resolution)
     else:
         dir_, gram = basis.dirichlet, basis.gram
-    H = -(n - 2 * k) * (cL * dir_ + 2.0 * k * vk * gram)
+    H = pref * (cL * dir_ + 2.0 * k * vk * gram)
     H = 0.5 * (H + H.T)
 
     if on_model:
-        diag = (n - 2 * k) * a ** (k - 1) * comb(n - 1, k - 1) * (
-            basis.eigenvalues - 2.0 * n * a)
+        diag = exact_diag(a) * (basis.eigenvalues - 2.0 * n * a)
         gap = np.max(np.abs(H - np.diag(diag)))
         scale = max(1.0, float(np.max(np.abs(diag))))
-        if gap > cross_check_tol * scale:
+        if gap > _DIAGONAL_TOL * scale:
             raise NotCritical(
                 f"assembled Hessian deviates from exact diagonal by {gap:.3e}")
-        vol = _volume_of(background)
+        vol = integrate(background)
     else:
         vol = 1.0
 
     eigs = np.linalg.eigvalsh(H)
     classification, nullity = _classify(eigs)
     return HessianForm(
-        matrix=H, functional="F_k", k=k, eigenvalues=eigs,
+        matrix=H, functional=functional, k=k, eigenvalues=eigs,
         classification=classification, nullity=nullity, volume=vol,
         unit_volume_factor=vol ** ((2.0 * k - n) / n),
-    )
-
-
-def hessian_V(background: ModelMetric, basis: SpectralBasis,
-              resolution: int = 8, cross_check_tol: float = 1e-9) -> HessianForm:
-    """Second conformal variation of the renormalized volume (n even).
-
-    H[l][m] = (-1)^{n/2+1} 2^{-n/2} (cL * Dir + n v_{n/2} * Gram) with the
-    k = n/2 tensors; on Einstein backgrounds this equals
-    -(-a)^{n/2-1} 2^{-n/2} binom(n-1, n/2-1) (lambda_l - 2na) delta_{lm}.
-    """
-    n = background.n
-    if n % 2:
-        raise OddDimension(f"renormalized volume Hessian needs even n, got {n}")
-    a = _require_einstein(background)
-    k = n // 2
-    vk = einstein_vk_exact(n, a, k)
-    cL = einstein_L_exact(n, a, k)
-    if k <= 3 and not (k == 3 and n == 4):
-        vals = (-2.0) ** k * v_direct(background, k, count=4)
-        if np.max(np.abs(vals - vk)) > _CRITICAL_TOL * max(1.0, abs(vk)):
-            raise NotCritical(f"v_{k} deviates from constant by "
-                              f"{np.max(np.abs(vals - vk)):.3e}")
-
-    on_model = basis.model == background
-    if on_model:
-        dir_, gram = _basis_dir_gram(background, basis, resolution)
-    else:
-        dir_, gram = basis.dirichlet, basis.gram
-    pref = (-1.0) ** (k + 1) * 2.0 ** (-k)
-    H = pref * (cL * dir_ + n * vk * gram)
-    H = 0.5 * (H + H.T)
-
-    if on_model:
-        diag = -((-a) ** (k - 1)) * 2.0 ** (-k) * comb(n - 1, k - 1) * (
-            basis.eigenvalues - 2.0 * n * a)
-        gap = np.max(np.abs(H - np.diag(diag)))
-        scale = max(1.0, float(np.max(np.abs(diag))))
-        if gap > cross_check_tol * scale:
-            raise NotCritical(
-                f"assembled Hessian deviates from exact diagonal by {gap:.3e}")
-        vol = _volume_of(background)
-    else:
-        vol = 1.0
-
-    eigs = np.linalg.eigvalsh(H)
-    classification, nullity = _classify(eigs)
-    return HessianForm(
-        matrix=H, functional="V", k=k, eigenvalues=eigs,
-        classification=classification, nullity=nullity, volume=vol,
-        unit_volume_factor=1.0,
     )
 
 

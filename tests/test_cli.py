@@ -105,6 +105,22 @@ def test_hessian_command(capsys):
     assert rec["payload"]["nullity"] == 6
 
 
+def test_hessian_command_torus(capsys):
+    # --lmax is the torus basis's mmax: 62 half-lattice modes, cos and sin each
+    code, out, _ = _run(capsys, "hessian", "--model", "torus", "--k", "1",
+                        "--lmax", "2")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["payload"]["classification"] == "positive definite"
+    assert len(rec["payload"]["eigenvalues"]) == 124
+
+
+def test_variation_command_torus(capsys):
+    code, out, _ = _run(capsys, "variation", "--model", "torus", "--lmax", "2")
+    assert code == 0
+    assert "first_variation" in json.loads(out)["payload"]
+
+
 def test_rv_command(capsys):
     code, out, _ = _run(capsys, "rv", "--model", "hyperbolic4")
     assert code == 0

@@ -54,9 +54,9 @@ def test_sphere_polynomial_integral():
     # int over S^3 of yhat_0^2 = vol(S^3) / 4 by symmetry
     m = RoundSphere(3, 1.0)
     field = zonal_field(m, np.array([0.0, 0.0, 1.0]), axis=0)
-    from confvol.quadrature import field_on_points
+    from confvol.spectral import field_values
 
-    val = integrate(m, f=lambda pts: field_on_points(field, pts), tol=1e-12)
+    val = integrate(m, f=lambda pts: field_values(field, pts), tol=1e-12)
     assert val == pytest.approx(sphere_volume(3) / 4.0, rel=1e-10)
 
 

@@ -72,7 +72,7 @@ def test_L_tensor_routes_and_closed_form():
         s = einstein_series(m)
         ginv0 = inverse_series(s)[0]
         for k in range(1, m.n + 1):
-            lt = L_tensor(s, k)   # raises ExpressionMismatch if routes disagree
+            lt = L_tensor(s, k)
             c = einstein_L_exact(m.n, a, k)
             assert np.max(np.abs(lt.components - c * ginv0)) <= 1e-12 * max(1.0, abs(c))
 

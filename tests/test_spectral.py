@@ -28,11 +28,11 @@ def _quad_gram(m, basis, resolution=16):
 def test_sphere_monomial_integral_vs_quadrature():
     m = RoundSphere(3, 1.0)
     from confvol.models import zonal_field
-    from confvol.quadrature import field_on_points
+    from confvol.spectral import field_values
 
     for p in (2, 4, 6):
         f = zonal_field(m, np.eye(p + 1)[p], axis=1)
-        val = integrate(m, f=lambda pts: field_on_points(f, pts), tol=1e-12)
+        val = integrate(m, f=lambda pts: field_values(f, pts), tol=1e-12)
         assert val == pytest.approx(sphere_monomial_integral(3, p), rel=1e-10)
     assert sphere_monomial_integral(3, 1) == 0.0
     assert sphere_monomial_integral(4, 0) == pytest.approx(sphere_volume(4), rel=1e-14)

@@ -129,6 +129,15 @@ def test_hessian_negative_curvature_surrogate():
         assert H.classification == classify_sign_Fk(n, k, -1.0)
 
 
+def test_hessian_zero_form_label():
+    # on a flat torus cL and v_k vanish for k >= 2, so the form is zero
+    H = hessian_Fk(FlatTorus((1.0, 1.0, 1.0)), 2,
+                   torus_basis(FlatTorus((1.0, 1.0, 1.0)), mmax=1))
+    assert not np.any(H.matrix)
+    assert H.classification == "zero with nullity 26"
+    assert H.nullity == 26
+
+
 def test_hessian_V_sphere_and_hyperbolic():
     H = hessian_V(RoundSphere(4, 1.0), sphere_basis(RoundSphere(4, 1.0), lmax=2))
     assert H.classification == "positive semi-definite with nullity 5"

@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -68,6 +68,26 @@ _SCHEMAS = {
 }
 
 
+def _periods(text: str) -> tuple:
+    """Torus periods "p1,p2,..."; empty unless all are finite and positive."""
+    try:
+        periods = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        return ()
+    return periods if all(isfinite(p) and p > 0 for p in periods) else ()
+
+
+# value rules, checked for every key a command's schema has
+_RULES = {
+    "n": (lambda v: v >= 1, "at least 1"),
+    "radius": (lambda v: isfinite(v) and v > 0, "finite and positive"),
+    "a": (isfinite, "finite"),
+    "periods": (_periods, "a comma-separated list of finite positive numbers"),
+    "points": (lambda v: v >= 1, "at least 1"),
+    "grid": (lambda v: v >= 2, "at least 2"),
+}
+
+
 def parse_value(key: str, raw: str, typ):
     try:
         if typ is int:
@@ -104,6 +124,9 @@ def load_config(command: str, cfg_path: str | None, overrides: dict) -> dict:
             raise ConfigInvalid(f"unknown key {key!r} for command {command!r}")
         if raw is not None:
             config[key] = parse_value(key, str(raw), schema[key][0])
+    for key, (valid, rule) in _RULES.items():
+        if key in config and not valid(config[key]):
+            raise ConfigInvalid(f"key {key!r}: {config[key]!r} must be {rule}")
     return config
 
 
@@ -130,8 +153,7 @@ def build_model(config: dict):
     if kind == "hyperbolic":
         return HyperbolicSpace(config["n"], config["radius"])
     if kind == "torus":
-        periods = tuple(float(p) for p in config["periods"].split(","))
-        return FlatTorus(periods)
+        return FlatTorus(_periods(config["periods"]))
     if kind == "einstein":
         return einstein_model(config["n"], config["a"])
     raise ConfigInvalid(f"unknown model kind {config['model']!r}")
@@ -332,8 +354,7 @@ def cmd_flow(config: dict) -> dict:
 
     kind = config["model"]
     if kind == "torus":
-        periods = tuple(float(p) for p in config["periods"].split(","))
-        m = FlatTorus(periods)
+        m = FlatTorus(_periods(config["periods"]))
         omega0 = fourier_field(m, (1,) + (0,) * (m.n - 1),
                                amplitude=config["amplitude"])
         kw = {"shape": (config["grid"],) * m.n}

@@ -149,26 +149,18 @@ def _chart_pack(m: ModelMetric, points: np.ndarray, want_bach: bool) -> Curvatur
     gam = _christoffel(G, Ginv, order)                        # trusted order-1
 
     o2 = order - 2
-    gam2 = gam.trunc(o2)
     dgam = Jet(space, np.stack([gam.diff(v).c for v in range(n)]))
     # Riem_up[rho, sig, mu, nu] = d_mu Gam^rho_{nu sig} - d_nu Gam^rho_{mu sig}
     #                             + Gam^rho_{mu lam} Gam^lam_{nu sig} - (mu<->nu)
     t1 = dgam.c.transpose(1, 3, 0, 2, *range(4, dgam.c.ndim))
     t2 = t1.swapaxes(2, 3)
-    gg = None
-    for lam in range(n):
-        term = space.mul(gam2.c[:, :, lam][:, None, :, None],
-                         gam2.c[lam][None, :, None, :], o2)
-        gg = term if gg is None else gg + term
-    # gg built as [rho, sig, mu, nu] with mul pattern below:
+    gg = space.mul(gam.c, gam.c, o2, "rml...p,lsn...p->rsmn...")
     riem_up = Jet(space, t1 - t2 + gg - gg.swapaxes(2, 3))
 
     ric = Jet(space, np.einsum("msmn...->sn...", riem_up.c))
-    G2 = G.trunc(o2)
-    Ginv2 = Ginv.trunc(o2)
-    scal = Jet(space, space.mul(Ginv2.c, ric.c, o2).sum(axis=(0, 1)))
+    scal = Jet(space, space.mul(Ginv.c, ric.c, o2, "ij...p,ij...p->..."))
     if n >= 3:
-        P = Jet(space, (ric.c - space.mul(scal.c[None, None], G2.c, o2)
+        P = Jet(space, (ric.c - space.mul(scal.c[None, None], G.c, o2)
                         / (2.0 * (n - 1))) / (n - 2))
     else:
         P = None
@@ -195,29 +187,24 @@ def _chart_pack(m: ModelMetric, points: np.ndarray, want_bach: bool) -> Curvatur
                          schout, weyl, bach)
 
 
+# matrix product of matrix jets: [i, j] = sum_k A[i, k] B[k, j]
+_MATMUL = "ik...p,kj...p->ij..."
+
+
 def _inverse_jets(G: Jet, g0: np.ndarray, order: int) -> Jet:
     space = G.space
     inv0 = np.moveaxis(np.linalg.inv(g0), 0, -1)              # (n, n, B)
     inv0_c = Jet.constant(space, inv0).c
     delta = G.c.copy()
     delta[..., 0] = 0.0
-    E = _matmul_c(space, inv0_c, delta, order)                # zero constant term
+    E = space.mul(inv0_c, delta, order, _MATMUL)              # zero constant term
     acc = Jet.constant(space, np.broadcast_to(np.eye(G.c.shape[0])[:, :, None],
                                               inv0.shape).copy()).c
     total = acc.copy()
     for _ in range(order):
-        acc = -_matmul_c(space, acc, E, order)
+        acc = -space.mul(acc, E, order, _MATMUL)
         total = total + acc
-    return Jet(space, _matmul_c(space, total, inv0_c, order))
-
-
-def _matmul_c(space, A, B, out_order):
-    out = None
-    n = A.shape[0]
-    for k in range(n):
-        term = space.mul(A[:, k][:, None], B[k][None, :], out_order)
-        out = term if out is None else out + term
-    return out
+    return Jet(space, space.mul(total, inv0_c, order, _MATMUL))
 
 
 def _christoffel(G: Jet, Ginv: Jet, order: int) -> Jet:
@@ -227,12 +214,7 @@ def _christoffel(G: Jet, Ginv: Jet, order: int) -> Jet:
     M1 = dG.transpose(2, 0, 1, *range(3, dG.ndim))            # [l,i,j] = d_i g_{jl}
     M2 = dG.transpose(2, 1, 0, *range(3, dG.ndim))            # [l,i,j] = d_j g_{il}
     T = M1 + M2 - dG
-    out = None
-    oo = order - 1
-    for lam in range(n):
-        term = space.mul(Ginv.c[:, lam][:, None, None], T[lam][None], oo)
-        out = term if out is None else out + term
-    return Jet(space, 0.5 * out)
+    return Jet(space, 0.5 * space.mul(Ginv.c, T, order - 1, "kl...p,lij...p->kij..."))
 
 
 def _christoffel_values(m: ModelMetric, x):
@@ -258,13 +240,9 @@ def _kulkarni_nomizu(P: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _bach(space, gam, P, weyl, ginv0, n):
     """B_ij = Lap P_ij - div div term - P^{kl} W_{kijl} (values)."""
-    P1 = P.trunc(1)
-    gam1 = gam.trunc(1)
     dP = np.stack([P.diff(v).c for v in range(n)])            # (v,i,j,B,nc)
-    covP = dP.copy()
-    for lam in range(n):
-        covP -= space.mul(gam1.c[lam][:, :, None], P1.c[lam][None, None, :], 1)
-        covP -= space.mul(gam1.c[lam][:, None, :], P1.c[:, lam][None, :, None], 1)
+    covP = (dP - space.mul(gam.c, P.c, 1, "lvi...p,lj...p->vij...")
+            - space.mul(gam.c, P.c, 1, "lvj...p,il...p->vij..."))
     covP_j = Jet(space, covP)                                 # trusted order 1
 
     dcov = np.stack([covP_j.diff(w).value for w in range(n)])  # (w,v,i,j,B)

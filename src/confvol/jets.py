@@ -6,6 +6,12 @@ coordinates around a base point, truncated at a fixed total degree.  The
 coefficient array carries arbitrary leading batch axes, so whole tensors
 and whole batches of evaluation points propagate in one vectorized sweep.
 
+``JetSpace.mul`` is the one product kernel.  For each output coefficient it
+gathers the coefficient pairs that multiply into it and combines them with
+one ``np.einsum`` call, so the same loop gives the elementwise product of
+``Jet`` arithmetic and tensor contractions of jets, such as the matrix
+products and Christoffel contractions of the curvature pipeline.
+
 Curvature needs exact metric derivatives to fourth order (the Bach tensor
 consumes four), which is why charts are evaluated on jets instead of being
 finite-differenced.
@@ -75,14 +81,25 @@ class JetSpace:
     def ncoef_at(self, order: int) -> int:
         return self._cut[min(order, self.order)]
 
-    def mul(self, a: np.ndarray, b: np.ndarray, out_order: int | None = None) -> np.ndarray:
-        """Coefficient-array product, truncated at ``out_order``."""
+    def mul(self, a: np.ndarray, b: np.ndarray, out_order: int | None = None,
+            subscripts: str = "...p,...p->...") -> np.ndarray:
+        """Coefficient-array product, truncated at ``out_order``.
+
+        ``subscripts`` is an ``np.einsum`` spec over the leading axes, with
+        ``p`` the axis of coefficient pairs of one output coefficient.  The
+        default is the broadcast elementwise product; a tensor letter both
+        operands share contracts, e.g. ``"ik...p,kj...p->ij..."`` multiplies
+        matrix jets.  Output coefficients up to ``out_order`` read only input
+        coefficients of degree <= ``out_order``; those above it are zero.
+        """
         nout = self.ncoef_at(self.order if out_order is None else out_order)
-        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-        out = np.zeros(shape + (self.ncoef,), dtype=np.result_type(a, b))
+        out = None
         for k in range(nout):
             idx_i, idx_j = self._pairs[k]
-            out[..., k] = np.sum(a[..., idx_i] * b[..., idx_j], axis=-1)
+            term = np.einsum(subscripts, a[..., idx_i], b[..., idx_j])
+            if out is None:
+                out = np.zeros(np.shape(term) + (self.ncoef,), dtype=term.dtype)
+            out[..., k] = term
         return out
 
     def diff(self, c: np.ndarray, v: int) -> np.ndarray:
@@ -134,12 +151,6 @@ class Jet:
 
     def __getitem__(self, idx) -> "Jet":
         return Jet(self.space, self.c[idx])
-
-    def trunc(self, order: int) -> "Jet":
-        """Zero all coefficients above ``order`` (drop untrusted tails)."""
-        out = self.c.copy()
-        out[..., self.space.ncoef_at(order):] = 0.0
-        return Jet(self.space, out)
 
     def diff(self, v: int) -> "Jet":
         return Jet(self.space, self.space.diff(self.c, v))
@@ -199,9 +210,6 @@ class Jet:
                 out = out * self
             return out
         return power(self, p)
-
-    def mul_trunc(self, other: "Jet", out_order: int) -> "Jet":
-        return Jet(self.space, self.space.mul(self.c, other.c, out_order))
 
 
 # -- analytic functions of jets ------------------------------------------
@@ -288,7 +296,7 @@ def coordinates(space: JetSpace, values: np.ndarray) -> list[Jet]:
     return [Jet.variable(space, v, values[v]) for v in range(space.nvars)]
 
 
-def stack(jets, axis: int = 0) -> Jet:
+def stack(jets) -> Jet:
     """Stack jets (or scalars broadcastable against them) along a new axis."""
     space = next(j.space for j in _flatten(jets) if isinstance(j, Jet))
     return _stack_rec(jets, space)

@@ -52,7 +52,7 @@ class MetricSeries:
 
 @dataclass(frozen=True)
 class VolumeCoefficients:
-    """v_0..v_K pointwise; v2k(k) gives v^(2k) = v_k / (-2)^k."""
+    """v_0..v_K pointwise; row k holds v_k = (-2)^k v^(2k)."""
 
     values: np.ndarray          # shape (K+1, npts)
 
@@ -60,9 +60,6 @@ class VolumeCoefficients:
         if k >= self.values.shape[0]:
             raise TruncationTooShort(f"v_{k} beyond stored order {self.values.shape[0] - 1}")
         return self.values[k]
-
-    def v2k(self, k: int) -> np.ndarray:
-        return self.vk(k) / (-2.0) ** k
 
 
 @dataclass(frozen=True)

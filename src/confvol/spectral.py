@@ -91,26 +91,6 @@ def _poly_pair_integral(n: int, f: np.ndarray, g: np.ndarray, same_axis: bool) -
     )
 
 
-def _poly_dirichlet_integral(n: int, f: np.ndarray, g: np.ndarray,
-                             same_axis: bool) -> float:
-    """Integral of grad f(y_i) . grad g(y_j) over the unit n-sphere.
-
-    Tangential gradients of functions of single ambient coordinates satisfy
-    grad F . grad G = f'(y_i) g'(y_j) (delta_ij - y_i y_j).
-    """
-    df = np.polynomial.polynomial.polyder(f)
-    dg = np.polynomial.polynomial.polyder(g)
-    if same_axis:
-        # f'(s) g'(s) (1 - s^2)
-        h = np.convolve(df, dg)
-        h = np.concatenate([h, [0.0, 0.0]]) - np.concatenate([[0.0, 0.0], h])
-        return sum(c * sphere_monomial_integral(n, p) for p, c in enumerate(h) if c)
-    # -f'(s) g'(t) s t
-    fs = np.concatenate([[0.0], df])
-    gt = np.concatenate([[0.0], dg])
-    return -_poly_pair_integral(n, fs, gt, same_axis=False)
-
-
 def _gegenbauer_coeffs(l: int, n: int) -> np.ndarray:
     """Ascending coefficients of the degree-l zonal harmonic polynomial."""
     return np.asarray(gegenbauer(l, (n - 1) / 2.0).coeffs[::-1])
@@ -240,7 +220,7 @@ def _half_lattice(n: int, mmax: int):
     return keep
 
 
-def torus_basis(m: FlatTorus, mmax: int = 4, max_members: int | None = None) -> SpectralBasis:
+def torus_basis(m: FlatTorus, mmax: int = 4) -> SpectralBasis:
     """Real Fourier modes (cos and sin per half-lattice mode), orthonormal."""
     if mmax < 1:
         raise InvalidRange(f"mmax = {mmax} must be at least 1")
@@ -255,8 +235,6 @@ def torus_basis(m: FlatTorus, mmax: int = 4, max_members: int | None = None) -> 
             members.append(fourier_field(m, mode, amplitude=amp, phase=phase))
             eigenvalues.append(lam)
             labels.append((mode, tag))
-        if max_members is not None and len(members) >= max_members:
-            break
     eigenvalues = np.asarray(eigenvalues)
     return SpectralBasis(
         model=m,

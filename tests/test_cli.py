@@ -87,6 +87,30 @@ def test_exit_code_validation_errors(capsys):
     assert code == 1 and "error" in err
 
 
+def test_exit_code_out_of_range_model_keys(capsys):
+    # a model key outside its range is a validation error (exit 1), never a
+    # traceback or a NaN in the record
+    table = [
+        ("vk", "--n", "0"),
+        ("vk", "--radius", "0"),
+        ("vk", "--radius", "nan"),
+        ("vk", "--radius", "-1"),
+        ("vk", "--model", "einstein", "--a", "nan"),
+        ("curvature", "--model", "torus", "--periods", ","),
+        ("curvature", "--model", "torus", "--periods", "1,-1,1"),
+        ("curvature", "--points", "0"),
+        ("flow", "--model", "torus", "--grid", "1"),
+    ]
+    for argv in table:
+        code, out, err = _run(capsys, *argv)
+        assert code == 1, argv
+        assert "Traceback" not in err and "NaN" not in out, argv
+        assert "must be" in err, argv
+    # the smallest valid values still run
+    assert _run(capsys, "vk", "--n", "1")[0] == 0
+    assert _run(capsys, "flow", "--model", "torus", "--grid", "2")[0] == 0
+
+
 def test_exit_code_numerical_failure(capsys):
     # a flow with a step budget too small to converge exits with code 2
     code, _, err = _run(capsys, "flow", "--model", "torus",

@@ -91,13 +91,6 @@ def test_batched_coefficients():
     assert f.diff(0).value == pytest.approx(vals[1])
 
 
-def test_truncation_zeroes_tail():
-    sp = _space(1, 3)
-    x = Jet.variable(sp, 0, 1.0)
-    f = (x * x * x).trunc(2)
-    assert np.all(f.c[..., sp.ncoef_at(2):] == 0.0)
-
-
 def test_stack_shapes():
     sp = _space()
     x, y = jets.coordinates(sp, np.array([1.0, 2.0]))
@@ -110,6 +103,20 @@ def test_mul_order_cut():
     sp = _space(2, 3)
     x, y = jets.coordinates(sp, np.array([1.0, 1.0]))
     full = (x * y).c
-    cut = x.mul_trunc(y, 1).c
+    cut = sp.mul(x.c, y.c, 1)
     assert np.all(cut[..., sp.ncoef_at(1):] == 0.0)
     assert np.allclose(cut[..., : sp.ncoef_at(1)], full[..., : sp.ncoef_at(1)])
+
+
+def test_contracted_mul_matches_explicit_sum():
+    # the matrix-jet product spec against the sum of elementwise products
+    sp = jets.jet_space(3, 4)
+    rng = np.random.default_rng(7)
+    for batch_a, batch_b in [((2,), (2,)), ((3, 1), (1, 2))]:
+        A = rng.standard_normal((2, 4) + batch_a + (sp.ncoef,))
+        B = rng.standard_normal((4, 3) + batch_b + (sp.ncoef,))
+        for o in (None, 2):
+            got = sp.mul(A, B, o, "ik...p,kj...p->ij...")
+            want = sum(sp.mul(A[:, l][:, None], B[l][None, :], o) for l in range(4))
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

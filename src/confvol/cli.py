@@ -25,6 +25,7 @@ from .errors import (
     GridResolutionInsufficient,
     IllConditionedFit,
     NoConvergence,
+    NonFiniteResult,
     NonPositiveDefinite,
     NotCritical,
     NotTotallyGeodesic,
@@ -35,8 +36,8 @@ from .errors import (
 
 _NUMERICAL_ERRORS = (
     NoConvergence, StepRejected, IllConditionedFit,
-    GridResolutionInsufficient, NonPositiveDefinite, NotCritical,
-    NotTotallyGeodesic, TruncationTooShort,
+    GridResolutionInsufficient, NonFiniteResult, NonPositiveDefinite,
+    NotCritical, NotTotallyGeodesic, TruncationTooShort,
 )
 
 # -- config schemas ---------------------------------------------------------
@@ -77,14 +78,21 @@ def _periods(text: str) -> tuple:
     return periods if all(isfinite(p) and p > 0 for p in periods) else ()
 
 
-# value rules, checked for every key a command's schema has
+# value rules, checked for every key a command's schema has; each rule
+# sees the key's value and the whole config
 _RULES = {
-    "n": (lambda v: v >= 1, "at least 1"),
-    "radius": (lambda v: isfinite(v) and v > 0, "finite and positive"),
-    "a": (isfinite, "finite"),
-    "periods": (_periods, "a comma-separated list of finite positive numbers"),
-    "points": (lambda v: v >= 1, "at least 1"),
-    "grid": (lambda v: v >= 2, "at least 2"),
+    "n": (lambda v, c: v >= 1, "at least 1"),
+    "radius": (lambda v, c: isfinite(v) and v > 0, "finite and positive"),
+    "a": (lambda v, c: isfinite(v), "finite"),
+    "periods": (lambda v, c: _periods(v),
+                "a comma-separated list of finite positive numbers"),
+    "points": (lambda v, c: v >= 1, "at least 1"),
+    "grid": (lambda v, c: v >= 2, "at least 2"),
+    "nmin": (lambda v, c: v >= 3, "at least 3"),
+    "nmax": (lambda v, c: v >= c["nmin"], "at least nmin"),
+    "amplitude": (lambda v, c: isfinite(v), "finite"),
+    "tol": (lambda v, c: isfinite(v) and v > 0, "finite and positive"),
+    "max_steps": (lambda v, c: v >= 1, "at least 1"),
 }
 
 
@@ -125,7 +133,7 @@ def load_config(command: str, cfg_path: str | None, overrides: dict) -> dict:
         if raw is not None:
             config[key] = parse_value(key, str(raw), schema[key][0])
     for key, (valid, rule) in _RULES.items():
-        if key in config and not valid(config[key]):
+        if key in config and not valid(config[key], config):
             raise ConfigInvalid(f"key {key!r}: {config[key]!r} must be {rule}")
     return config
 
@@ -238,6 +246,9 @@ def cmd_variation(config: dict) -> dict:
     m = build_model(config)
     basis = basis_for(m, config["lmax"])
     k = config["k"]
+    if not 0 <= config["member"] < basis.size:
+        raise ConfigInvalid(f"key 'member': {config['member']!r} must be in "
+                            f"0..{basis.size - 1}")
     member = basis.members[config["member"]]
     rng = np.random.default_rng(config["seed"])
     pts = m.sample_points(4, rng)
@@ -432,15 +443,23 @@ def make_record(command: str, config: dict, payload: dict,
     }
 
 
+def _json_text(obj, **kw) -> str:
+    """Canonical JSON of obj; a NaN or infinity in it is a numerical failure."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **kw)
+    except ValueError as exc:
+        raise NonFiniteResult(f"result is not finite: {exc}") from exc
+
+
 def payload_bytes(record: dict) -> bytes:
-    return json.dumps(record["payload"], sort_keys=True).encode()
+    return _json_text(record["payload"]).encode()
 
 
-def write_outputs(record: dict, json_path: str | None, csv_path: str | None):
+def write_outputs(record: dict, text: str, json_path: str | None,
+                  csv_path: str | None):
     if json_path:
         with open(json_path, "w") as fh:
-            json.dump(record, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(text)
     if csv_path:
         rows = record["payload"].get("rows")
         if rows:
@@ -490,11 +509,9 @@ def cli_dispatch(argv) -> int:
         payload = _COMMANDS[args.command](config)
         record = make_record(args.command, config, payload,
                              time.perf_counter() - start)
-        write_outputs(record, args.json, args.csv)
-        if args.command == "report":
-            sys.stdout.write(payload["text"])
-        else:
-            sys.stdout.write(json.dumps(record, sort_keys=True, indent=1) + "\n")
+        text = _json_text(record, indent=1) + "\n"
+        write_outputs(record, text, args.json, args.csv)
+        sys.stdout.write(payload["text"] if args.command == "report" else text)
         return 0
     except (UnknownCommand, ConfigInvalid) as exc:
         sys.stderr.write(f"error: {exc}\n")

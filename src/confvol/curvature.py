@@ -2,8 +2,8 @@
 
 The chart path propagates metric component jets through the Christoffel /
 Riemann / Schouten / Bach pipeline; all derivatives are exact Taylor
-coefficients, never finite differences.  Structured kinds also have
-closed-form fast paths which must agree with the chart path.
+coefficients, never finite differences.  Kinds with a closed-form Riemann
+tensor contract it in one shared tail instead; the two routes must agree.
 
 Conventions: lowered Riemann tensor satisfies Rm[i,j,i,j] > 0 on round
 spheres (unit sphere sectional curvature +1), and the Laplacian is the
@@ -17,11 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .errors import (
-    DimensionTooSmall,
-    KOutOfRange,
-    NonPositiveDefinite,
-)
+from .errors import KOutOfRange, NonPositiveDefinite
 from .jets import Jet
 from .models import (
     FlatTorus,
@@ -30,6 +26,7 @@ from .models import (
     ProductOfSpheres,
     RoundSphere,
     WarpedRadial,
+    metric_values,
 )
 
 
@@ -52,28 +49,33 @@ class CurvaturePack:
         return self.metric.shape[-1]
 
 
-def curvature_pack(m: ModelMetric, points, want_bach=None,
-                   method: str = "auto") -> CurvaturePack:
-    """Curvature tensors of ``m`` at the given chart points."""
+def curvature_pack(m: ModelMetric, points, want_bach=None) -> CurvaturePack:
+    """Curvature tensors of ``m`` at the given chart points.
+
+    Flat tori, space forms and products of round spheres have a parallel
+    Schouten tensor, so their Bach tensor is -P^{kl} W_{kijl}.  A warped
+    product over a round sphere takes the closed form unless Bach is
+    wanted; that and every other kind run the chart jets.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    n = m.n
     if want_bach is None:
-        want_bach = m.n >= 3
-    if method == "auto":
-        method = "fast" if _has_fast_path(m) else "chart"
-    if method == "fast":
-        pack = _fast_pack(m, points, want_bach)
-        if pack is not None:
-            return pack
-        method = "chart"
+        want_bach = n >= 3
+    factors = _round_factors(m)
+    if factors is not None:
+        g0 = metric_values(m, points)
+        riemann = np.zeros(g0.shape[:1] + (n,) * 4)
+        for sl, kappa in factors:
+            riemann[:, sl, sl, sl, sl] += kappa * _unit_riemann(g0[:, sl, sl])
+        pack = _pack(points, g0, riemann)
+        if want_bach and n >= 3:
+            pack.bach = -_p_dot_weyl(pack.inverse, pack.schouten, pack.weyl)
+        return pack
+    if (isinstance(m, WarpedRadial) and isinstance(m.fiber, RoundSphere)
+            and not want_bach):
+        g0 = metric_values(m, points)
+        return _pack(points, g0, _warped_riemann(m, points[:, 0], g0))
     return _chart_pack(m, points, want_bach)
-
-
-def schouten_weyl_bach(m: ModelMetric, points, method: str = "auto"):
-    """(Schouten, Weyl, Bach) at the given points; n >= 3 required."""
-    if m.n < 3:
-        raise DimensionTooSmall("Schouten tensor undefined for n = 2 here")
-    pack = curvature_pack(m, points, want_bach=True, method=method)
-    return pack.schouten, pack.weyl, pack.bach
 
 
 def sigma_k(schouten: np.ndarray, metric: np.ndarray, k: int) -> np.ndarray:
@@ -113,7 +115,9 @@ def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
     n = m.n
     space = jets.jet_space(n, 2)
     x = jets.coordinates(space, points.T)
-    gam, ginv0 = _christoffel_values(m, x)
+    G = m.chart(x)
+    Ginv = _inverse_jets(G, np.moveaxis(G.value, -1, 0), 0)
+    gam = _christoffel(G, Ginv, 1).value                       # (k, i, j, B)
     out = []
     for f in fields:
         w = f(x)
@@ -122,7 +126,7 @@ def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
         ])                                                    # (n, n, B)
         grad = w.gradient_value()                             # (n, B)
         cov = hess - np.einsum("kij...,k...->ij...", gam, grad)
-        out.append(np.einsum("...ij,ij...->...", ginv0, cov))
+        out.append(np.einsum("ij...,ij...->...", Ginv.value, cov))
     res = np.stack(out)
     return res[0] if single else res
 
@@ -137,8 +141,7 @@ def _chart_pack(m: ModelMetric, points: np.ndarray, want_bach: bool) -> Curvatur
     x = jets.coordinates(space, points.T)
     G = m.chart(x)                                            # (n, n, B, nc)
 
-    g0 = np.moveaxis(G.value, -1, 0) if G.value.ndim == 3 else G.value[None]
-    g0 = np.ascontiguousarray(g0)                             # (B, n, n)
+    g0 = np.ascontiguousarray(np.moveaxis(G.value, -1, 0))    # (B, n, n)
     if np.max(np.abs(g0 - np.swapaxes(g0, -1, -2))) > 1e-12 * np.max(np.abs(g0)):
         raise NonPositiveDefinite("metric components not symmetric")
     eig = np.linalg.eigvalsh(g0)
@@ -169,7 +172,7 @@ def _chart_pack(m: ModelMetric, points: np.ndarray, want_bach: bool) -> Curvatur
     rm_up0 = np.moveaxis(riem_up.value, -1, 0)                # (B, n,n,n,n)
     riemann = np.einsum("...rl,...lsmn->...rsmn", g0, rm_up0)
     ricci = np.moveaxis(ric.value, -1, 0)
-    scalar = np.moveaxis(scal.value, -1, 0) if scal.value.ndim else scal.value
+    scalar = scal.value                                       # (B,)
     ginv0 = np.linalg.inv(g0)
 
     if n >= 3:
@@ -183,7 +186,7 @@ def _chart_pack(m: ModelMetric, points: np.ndarray, want_bach: bool) -> Curvatur
     if want_bach and n >= 3:
         bach = _bach(space, gam, P, weyl, ginv0, n)
 
-    return CurvaturePack(points, g0, ginv0, riemann, ricci, np.atleast_1d(scalar),
+    return CurvaturePack(points, g0, ginv0, riemann, ricci, scalar,
                          schout, weyl, bach)
 
 
@@ -217,20 +220,6 @@ def _christoffel(G: Jet, Ginv: Jet, order: int) -> Jet:
     return Jet(space, 0.5 * space.mul(Ginv.c, T, order - 1, "kl...p,lij...p->kij..."))
 
 
-def _christoffel_values(m: ModelMetric, x):
-    """(Christoffel values (k,i,j,B), inverse metric values (B,n,n))."""
-    G = m.chart(x)
-    g0 = np.moveaxis(G.value, -1, 0)
-    ginv0 = np.linalg.inv(g0)
-    # Christoffel values need only dG values and the pointwise inverse
-    dG = np.stack([G.diff(v).value for v in range(m.n)])
-    M1 = dG.transpose(2, 0, 1, *range(3, dG.ndim))
-    M2 = dG.transpose(2, 1, 0, *range(3, dG.ndim))
-    T = M1 + M2 - dG
-    gamv = 0.5 * np.einsum("...kl,lij...->kij...", ginv0, T)
-    return gamv, ginv0
-
-
 def _kulkarni_nomizu(P: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (np.einsum("...ik,...jl->...ijkl", P, g)
             + np.einsum("...jl,...ik->...ijkl", P, g)
@@ -256,115 +245,75 @@ def _bach(space, gam, P, weyl, ginv0, n):
     P0 = np.moveaxis(P.value, -1, 0)
     lap_term = np.einsum("...wv,...wvij->...ij", ginv0, cov2)
     div_term = np.einsum("...wk,...wjik->...ij", ginv0, cov2)
+    return lap_term - div_term - _p_dot_weyl(ginv0, P0, weyl)
+
+
+def _p_dot_weyl(ginv0, P0, weyl):
+    """P^{kl} W_{kijl}, the whole Bach tensor (up to sign) when P is parallel."""
     Pup = np.einsum("...ka,...ab,...lb->...kl", ginv0, P0, ginv0)
-    weyl_term = np.einsum("...kl,...kijl->...ij", Pup, weyl)
-    return lap_term - div_term - weyl_term
+    return np.einsum("...kl,...kijl->...ij", Pup, weyl)
 
 
-# -- fast paths -------------------------------------------------------------
+# -- closed forms -----------------------------------------------------------
 
 
-def _has_fast_path(m: ModelMetric) -> bool:
-    return isinstance(m, (RoundSphere, HyperbolicSpace, FlatTorus,
-                          ProductOfSpheres, WarpedRadial))
-
-
-def _metric_values(m: ModelMetric, points: np.ndarray) -> np.ndarray:
-    space = jets.jet_space(m.n, 0)
-    x = jets.coordinates(space, points.T)
-    return np.moveaxis(m.chart(x).value, -1, 0)
-
-
-def _pack_from_constant_curvature(points, g0, kappa, want_bach):
-    n = g0.shape[-1]
-    riemann = kappa * (np.einsum("...ik,...jl->...ijkl", g0, g0)
-                       - np.einsum("...il,...jk->...ijkl", g0, g0))
-    ricci = (n - 1) * kappa * g0
-    scalar = np.full(g0.shape[0], n * (n - 1) * kappa)
-    schout = 0.5 * kappa * g0 if n >= 3 else np.zeros_like(g0)
-    weyl = np.zeros_like(riemann)
-    bach = np.zeros_like(g0) if (want_bach and n >= 3) else None
-    return CurvaturePack(points, g0, np.linalg.inv(g0), riemann, ricci,
-                         scalar, schout, weyl, bach)
-
-
-def _fast_pack(m: ModelMetric, points, want_bach):
-    n = m.n
+def _round_factors(m: ModelMetric):
+    """(slice, sectional curvature) of each constant-curvature factor of a
+    kind whose Schouten tensor is parallel; None for any other kind."""
     if isinstance(m, FlatTorus):
-        B = points.shape[0]
-        g0 = np.broadcast_to(np.eye(n), (B, n, n)).copy()
-        return _pack_from_constant_curvature(points, g0, 0.0, want_bach)
-    if isinstance(m, (RoundSphere, HyperbolicSpace)):
-        kappa = 1.0 / m.radius ** 2
-        if isinstance(m, HyperbolicSpace):
-            kappa = -kappa
-        return _pack_from_constant_curvature(points, _metric_values(m, points),
-                                             kappa, want_bach)
+        return ()
+    if isinstance(m, RoundSphere):
+        return ((slice(0, m.n), 1.0 / m.radius ** 2),)
+    if isinstance(m, HyperbolicSpace):
+        return ((slice(0, m.n), -1.0 / m.radius ** 2),)
     if isinstance(m, ProductOfSpheres):
-        g0 = _metric_values(m, points)
-        B = g0.shape[0]
-        riemann = np.zeros((B, n, n, n, n))
-        ricci = np.zeros((B, n, n))
-        scalar = np.zeros(B)
-        off = 0
-        for d, r in m.factors:
-            kappa = 1.0 / r ** 2
-            sl = slice(off, off + d)
-            gf = g0[:, sl, sl]
-            riemann[:, sl, sl, sl, sl] += kappa * (
-                np.einsum("...ik,...jl->...ijkl", gf, gf)
-                - np.einsum("...il,...jk->...ijkl", gf, gf))
-            ricci[:, sl, sl] = (d - 1) * kappa * gf
-            scalar += d * (d - 1) * kappa
-            off += d
+        ends = np.cumsum([d for d, _ in m.factors])
+        return tuple((slice(end - d, end), 1.0 / r ** 2)
+                     for end, (d, r) in zip(ends, m.factors))
+    return None
+
+
+def _unit_riemann(g: np.ndarray) -> np.ndarray:
+    """Riemann tensor of unit sectional curvature for the metric g."""
+    return (np.einsum("...ik,...jl->...ijkl", g, g)
+            - np.einsum("...il,...jk->...ijkl", g, g))
+
+
+def _warped_riemann(m: WarpedRadial, r: np.ndarray, g0: np.ndarray) -> np.ndarray:
+    """Riemann tensor of dr^2 + f(r)^2 g_{S^q} (fiber radius L) from its
+    radial and tangential sectional curvatures -f''/f, (1/L^2 - f'^2)/f^2."""
+    B, n = g0.shape[:2]
+    fj = m.warp(Jet.variable(jets.jet_space(1, 2), 0, r))
+    f = fj.value
+    fp = fj.diff(0).value
+    fpp = fj.diff(0).diff(0).value
+    k_rad = -fpp / f
+    k_tan = (1.0 / m.fiber.radius ** 2 - fp ** 2) / f ** 2
+    ghat = g0.copy()
+    ghat[:, 0, :] = 0.0
+    ghat[:, :, 0] = 0.0
+    u = np.zeros((B, n))
+    u[:, 0] = 1.0
+    rad = (np.einsum("...i,...k,...jl->...ijkl", u, u, ghat)
+           + np.einsum("...j,...l,...ik->...ijkl", u, u, ghat)
+           - np.einsum("...i,...l,...jk->...ijkl", u, u, ghat)
+           - np.einsum("...j,...k,...il->...ijkl", u, u, ghat))
+    return (k_rad[:, None, None, None, None] * rad
+            + k_tan[:, None, None, None, None] * _unit_riemann(ghat))
+
+
+def _pack(points: np.ndarray, g0: np.ndarray, riemann: np.ndarray) -> CurvaturePack:
+    """Ricci, scalar, Schouten and Weyl by contraction of a lowered Riemann
+    tensor; no Bach tensor."""
+    n = g0.shape[-1]
+    ginv0 = np.linalg.inv(g0)
+    ricci = np.einsum("...ik,...ijkl->...jl", ginv0, riemann)
+    scalar = np.einsum("...jl,...jl->...", ginv0, ricci)
+    if n >= 3:
         schout = (ricci - scalar[:, None, None] * g0 / (2 * (n - 1))) / (n - 2)
         weyl = riemann - _kulkarni_nomizu(schout, g0)
-        bach = None
-        if want_bach:
-            # P is parallel on a product of round spheres, so only the Weyl
-            # contraction survives.
-            ginv0 = np.linalg.inv(g0)
-            Pup = np.einsum("...ka,...ab,...lb->...kl", ginv0, schout, ginv0)
-            bach = -np.einsum("...kl,...kijl->...ij", Pup, weyl)
-        return CurvaturePack(points, g0, np.linalg.inv(g0), riemann, ricci,
-                             scalar, schout, weyl, bach)
-    if isinstance(m, WarpedRadial) and isinstance(m.fiber, RoundSphere):
-        if want_bach:
-            return None  # chart path supplies the Bach tensor
-        g0 = _metric_values(m, points)
-        B = g0.shape[0]
-        r = points[:, 0]
-        sp1 = jets.jet_space(1, 2)
-        rj = Jet.variable(sp1, 0, r)
-        fj = m.warp(rj)
-        f = fj.value
-        fp = fj.diff(0).value
-        fpp = fj.diff(0).diff(0).value
-        kf = 1.0 / m.fiber.radius ** 2
-        k_rad = -fpp / f                                     # radial sectional
-        k_tan = (kf - fp ** 2) / f ** 2
-        ghat = g0.copy()
-        ghat[:, 0, :] = 0.0
-        ghat[:, :, 0] = 0.0
-        u = np.zeros((B, n))
-        u[:, 0] = 1.0
-        rad = (np.einsum("...i,...k,...jl->...ijkl", u, u, ghat)
-               + np.einsum("...j,...l,...ik->...ijkl", u, u, ghat)
-               - np.einsum("...i,...l,...jk->...ijkl", u, u, ghat)
-               - np.einsum("...j,...k,...il->...ijkl", u, u, ghat))
-        tan = (np.einsum("...ik,...jl->...ijkl", ghat, ghat)
-               - np.einsum("...il,...jk->...ijkl", ghat, ghat))
-        riemann = (k_rad[:, None, None, None, None] * rad
-                   + k_tan[:, None, None, None, None] * tan)
-        ginv0 = np.linalg.inv(g0)
-        ricci = np.einsum("...ik,...ijkl->...jl", ginv0, riemann)
-        scalar = np.einsum("...jl,...jl->...", ginv0, ricci)
-        if n >= 3:
-            schout = (ricci - scalar[:, None, None] * g0 / (2 * (n - 1))) / (n - 2)
-            weyl = riemann - _kulkarni_nomizu(schout, g0)
-        else:
-            schout = np.zeros_like(g0)
-            weyl = np.zeros_like(riemann)
-        return CurvaturePack(points, g0, ginv0, riemann, ricci, scalar,
-                             schout, weyl, None)
-    return None
+    else:
+        schout = np.zeros_like(g0)
+        weyl = np.zeros_like(riemann)
+    return CurvaturePack(points, g0, ginv0, riemann, ricci, scalar,
+                         schout, weyl, None)

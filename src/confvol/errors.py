@@ -107,3 +107,7 @@ class UnknownCommand(ConfvolError):
 
 class ConfigInvalid(ConfvolError):
     """Malformed or unknown configuration key/value."""
+
+
+class NonFiniteResult(ConfvolError):
+    """A result record holds a NaN or an infinity."""

@@ -203,6 +203,13 @@ class ConformalDeformation(ModelMetric):
         return self.base.sample_points(count, rng)
 
 
+def metric_values(m: ModelMetric, points) -> np.ndarray:
+    """Metric components of ``m`` at chart points (npts, n), shape (npts, n, n)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    x = jets.coordinates(jets.jet_space(m.n, 0), points.T)
+    return np.moveaxis(m.chart(x).value, -1, 0)
+
+
 # -- Einstein bookkeeping -------------------------------------------------
 
 
@@ -244,11 +251,11 @@ def einstein_model(n: int, a: float) -> ModelMetric:
         model = FlatTorus((1.0,) * n)
     else:
         model = HyperbolicSpace(n, 1.0 / np.sqrt(-2.0 * a))
-    from .curvature import curvature_pack  # deferred: avoids import cycle
+    # the chart jets, independent of the closed form curvature_pack takes
+    from .curvature import _chart_pack  # deferred: avoids import cycle
 
     rng = np.random.default_rng(7)
-    pack = curvature_pack(model, model.sample_points(2, rng), want_bach=False,
-                          method="chart")
+    pack = _chart_pack(model, model.sample_points(2, rng), want_bach=False)
     target = 2.0 * a * (n - 1) * pack.metric
     resid = np.max(np.abs(pack.ricci - target))
     scale = max(1.0, float(np.max(np.abs(pack.metric))))

@@ -1,15 +1,16 @@
 """Integration of scalar fields over model manifolds.
 
 Structured kinds use product grids with exact closed-form measures:
-uniform (trapezoidal = spectral) grids on tori, Gauss-Legendre in the
-polar angles times uniform azimuth on spheres, Gauss-Legendre radially on
-warped products.  Resolution doubles until two successive estimates agree.
+uniform (trapezoidal = spectral) grids on tori, Gauss-Jacobi in the
+cosines of the polar angles times uniform azimuth on spheres,
+Gauss-Legendre radially on warped products.  Resolution doubles until two
+successive estimates agree.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import GridResolutionInsufficient
 from .models import (
@@ -52,19 +53,18 @@ def integrate(m: ModelMetric, f=None, tol: float = 1e-10,
 def grid_with_weights(m: ModelMetric, resolution: int):
     """Chart nodes (npts, n) and weights summing to the volume of m."""
     if isinstance(m, FlatTorus):
-        axes = [np.arange(resolution) / resolution * p for p in m.periods]
-        pts = _mesh(axes)
+        axes = [np.arange(resolution)[:, None] / resolution * p for p in m.periods]
+        pts = _mesh_points(axes)
         w = np.full(pts.shape[0], np.prod(m.periods) / pts.shape[0])
         return pts, w
-    if isinstance(m, RoundSphere):
-        # node count grows like resolution^(n-1); refuse before exhausting memory
-        if 2 * resolution ** m.n > _MAX_NODES:
+    if isinstance(m, (RoundSphere, ProductOfSpheres)):
+        factors = ((m.n, m.radius),) if isinstance(m, RoundSphere) else m.factors
+        # an S^d grid has 2 resolution^d nodes; refuse before exhausting memory
+        if np.prod([2.0 * resolution ** d for d, _ in factors]) > _MAX_NODES:
             raise GridResolutionInsufficient(
-                f"sphere grid at resolution {resolution} in dimension {m.n} "
-                f"exceeds the node budget")
-        return _sphere_grid(m.n, m.radius, resolution)
-    if isinstance(m, ProductOfSpheres):
-        parts = [_sphere_grid(d, r, resolution) for d, r in m.factors]
+                f"grid on {type(m).__name__} at resolution {resolution} in "
+                f"dimension {m.n} exceeds the node budget")
+        parts = [_sphere_grid(d, r, resolution) for d, r in factors]
         pts = _mesh_points([p for p, _ in parts])
         ws = _mesh_points([w[:, None] for _, w in parts])
         return pts, np.prod(ws, axis=1)
@@ -97,11 +97,6 @@ def _integrate_once(m: ModelMetric, f, resolution: int) -> float:
     return float(np.sum(w * np.asarray(f(pts), dtype=float)))
 
 
-def _mesh(axes):
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 def _mesh_points(parts):
     """Cartesian product of point sets, concatenating coordinates."""
     out = parts[0]
@@ -115,23 +110,22 @@ def _mesh_points(parts):
 def _sphere_grid(n: int, radius: float, resolution: int):
     """Product-angle grid on S^n mapped to the stereographic chart.
 
-    Hyperspherical angles: n-1 polar angles with sin^k weights (handled by
-    Gauss-Legendre in the angle) and one uniform azimuth.
+    Hyperspherical angles: n-1 polar angles and one uniform azimuth.  The
+    polar weight sin^k(theta) d theta is (1 - t^2)^((k-1)/2) dt in
+    t = cos(theta), so Gauss-Jacobi in t integrates ambient polynomials of
+    degree below 2 * resolution exactly.
     """
     polar_nodes = []
     polar_weights = []
     for k in range(n - 1, 0, -1):       # weight sin^k(theta)
-        xs, ws = roots_legendre(resolution)
-        theta = 0.5 * np.pi * (xs + 1.0)
-        w = 0.5 * np.pi * ws * np.sin(theta) ** k
-        polar_nodes.append(theta)
-        polar_weights.append(w)
+        ts, ws = roots_jacobi(resolution, 0.5 * (k - 1), 0.5 * (k - 1))
+        polar_nodes.append(np.arccos(ts))
+        polar_weights.append(ws)
     phi = 2.0 * np.pi * np.arange(2 * resolution) / (2 * resolution)
     wphi = np.full(2 * resolution, 2.0 * np.pi / (2 * resolution))
-    axes = polar_nodes + [phi]
-    waxes = polar_weights + [wphi]
-    angles = _mesh(axes)
-    w = _mesh([*waxes]).prod(axis=1) * radius ** n
+    angles = _mesh_points([a[:, None] for a in polar_nodes + [phi]])
+    w = _mesh_points([a[:, None] for a in polar_weights + [wphi]]).prod(axis=1)
+    w = w * radius ** n
 
     # ambient unit coordinates: y_{n+1} = cos t_1; y_n = sin t_1 cos t_2; ...;
     # y_2 = sin t_1 .. sin t_{n-1} cos phi; y_1 = sin t_1 .. sin t_{n-1} sin phi

@@ -21,13 +21,14 @@ import numpy as np
 from .curvature import curvature_pack, sigma_k
 from .errors import (
     DimensionFour,
+    DimensionTooSmall,
     GeneralFGUnavailable,
     InvalidRange,
     KOutOfRange,
     NotEinstein,
     TruncationTooShort,
 )
-from .models import ModelMetric, einstein_constant
+from .models import ModelMetric, einstein_constant, metric_values
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def einstein_series(m: ModelMetric, K: int | None = None, points=None,
     if K < 0:
         raise InvalidRange(f"truncation order K = {K} must be nonnegative")
     pts = _series_points(m, points, count, seed)
-    g0 = curvature_pack(m, pts, want_bach=False).metric
+    g0 = metric_values(m, pts)
     coeffs = np.zeros((K + 1,) + g0.shape)
     for l in range(min(K, 2) + 1):
         coeffs[l] = comb(2, l) * a ** l * g0
@@ -213,6 +214,9 @@ def v_direct(m: ModelMetric, k: int, points=None,
     if k not in (1, 2, 3):
         raise KOutOfRange(f"direct formulas cover k in {{1, 2, 3}}, got {k}")
     n = m.n
+    if k >= 2 and n < 3:
+        raise DimensionTooSmall(
+            f"v^({2 * k}) needs the Schouten tensor, undefined at n = {n}")
     if k == 3 and n == 4:
         raise DimensionFour("the sixth-order coefficient formula is singular at n = 4")
     pts = _series_points(m, points, count, seed)

@@ -106,6 +106,9 @@ def sphere_basis(m: RoundSphere, lmax: int = 8, axes_per_degree: int = 2) -> Spe
     coordinate functions; higher degrees take ``axes_per_degree`` axes.
     """
     n, L = m.n, m.radius
+    if n < 2:
+        # the Gegenbauer index (n-1)/2 is 0 on the circle: no zonal family
+        raise InvalidRange(f"n = {n} must be at least 2 for zonal harmonics")
     if lmax < 1:
         raise InvalidRange(f"lmax = {lmax} must be at least 1")
     members, eigenvalues, labels, structure = [], [], [], []
@@ -220,10 +223,18 @@ def _half_lattice(n: int, mmax: int):
     return keep
 
 
+_MAX_TORUS_MEMBERS = 1000      # Dir/Gram assembly costs members^2 x nodes
+
+
 def torus_basis(m: FlatTorus, mmax: int = 4) -> SpectralBasis:
     """Real Fourier modes (cos and sin per half-lattice mode), orthonormal."""
     if mmax < 1:
         raise InvalidRange(f"mmax = {mmax} must be at least 1")
+    size = (2 * mmax + 1) ** m.n - 1
+    if size > _MAX_TORUS_MEMBERS:
+        raise InvalidRange(
+            f"mmax = {mmax} in dimension {m.n} gives {size} members; the basis "
+            f"must be at most {_MAX_TORUS_MEMBERS} members")
     vol = m.volume
     amp = np.sqrt(2.0 / vol)
     members, eigenvalues, labels = [], [], []

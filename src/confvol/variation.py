@@ -29,10 +29,12 @@ from .errors import (
     NotEinstein,
     OddDimension,
 )
-from .models import ModelMetric, einstein_constant
+from .models import (FlatTorus, ModelMetric, RoundSphere, einstein_constant,
+                     metric_values)
 from .quadrature import grid_with_weights, integrate
 from .series import einstein_L_exact, einstein_vk_exact, v_direct
-from .spectral import SpectralBasis, field_gradients, field_values
+from .spectral import (SpectralBasis, field_gradients, field_values,
+                       sphere_pair_matrices)
 
 _NULL_THRESHOLD = 1e-8
 _CRITICAL_TOL = 1e-8
@@ -133,18 +135,20 @@ def first_variation_Fk(m: ModelMetric, k: int, omega, tol: float = 1e-9,
 
 def _basis_dir_gram(m: ModelMetric, basis: SpectralBasis, resolution: int):
     """Dirichlet and Gram matrices of the basis by quadrature on m."""
-    from .curvature import curvature_pack
-    from .models import RoundSphere
-    from .spectral import sphere_pair_matrices
-
     if isinstance(m, RoundSphere) and basis.zonal_structure is not None:
         # pair products depend on two ambient coordinates only, so the
         # integrals reduce to cheap 2D quadrature in any dimension
         return sphere_pair_matrices(m, basis)
+    if isinstance(m, FlatTorus):
+        # a product of two modes up to mmax has frequencies up to 2 mmax,
+        # which a uniform grid integrates exactly with more than 2 mmax
+        # points per axis
+        mmax = max(max(abs(v) for v in mode) for mode, _ in basis.labels)
+        resolution = max(resolution, 2 * mmax + 1)
     pts, w = grid_with_weights(m, resolution)
     vals = np.stack([field_values(f, pts) for f in basis.members])
     grads = np.stack([field_gradients(f, pts) for f in basis.members])
-    ginv = curvature_pack(m, pts, want_bach=False).inverse
+    ginv = np.linalg.inv(metric_values(m, pts))
     gram = np.einsum("ip,jp,p->ij", vals, vals, w)
     dir_ = np.einsum("ipa,jpb,pab,p->ij", grads, grads, ginv, w)
     return dir_, gram
@@ -203,8 +207,8 @@ def _second_variation(background: ModelMetric, k: int, basis: SpectralBasis,
     vk = einstein_vk_exact(n, a, k)
     cL = einstein_L_exact(n, a, k)
     # criticality: v_k must be constant; exact for the Einstein closed form,
-    # but verify the direct curvature value agrees where available
-    if k <= 3 and not (k == 3 and n == 4):
+    # but verify the direct curvature value agrees where a formula exists
+    if k <= 3 and n >= 3 and not (k == 3 and n == 4):
         vals = (-2.0) ** k * v_direct(background, k, count=4)
         if np.max(np.abs(vals - vk)) > _CRITICAL_TOL * max(1.0, abs(vk)):
             raise NotCritical(f"v_{k} deviates from constant by "

@@ -11,7 +11,7 @@ from confvol.cli import (
     load_config,
     payload_bytes,
 )
-from confvol.errors import ConfigInvalid, UnknownCommand
+from confvol.errors import ConfigInvalid, NonFiniteResult, UnknownCommand
 
 
 def _run(capsys, *argv):
@@ -100,6 +100,15 @@ def test_exit_code_out_of_range_model_keys(capsys):
         ("curvature", "--model", "torus", "--periods", "1,-1,1"),
         ("curvature", "--points", "0"),
         ("flow", "--model", "torus", "--grid", "1"),
+        ("variation", "--member", "999"),
+        ("signtable", "--nmin", "9", "--nmax", "3"),
+        ("signtable", "--nmin", "1", "--nmax", "2"),
+        ("flow", "--tol", "nan"),
+        ("flow", "--amplitude", "inf"),
+        ("flow", "--max-steps", "0"),
+        # the default torus basis (4,912 members) is refused before it is built
+        ("hessian", "--model", "torus"),
+        ("hessian", "--n", "1"),
     ]
     for argv in table:
         code, out, err = _run(capsys, *argv)
@@ -109,6 +118,11 @@ def test_exit_code_out_of_range_model_keys(capsys):
     # the smallest valid values still run
     assert _run(capsys, "vk", "--n", "1")[0] == 0
     assert _run(capsys, "flow", "--model", "torus", "--grid", "2")[0] == 0
+
+
+def test_non_finite_record_is_numerical_failure():
+    with pytest.raises(NonFiniteResult):
+        payload_bytes({"payload": {"x": float("nan")}})
 
 
 def test_exit_code_numerical_failure(capsys):

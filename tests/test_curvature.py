@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from confvol import curvature, models
-from confvol.curvature import curvature_pack, laplacian, sigma_k
-from confvol.errors import DimensionFour, DimensionTooSmall, KOutOfRange
+from confvol import models
+from confvol.curvature import _chart_pack, curvature_pack, laplacian, sigma_k
+from confvol.errors import KOutOfRange
 from confvol.models import (
     ConformalDeformation,
     FlatTorus,
@@ -24,7 +24,7 @@ def _random_points(m, count):
 
 def test_sphere_closed_forms():
     m = RoundSphere(4, 1.0)
-    pack = curvature_pack(m, _random_points(m, 6), method="chart")
+    pack = _chart_pack(m, _random_points(m, 6), want_bach=True)
     assert np.max(np.abs(pack.scalar - 12.0)) < 1e-10
     assert np.max(np.abs(pack.ricci - 3.0 * pack.metric)) < 1e-10
     assert np.max(np.abs(pack.schouten - 0.5 * pack.metric)) < 1e-10
@@ -34,13 +34,13 @@ def test_sphere_closed_forms():
 
 def test_hyperbolic_scalar():
     m = HyperbolicSpace(3, 1.0)
-    pack = curvature_pack(m, _random_points(m, 6), method="chart")
+    pack = _chart_pack(m, _random_points(m, 6), want_bach=True)
     assert np.max(np.abs(pack.scalar + 6.0)) < 1e-9
 
 
 def test_flat_torus_vanishing():
     m = FlatTorus((1.0, 2.0, 3.0))
-    pack = curvature_pack(m, _random_points(m, 4), method="chart")
+    pack = _chart_pack(m, _random_points(m, 4), want_bach=True)
     assert np.max(np.abs(pack.riemann)) < 1e-12
     assert np.max(np.abs(pack.bach)) < 1e-12
 
@@ -64,28 +64,38 @@ def test_riemann_symmetries_random_points():
 
 
 def test_fast_paths_match_chart():
+    # space forms and flat tori take their Bach tensor from -P^{kl} W_{kijl}
     cases = [
-        RoundSphere(3, 2.0),
-        HyperbolicSpace(4, 1.5),
-        ProductOfSpheres(((2, 1.0), (2, 1.0))),
-        WarpedRadial(lambda r: 1.0 - r * r / 4.0, RoundSphere(3, 1.0),
-                     (0.0, 2.0)),
+        (RoundSphere(3, 2.0), True),
+        (HyperbolicSpace(4, 1.5), True),
+        (FlatTorus((1.0, 2.0, 3.0)), True),
+        (ProductOfSpheres(((2, 1.0), (2, 1.0))), False),
+        (WarpedRadial(lambda r: 1.0 - r * r / 4.0, RoundSphere(3, 1.0),
+                      (0.0, 2.0)), False),
     ]
-    for m in cases:
+    for m, want_bach in cases:
         pts = _random_points(m, 5)
-        fast = curvature_pack(m, pts, want_bach=False, method="fast")
-        chart = curvature_pack(m, pts, want_bach=False, method="chart")
-        for name in ("riemann", "ricci", "scalar", "schouten", "weyl"):
+        fast = curvature_pack(m, pts, want_bach=want_bach)
+        chart = _chart_pack(m, pts, want_bach)
+        names = ("riemann", "ricci", "scalar", "schouten", "weyl")
+        for name in names + (("bach",) if want_bach else ()):
             a, b = getattr(fast, name), getattr(chart, name)
             scale = max(1.0, np.max(np.abs(b)))
             assert np.max(np.abs(a - b)) < 1e-9 * scale, (type(m).__name__, name)
+    # a warped product with Bach is the chart pack itself
+    warped = cases[-1][0]
+    pts = _random_points(warped, 3)
+    got = curvature_pack(warped, pts, want_bach=True)
+    ref = _chart_pack(warped, pts, True)
+    for name in names + ("bach",):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
 def test_product_bach_matches_chart():
     m = ProductOfSpheres(((2, 1.0), (3, 1.0)))
     pts = _random_points(m, 3)
-    fast = curvature_pack(m, pts, method="fast")
-    chart = curvature_pack(m, pts, method="chart")
+    fast = curvature_pack(m, pts)
+    chart = _chart_pack(m, pts, True)
     assert np.max(np.abs(fast.bach - chart.bach)) < 1e-9
 
 
@@ -140,9 +150,3 @@ def test_sigma_k_values():
         assert np.max(np.abs(val - expect)) < 1e-12
     with pytest.raises(KOutOfRange):
         sigma_k(pack.schouten, pack.metric, 6)
-
-
-def test_dimension_guards():
-    m = FlatTorus((1.0, 1.0))
-    with pytest.raises(DimensionTooSmall):
-        curvature.schouten_weyl_bach(m, _random_points(m, 2))

@@ -60,9 +60,24 @@ def test_sphere_polynomial_integral():
     assert val == pytest.approx(sphere_volume(3) / 4.0, rel=1e-10)
 
 
+def test_sphere_grid_exact_for_polynomials():
+    # one grid level integrates ambient polynomials of degree < 2 resolution
+    from confvol.spectral import field_values, sphere_monomial_integral
+
+    for n in (2, 3, 5):
+        m = RoundSphere(n, 1.0)
+        pts, w = grid_with_weights(m, 4)
+        field = zonal_field(m, np.array([0.0] * 6 + [1.0]), axis=1)
+        got = np.sum(w * field_values(field, pts))
+        assert got == pytest.approx(sphere_monomial_integral(n, 6), rel=1e-13)
+
+
 def test_node_budget_guard():
     with pytest.raises(GridResolutionInsufficient):
         grid_with_weights(RoundSphere(8, 1.0), 64)
+    # S^3 x S^3 at resolution 16 would mesh 67M nodes
+    with pytest.raises(GridResolutionInsufficient):
+        grid_with_weights(ProductOfSpheres(((3, 1.0), (3, 1.0))), 16)
 
 
 def test_nonconvergent_raises():

@@ -5,6 +5,7 @@ import pytest
 
 from confvol.errors import (
     DimensionFour,
+    DimensionTooSmall,
     GeneralFGUnavailable,
     InvalidRange,
     KOutOfRange,
@@ -145,3 +146,19 @@ def test_error_conditions():
         v_direct(RoundSphere(5, 1.0), 4)
     with pytest.raises(KOutOfRange):
         L_tensor(s, 0)
+
+
+def test_v_direct_dimension_guard():
+    # v^(2) = -R / (4(n-1)) needs only the scalar curvature; v^(4) and v^(6)
+    # read the Schouten tensor, which needs n >= 3
+    m = RoundSphere(2, 1.0)
+    assert v_direct(m, 1, count=2) == pytest.approx(-0.5, rel=1e-12)
+    for k in (2, 3):
+        with pytest.raises(DimensionTooSmall):
+            v_direct(m, k)
+    # the Hessian skips the direct criticality check there
+    from confvol.spectral import sphere_basis
+    from confvol.variation import hessian_Fk
+
+    H = hessian_Fk(m, 2, sphere_basis(m, lmax=2))
+    assert H.classification == "negative semi-definite with nullity 3"

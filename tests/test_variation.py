@@ -220,3 +220,20 @@ def test_not_critical_gate():
             variation.hessian_Fk(m, 1, basis)
     finally:
         variation.einstein_constant = orig
+
+
+def test_product_hessian_at_default_resolution():
+    # the Gauss-Jacobi sphere grid integrates the factor harmonics exactly,
+    # so the assembled S^2 x S^2 Hessian meets the diagonal gate at once
+    p = ProductOfSpheres(((2, 1.0), (2, 1.0)))
+    H = hessian_Fk(p, 1, basis_for(p, lmax=2))
+    assert H.classification == "positive definite"
+
+
+def test_torus_hessian_does_not_alias():
+    # products of modes up to mmax = 4 reach frequency 8, past an 8-point grid
+    t = FlatTorus((1.0, 1.0))
+    basis = torus_basis(t, mmax=4)
+    assert basis.size == 80
+    H = hessian_V(t, basis)
+    assert H.classification == "negative definite"

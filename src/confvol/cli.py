@@ -14,31 +14,12 @@ import hashlib
 import json
 import sys
 import time
-from math import isfinite, pi
+from math import comb, isfinite, pi
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigInvalid,
-    ConfvolError,
-    GridResolutionInsufficient,
-    IllConditionedFit,
-    NoConvergence,
-    NonFiniteResult,
-    NonPositiveDefinite,
-    NotCritical,
-    NotTotallyGeodesic,
-    StepRejected,
-    TruncationTooShort,
-    UnknownCommand,
-)
-
-_NUMERICAL_ERRORS = (
-    NoConvergence, StepRejected, IllConditionedFit,
-    GridResolutionInsufficient, NonFiniteResult, NonPositiveDefinite,
-    NotCritical, NotTotallyGeodesic, TruncationTooShort,
-)
+from .errors import ConfigInvalid, ConfvolError, NonFiniteResult, UnknownCommand
 
 # -- config schemas ---------------------------------------------------------
 
@@ -48,25 +29,11 @@ _MODEL_KEYS = {
     "radius": (float, 1.0),
     "a": (float, 0.5),
     "periods": (str, "1,1,1"),
-    "seed": (int, 0),
 }
+_SEED = {"seed": (int, 0)}
 
-_SCHEMAS = {
-    "curvature": {**_MODEL_KEYS, "points": (int, 4)},
-    "vk": {**_MODEL_KEYS, "kmax": (int, 0)},
-    "ltensor": {**_MODEL_KEYS, "kmax": (int, 0)},
-    "variation": {**_MODEL_KEYS, "k": (int, 1), "lmax": (int, 3),
-                  "member": (int, 0)},
-    "hessian": {**_MODEL_KEYS, "k": (int, 1), "lmax": (int, 8),
-                "functional": (str, "Fk")},
-    "signtable": {"nmin": (int, 3), "nmax": (int, 8), "lmax": (int, 8)},
-    "rv": {"model": (str, "hyperbolic4")},
-    "gaussbonnet": {"case": (str, "h4")},
-    "flow": {**_MODEL_KEYS, "k": (int, 1), "amplitude": (float, 0.05),
-             "grid": (int, 16), "tol": (float, 1e-6),
-             "max_steps": (int, 10000)},
-    "report": {"inputs": (str, "")},
-}
+# entries of the largest array a curvature pack or series holds
+_MAX_ENTRIES = 2_000_000
 
 
 def _periods(text: str) -> tuple:
@@ -93,28 +60,25 @@ _RULES = {
     "amplitude": (lambda v, c: isfinite(v), "finite"),
     "tol": (lambda v, c: isfinite(v) and v > 0, "finite and positive"),
     "max_steps": (lambda v, c: v >= 1, "at least 1"),
+    "functional": (lambda v, c: v in ("Fk", "V"), "Fk or V"),
 }
 
 
 def parse_value(key: str, raw: str, typ):
     try:
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        return str(raw)
+        return typ(raw)
     except ValueError as exc:
         raise ConfigInvalid(f"key {key!r}: cannot parse {raw!r} as "
                             f"{typ.__name__}") from exc
 
 
 def load_config(command: str, cfg_path: str | None, overrides: dict) -> dict:
-    if command not in _SCHEMAS:
+    if command not in _COMMANDS:
         raise UnknownCommand(f"unknown command {command!r}")
-    schema = _SCHEMAS[command]
+    schema = _COMMANDS[command][1]
     config = {k: d for k, (_, d) in schema.items()}
     if cfg_path:
-        with open(cfg_path) as fh:
+        with open(cfg_path, errors="replace") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -130,8 +94,7 @@ def load_config(command: str, cfg_path: str | None, overrides: dict) -> dict:
     for key, raw in overrides.items():
         if key not in schema:
             raise ConfigInvalid(f"unknown key {key!r} for command {command!r}")
-        if raw is not None:
-            config[key] = parse_value(key, str(raw), schema[key][0])
+        config[key] = parse_value(key, str(raw), schema[key][0])
     for key, (valid, rule) in _RULES.items():
         if key in config and not valid(config[key], config):
             raise ConfigInvalid(f"key {key!r}: {config[key]!r} must be {rule}")
@@ -140,8 +103,7 @@ def load_config(command: str, cfg_path: str | None, overrides: dict) -> dict:
 
 def canonical_text(command: str, config: dict) -> str:
     lines = [f"command = {command}"]
-    for key in sorted(config):
-        lines.append(f"{key} = {config[key]!r}")
+    lines += [f"{key} = {config[key]!r}" for key in sorted(config)]
     return "\n".join(lines) + "\n"
 
 
@@ -150,6 +112,12 @@ def config_hash(command: str, config: dict) -> str:
 
 
 # -- model construction ------------------------------------------------------
+
+
+def _check_size(what: str, size: int, limit: int = _MAX_ENTRIES):
+    """Refuse a size over its budget before anything of that size is built."""
+    if size > limit:
+        raise ConfigInvalid(f"{what} is {size}; it must be at most {limit}")
 
 
 def build_model(config: dict):
@@ -163,7 +131,10 @@ def build_model(config: dict):
     if kind == "torus":
         return FlatTorus(_periods(config["periods"]))
     if kind == "einstein":
-        return einstein_model(config["n"], config["a"])
+        # its self-check takes order-2 chart jets of the n^4 curvature at 2 points
+        n = config["n"]
+        _check_size("einstein self-check entries", comb(n + 2, 2) * n ** 4 * 2)
+        return einstein_model(n, config["a"])
     raise ConfigInvalid(f"unknown model kind {config['model']!r}")
 
 
@@ -177,6 +148,8 @@ def _round(x, digits=14):
         return [_round(v, digits) for v in x]
     if isinstance(x, np.ndarray):
         return _round(x.tolist(), digits)
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
     if isinstance(x, (float, np.floating)):
         return round(float(x), digits)
     if isinstance(x, (int, np.integer)):
@@ -188,8 +161,9 @@ def cmd_curvature(config: dict) -> dict:
     from .curvature import curvature_pack
 
     m = build_model(config)
-    rng = np.random.default_rng(config["seed"])
-    pts = m.sample_points(config["points"], rng)
+    _check_size("points * n^4", config["points"] * m.n ** 4)
+    pts = m.sample_points(config["points"],
+                          np.random.default_rng(config["seed"]))
     pack = curvature_pack(m, pts)
     out = {
         "scalar_min": float(np.min(pack.scalar)),
@@ -201,42 +175,43 @@ def cmd_curvature(config: dict) -> dict:
     return _round(out)
 
 
-def cmd_vk(config: dict) -> dict:
-    from .series import einstein_series, einstein_vk_exact, vk_from_series
+def _series(config: dict):
+    """Einstein series of the configured model to order kmax (default n)."""
+    from .series import _DEFAULT_POINT_COUNT, einstein_series
 
     m = build_model(config)
-    from .models import einstein_constant
-
-    a = einstein_constant(m)
     kmax = config["kmax"] or m.n
-    s = einstein_series(m, K=kmax)
+    _check_size("series entries (kmax+1) * points * n^2",
+                (kmax + 1) * _DEFAULT_POINT_COUNT * m.n ** 2)
+    return einstein_series(m, K=kmax)
+
+
+def cmd_vk(config: dict) -> dict:
+    from .series import einstein_vk_exact, vk_from_series
+
+    s = _series(config)
     vk = vk_from_series(s)
     rows = []
-    for k in range(kmax + 1):
+    for k in range(s.K + 1):
         val = float(np.mean(vk.vk(k)))
-        exact = einstein_vk_exact(m.n, a, k)
+        exact = einstein_vk_exact(s.n, s.einstein_a, k)
         rows.append({"k": k, "vk": val, "exact": exact,
                      "error": abs(val - exact)})
-    return {"a": _round(a), "rows": _round(rows)}
+    return {"a": _round(s.einstein_a), "rows": _round(rows)}
 
 
 def cmd_ltensor(config: dict) -> dict:
-    from .series import L_tensor, einstein_L_exact, einstein_series
+    from .series import L_tensor, einstein_L_exact
 
-    m = build_model(config)
-    from .models import einstein_constant
-
-    a = einstein_constant(m)
-    kmax = config["kmax"] or m.n
-    s = einstein_series(m, K=kmax)
+    s = _series(config)
     ginv0 = np.linalg.inv(s.g0)
     rows = []
-    for k in range(1, kmax + 1):
+    for k in range(1, s.K + 1):
         L = L_tensor(s, k)
-        exact = einstein_L_exact(m.n, a, k)
+        exact = einstein_L_exact(s.n, s.einstein_a, k)
         err = float(np.max(np.abs(L.components - exact * ginv0)))
         rows.append({"k": k, "scalar_factor": exact, "residual": err})
-    return {"a": _round(a), "rows": _round(rows)}
+    return {"a": _round(s.einstein_a), "rows": _round(rows)}
 
 
 def cmd_variation(config: dict) -> dict:
@@ -250,8 +225,7 @@ def cmd_variation(config: dict) -> dict:
         raise ConfigInvalid(f"key 'member': {config['member']!r} must be in "
                             f"0..{basis.size - 1}")
     member = basis.members[config["member"]]
-    rng = np.random.default_rng(config["seed"])
-    pts = m.sample_points(4, rng)
+    pts = m.sample_points(4, np.random.default_rng(config["seed"]))
     return _round({
         "F_k": functional_Fk(m, k),
         "first_variation": first_variation_Fk(m, k, member),
@@ -266,10 +240,8 @@ def cmd_hessian(config: dict) -> dict:
 
     m = build_model(config)
     basis = basis_for(m, config["lmax"])
-    if config["functional"] == "V":
-        form = hessian_V(m, basis)
-    else:
-        form = hessian_Fk(m, config["k"], basis)
+    form = (hessian_V(m, basis) if config["functional"] == "V"
+            else hessian_Fk(m, config["k"], basis))
     return _round({
         "functional": form.functional,
         "k": form.k,
@@ -316,14 +288,10 @@ def cmd_rv(config: dict) -> dict:
                          geodesic_compactification, hyperbolic_normal_form,
                          renorm_volume_geodcomp)
 
-    kind = config["model"]
-    if kind == "hyperbolic4":
-        n = 3
-    elif kind == "hyperbolic6":
-        n = 5
-    else:
+    n = {"hyperbolic4": 3, "hyperbolic6": 5}.get(config["model"])
+    if n is None:
         raise ConfigInvalid(f"rv model must be hyperbolic4 or hyperbolic6, "
-                            f"got {kind!r}")
+                            f"got {config['model']!r}")
     form = hyperbolic_normal_form(RoundSphere(n, 1.0))
     exp = extract_expansion(form)
     V_bulk = renorm_volume_geodcomp(geodesic_compactification(form), n)
@@ -353,37 +321,36 @@ def cmd_gaussbonnet(config: dict) -> dict:
     if case == "s4":
         m = RoundSphere(4, 1.0)
         v4 = float(v_direct(m, 2, count=2)[0])
-        integral = v4 * sphere_volume(4)
-        resid = gauss_bonnet_4d(integral, 0.0, 2, mode="compact")
+        resid = gauss_bonnet_4d(v4 * sphere_volume(4), 0.0, 2, mode="compact")
         return _round({"case": case, "chi": 2, "v4": v4, "residual": resid})
     raise ConfigInvalid(f"gaussbonnet case must be h4 or s4, got {case!r}")
 
 
 def cmd_flow(config: dict) -> dict:
     from .flow import run_flow
-    from .models import FlatTorus, RoundSphere, fourier_field
+    from .models import fourier_field
+    from .quadrature import _MAX_NODES
+    from .spectral import sphere_basis
 
-    kind = config["model"]
-    if kind == "torus":
-        m = FlatTorus(_periods(config["periods"]))
+    if config["model"] not in ("torus", "sphere"):
+        raise ConfigInvalid(f"flow model must be torus or sphere, "
+                            f"got {config['model']!r}")
+    m = build_model(config)
+    if config["model"] == "torus":
+        _check_size("grid^n", config["grid"] ** m.n, _MAX_NODES)
         omega0 = fourier_field(m, (1,) + (0,) * (m.n - 1),
                                amplitude=config["amplitude"])
         kw = {"shape": (config["grid"],) * m.n}
-    elif kind == "sphere":
-        m = RoundSphere(config["n"], config["radius"])
-        from .spectral import sphere_basis
-
+    else:
         member = sphere_basis(m, lmax=2, axes_per_degree=1).members[-1]
         omega0 = lambda x: config["amplitude"] * member(x)
         kw = {}
-    else:
-        raise ConfigInvalid(f"flow model must be torus or sphere, got {kind!r}")
     report = run_flow(m, config["k"], omega0, tol=config["tol"],
                       max_steps=config["max_steps"], **kw)
     hist = report.variance_history
     stride = max(1, len(hist) // 200)
     return _round({
-        "converged": bool(report.converged),
+        "converged": report.converged,
         "steps": report.steps,
         "accepted": report.accepted,
         "rejected": report.rejected,
@@ -394,17 +361,31 @@ def cmd_flow(config: dict) -> dict:
     })
 
 
+def _read_record(path: str) -> dict:
+    """A result record read back from its JSON file."""
+    with open(path) as fh:
+        try:
+            rec = json.load(fh)
+        except ValueError:      # not JSON, or not text at all
+            rec = None
+    if not (isinstance(rec, dict) and isinstance(rec.get("payload"), dict)
+            and all(isinstance(rec.get(k), str)
+                    for k in ("command", "config_hash"))):
+        raise ConfigInvalid(f"{path}: not a JSON result record with "
+                            f"command, config_hash and payload")
+    return rec
+
+
 def cmd_report(config: dict) -> dict:
     paths = [p for p in config["inputs"].split(",") if p]
     if not paths:
         raise ConfigInvalid("report needs inputs = comma-separated json paths")
     lines = []
     for path in sorted(paths):
-        with open(path) as fh:
-            rec = json.load(fh)
+        rec = _read_record(path)
         lines.append(f"## {rec['command']} ({rec['config_hash'][:12]})")
         payload = rec["payload"]
-        if "rows" in payload:
+        if isinstance(payload.get("rows"), list):
             for row in payload["rows"][:200]:
                 lines.append("  " + json.dumps(row, sort_keys=True))
         else:
@@ -414,17 +395,24 @@ def cmd_report(config: dict) -> dict:
     return {"text": "\n".join(lines)}
 
 
+# command -> (implementation, config schema of (type, default) per key)
 _COMMANDS = {
-    "curvature": cmd_curvature,
-    "vk": cmd_vk,
-    "ltensor": cmd_ltensor,
-    "variation": cmd_variation,
-    "hessian": cmd_hessian,
-    "signtable": cmd_signtable,
-    "rv": cmd_rv,
-    "gaussbonnet": cmd_gaussbonnet,
-    "flow": cmd_flow,
-    "report": cmd_report,
+    "curvature": (cmd_curvature, {**_MODEL_KEYS, **_SEED, "points": (int, 4)}),
+    "vk": (cmd_vk, {**_MODEL_KEYS, "kmax": (int, 0)}),
+    "ltensor": (cmd_ltensor, {**_MODEL_KEYS, "kmax": (int, 0)}),
+    "variation": (cmd_variation, {**_MODEL_KEYS, **_SEED, "k": (int, 1),
+                                  "lmax": (int, 3), "member": (int, 0)}),
+    "hessian": (cmd_hessian, {**_MODEL_KEYS, "k": (int, 1), "lmax": (int, 8),
+                              "functional": (str, "Fk")}),
+    "signtable": (cmd_signtable, {"nmin": (int, 3), "nmax": (int, 8),
+                                  "lmax": (int, 8)}),
+    "rv": (cmd_rv, {"model": (str, "hyperbolic4")}),
+    "gaussbonnet": (cmd_gaussbonnet, {"case": (str, "h4")}),
+    "flow": (cmd_flow, {**{k: v for k, v in _MODEL_KEYS.items() if k != "a"},
+                        "k": (int, 1), "amplitude": (float, 0.05),
+                        "grid": (int, 16), "tol": (float, 1e-6),
+                        "max_steps": (int, 10000)}),
+    "report": (cmd_report, {"inputs": (str, "")}),
 }
 
 
@@ -478,9 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="confvol",
         description="volume coefficients, conformal variations, and "
                     "renormalized volume on model manifolds")
-    sub = parser.add_subparsers(dest="command")
-    for command, schema in _SCHEMAS.items():
-        p = sub.add_parser(command)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, schema) in _COMMANDS.items():
+        # no prefix matching: "flow --a" must not silently mean --amplitude
+        p = sub.add_parser(command, allow_abbrev=False)
         p.add_argument("--config", default=None, help=".cfg key = value file")
         p.add_argument("--json", default=None, help="result record path")
         p.add_argument("--csv", default=None, help="table output path")
@@ -499,27 +488,24 @@ def cli_dispatch(argv) -> int:
             # argparse uses exit code 2 for usage errors; those are
             # validation failures here
             return 0 if exc.code in (0, None) else 1
-        if args.command is None:
-            raise UnknownCommand("missing command")
-        schema = _SCHEMAS[args.command]
+        run, schema = _COMMANDS[args.command]
         overrides = {k: getattr(args, k) for k in schema
                      if getattr(args, k) is not None}
         config = load_config(args.command, args.config, overrides)
         start = time.perf_counter()
-        payload = _COMMANDS[args.command](config)
+        payload = run(config)
         record = make_record(args.command, config, payload,
                              time.perf_counter() - start)
         text = _json_text(record, indent=1) + "\n"
         write_outputs(record, text, args.json, args.csv)
         sys.stdout.write(payload["text"] if args.command == "report" else text)
         return 0
-    except (UnknownCommand, ConfigInvalid) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except _NUMERICAL_ERRORS as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 2
     except ConfvolError as exc:
+        kind = "numerical failure" if exc.exit_code == 2 else "error"
+        sys.stderr.write(f"{kind}: {exc}\n")
+        return exc.exit_code
+    except OSError as exc:
+        # an unreadable --config or report input, an unwritable --json/--csv
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

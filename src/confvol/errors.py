@@ -2,12 +2,20 @@
 
 
 class ConfvolError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; exit_code is the CLI's exit status."""
+
+    exit_code = 1
+
+
+class NumericalFailure(ConfvolError):
+    """A computation ran on valid input but did not produce a trusted result."""
+
+    exit_code = 2
 
 
 # -- metric / curvature -------------------------------------------------
 
-class NonPositiveDefinite(ConfvolError):
+class NonPositiveDefinite(NumericalFailure):
     """Metric components are degenerate or indefinite at a sampled point."""
 
 
@@ -23,7 +31,7 @@ class KOutOfRange(ConfvolError):
     """Symmetric-function index outside 0..n."""
 
 
-class GridResolutionInsufficient(ConfvolError):
+class GridResolutionInsufficient(NumericalFailure):
     """Quadrature failed to reach the requested tolerance before the cap."""
 
 
@@ -33,7 +41,7 @@ class NotEinstein(ConfvolError):
     """Closed-form Einstein expansion requested for a non-Einstein metric."""
 
 
-class TruncationTooShort(ConfvolError):
+class TruncationTooShort(NumericalFailure):
     """Series truncation order below what the operation needs."""
 
 
@@ -51,7 +59,7 @@ class HalfDimension(ConfvolError):
     """k = n/2 with n even: the functional is conformally invariant."""
 
 
-class NotCritical(ConfvolError):
+class NotCritical(NumericalFailure):
     """Background fails the constant-coefficient criticality gate."""
 
 
@@ -65,7 +73,7 @@ class EvenDimension(ConfvolError):
     """Operation requires odd boundary dimension."""
 
 
-class NotTotallyGeodesic(ConfvolError):
+class NotTotallyGeodesic(NumericalFailure):
     """Compactification has nonvanishing boundary second fundamental form."""
 
 
@@ -77,21 +85,17 @@ class EpsilonOutOfRange(ConfvolError):
     """Truncation parameter outside the radial domain."""
 
 
-class IllConditionedFit(ConfvolError):
+class IllConditionedFit(NumericalFailure):
     """Expansion fit matrix condition number over threshold."""
-
-
-class WrongDimension(ConfvolError):
-    """Gauss-Bonnet identity is four-dimensional only."""
 
 
 # -- flow ---------------------------------------------------------------
 
-class StepRejected(ConfvolError):
+class StepRejected(NumericalFailure):
     """Flow step increased the constraint violation; caller should halve dt."""
 
 
-class NoConvergence(ConfvolError):
+class NoConvergence(NumericalFailure):
     """Flow hit the step budget before reaching tolerance."""
 
     def __init__(self, message, report=None):
@@ -109,5 +113,5 @@ class ConfigInvalid(ConfvolError):
     """Malformed or unknown configuration key/value."""
 
 
-class NonFiniteResult(ConfvolError):
+class NonFiniteResult(NumericalFailure):
     """A result record holds a NaN or an infinity."""

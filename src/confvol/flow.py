@@ -222,7 +222,6 @@ class FlowReport:
     accepted: int
     rejected: int
     variance_history: np.ndarray
-    sup_history: np.ndarray
     final: FlowState
     final_constant: float
     volume_drift: float
@@ -238,16 +237,14 @@ def discretize(m: ModelMetric, **kw):
 
 
 def run_flow(m: ModelMetric, k: int, omega0, tol: float = 1e-6,
-             max_steps: int = 10000, dt0: float | None = None,
-             **disc_kw) -> FlowReport:
+             max_steps: int = 10000, **disc_kw) -> FlowReport:
     """Iterate flow_step with adaptive dt until sup|v_k - mean| < tol."""
     disc = discretize(m, **disc_kw)
     state = make_state(disc, omega0, k)
-    dt = dt0 if dt0 is not None else 0.5 / disc.max_eigenvalue
+    dt = 0.5 / disc.max_eigenvalue
     dt_cap = 10.0 / disc.max_eigenvalue
     vol0 = state.volume
     variances = [state.variance]
-    sups = [state.sup_deviation]
     accepted = rejected = 0
     drift = 0.0
     while state.sup_deviation >= tol and accepted + rejected < max_steps:
@@ -262,12 +259,11 @@ def run_flow(m: ModelMetric, k: int, omega0, tol: float = 1e-6,
         accepted += 1
         dt = min(dt * 1.2, dt_cap)
         variances.append(state.variance)
-        sups.append(state.sup_deviation)
         drift = max(drift, abs(state.volume - vol0) / vol0)
     report = FlowReport(
         converged=state.sup_deviation < tol,
         steps=accepted + rejected, accepted=accepted, rejected=rejected,
-        variance_history=np.asarray(variances), sup_history=np.asarray(sups),
+        variance_history=np.asarray(variances),
         final=state, final_constant=state.mean_vk, volume_drift=drift,
     )
     if not report.converged:

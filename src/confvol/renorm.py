@@ -30,7 +30,6 @@ from .errors import (
     IllConditionedFit,
     InvalidRange,
     NotTotallyGeodesic,
-    WrongDimension,
 )
 from .jets import Jet
 from .models import ConformalDeformation, ModelMetric, WarpedRadial
@@ -265,15 +264,13 @@ def weyl_norm_squared(m: ModelMetric, points: np.ndarray) -> np.ndarray:
 
 
 def gauss_bonnet_4d(V: float, weyl_integral: float, chi: float,
-                    mode: str = "AHE", dim: int = 4) -> float:
+                    mode: str = "AHE") -> float:
     """Residual of the four-dimensional Gauss-Bonnet identity.
 
     AHE mode:      8 pi^2 chi = (1/4) int |W|^2 + 6 V,  V renormalized volume.
     compact mode:  8 pi^2 chi = (1/4) int |W|^2 + 16 int v^(4);  pass the
                    v^(4) integral in the V slot.
     """
-    if dim != 4:
-        raise WrongDimension(f"Gauss-Bonnet identity stated in dimension 4, got {dim}")
     if mode == "AHE":
         rhs = 0.25 * weyl_integral + 6.0 * V
     elif mode == "compact":

@@ -56,6 +56,21 @@ class SpectralBasis:
         return float(np.min(self.eigenvalues))
 
 
+_MAX_MEMBERS = 1000      # Dir/Gram assembly costs members^2 x nodes
+
+
+def _check_size(size: int, what: str):
+    """Refuse a basis over the member budget before building it."""
+    if size > _MAX_MEMBERS:
+        raise InvalidRange(f"{what} gives {size} members; the basis must be "
+                           f"at most {_MAX_MEMBERS} members")
+
+
+def _zonal_size(n: int, lmax: int, axes_per_degree: int) -> int:
+    """Members of a sphere basis: the full degree-1 block, then a few axes."""
+    return (n + 1) + (lmax - 1) * min(axes_per_degree, n + 1)
+
+
 def basis_for(m: ModelMetric, *args, **kw) -> SpectralBasis:
     """Eigenbasis of the model's kind; a positional size argument is lmax
     on spheres and products and mmax on tori."""
@@ -111,6 +126,8 @@ def sphere_basis(m: RoundSphere, lmax: int = 8, axes_per_degree: int = 2) -> Spe
         raise InvalidRange(f"n = {n} must be at least 2 for zonal harmonics")
     if lmax < 1:
         raise InvalidRange(f"lmax = {lmax} must be at least 1")
+    _check_size(_zonal_size(n, lmax, axes_per_degree),
+                f"lmax = {lmax} on S^{n}")
     members, eigenvalues, labels, structure = [], [], [], []
     for l in range(1, lmax + 1):
         naxes = n + 1 if l == 1 else min(axes_per_degree, n + 1)
@@ -223,18 +240,11 @@ def _half_lattice(n: int, mmax: int):
     return keep
 
 
-_MAX_TORUS_MEMBERS = 1000      # Dir/Gram assembly costs members^2 x nodes
-
-
 def torus_basis(m: FlatTorus, mmax: int = 4) -> SpectralBasis:
     """Real Fourier modes (cos and sin per half-lattice mode), orthonormal."""
     if mmax < 1:
         raise InvalidRange(f"mmax = {mmax} must be at least 1")
-    size = (2 * mmax + 1) ** m.n - 1
-    if size > _MAX_TORUS_MEMBERS:
-        raise InvalidRange(
-            f"mmax = {mmax} in dimension {m.n} gives {size} members; the basis "
-            f"must be at most {_MAX_TORUS_MEMBERS} members")
+    _check_size((2 * mmax + 1) ** m.n - 1, f"mmax = {mmax} in dimension {m.n}")
     vol = m.volume
     amp = np.sqrt(2.0 / vol)
     members, eigenvalues, labels = [], [], []
@@ -263,6 +273,8 @@ def torus_basis(m: FlatTorus, mmax: int = 4) -> SpectralBasis:
 def product_basis(m: ProductOfSpheres, lmax: int = 4,
                   axes_per_degree: int = 2) -> SpectralBasis:
     """Factor harmonics lifted to the product (constant on the other factors)."""
+    _check_size(sum(_zonal_size(d, lmax, axes_per_degree) for d, _ in m.factors),
+                f"lmax = {lmax} on {len(m.factors)} sphere factors")
     members, eigenvalues, labels = [], [], []
     offset = 0
     total_vol = m.volume

@@ -148,9 +148,11 @@ def _basis_dir_gram(m: ModelMetric, basis: SpectralBasis, resolution: int):
     pts, w = grid_with_weights(m, resolution)
     vals = np.stack([field_values(f, pts) for f in basis.members])
     grads = np.stack([field_gradients(f, pts) for f in basis.members])
-    ginv = np.linalg.inv(metric_values(m, pts))
+    wginv = np.linalg.inv(metric_values(m, pts)) * w[:, None, None]
     gram = np.einsum("ip,jp,p->ij", vals, vals, w)
-    dir_ = np.einsum("ipa,jpb,pab,p->ij", grads, grads, ginv, w)
+    # one matrix product over the flattened (point, component) axis
+    flux = np.einsum("ipa,pab->ipb", grads, wginv)
+    dir_ = flux.reshape(basis.size, -1) @ grads.reshape(basis.size, -1).T
     return dir_, gram
 
 

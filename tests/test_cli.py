@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from confvol import errors
 from confvol.cli import (
     canonical_text,
     cli_dispatch,
@@ -81,10 +82,15 @@ def test_csv_output(capsys, tmp_path):
 def test_exit_code_validation_errors(capsys):
     code, *_ = _run(capsys, "definitely-not-a-command")
     assert code == 1
+    assert _run(capsys)[0] == 1     # no command at all
     code, *_ = _run(capsys, "vk", "--bogus", "1")
     assert code == 1
     code, _, err = _run(capsys, "rv", "--model", "weird")
     assert code == 1 and "error" in err
+    # seed is a key of curvature and variation only; flow has no a, and
+    # "--a" is not taken as a prefix of --amplitude
+    assert _run(capsys, "vk", "--seed", "3")[0] == 1
+    assert _run(capsys, "flow", "--a", "1")[0] == 1
 
 
 def test_exit_code_out_of_range_model_keys(capsys):
@@ -109,6 +115,15 @@ def test_exit_code_out_of_range_model_keys(capsys):
         # the default torus basis (4,912 members) is refused before it is built
         ("hessian", "--model", "torus"),
         ("hessian", "--n", "1"),
+        ("hessian", "--functional", "bogus"),
+        # size budgets, refused by arithmetic before anything is allocated
+        ("flow", "--model", "torus", "--grid", "100000"),
+        ("curvature", "--points", "1000000"),
+        ("curvature", "--model", "torus", "--periods", ",".join(["1"] * 40)),
+        ("vk", "--n", "300"),
+        ("vk", "--model", "einstein", "--n", "40", "--kmax", "1"),
+        ("ltensor", "--n", "300"),
+        ("hessian", "--lmax", "100000"),
     ]
     for argv in table:
         code, out, err = _run(capsys, *argv)
@@ -117,7 +132,43 @@ def test_exit_code_out_of_range_model_keys(capsys):
         assert "must be" in err, argv
     # the smallest valid values still run
     assert _run(capsys, "vk", "--n", "1")[0] == 0
-    assert _run(capsys, "flow", "--model", "torus", "--grid", "2")[0] == 0
+    code, out, _ = _run(capsys, "flow", "--model", "torus", "--grid", "2")
+    assert code == 0
+    assert json.loads(out)["payload"]["converged"] is True
+
+
+def test_unreadable_paths_and_non_records_exit_1(capsys, tmp_path):
+    not_json = tmp_path / "notes.txt"
+    not_json.write_text("not json\n")
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}\n")
+    missing = str(tmp_path / "missing")
+    table = [
+        ("vk", "--config", missing + ".cfg"),
+        ("vk", "--json", str(tmp_path / "no" / "dir" / "x.json")),
+        ("vk", "--csv", str(tmp_path / "no" / "dir" / "x.csv")),
+        ("report", "--inputs", missing + ".json"),
+        ("report", "--inputs", str(not_json)),
+        ("report", "--inputs", str(empty)),
+    ]
+    for argv in table:
+        code, _, err = _run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def test_exit_codes_live_on_error_classes():
+    numerical = {"NoConvergence", "StepRejected", "IllConditionedFit",
+                 "GridResolutionInsufficient", "NonFiniteResult",
+                 "NonPositiveDefinite", "NotCritical", "NotTotallyGeodesic",
+                 "TruncationTooShort"}
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.ConfvolError)}
+    assert numerical <= classes.keys()
+    for name, cls in classes.items():
+        # NumericalFailure is the base the nine numerical classes share
+        expected = 2 if name in numerical | {"NumericalFailure"} else 1
+        assert cls.exit_code == expected, name
 
 
 def test_non_finite_record_is_numerical_failure():

@@ -11,7 +11,6 @@ from confvol.errors import (
     IllConditionedFit,
     InvalidRange,
     NotTotallyGeodesic,
-    WrongDimension,
 )
 from confvol.models import RoundSphere, WarpedRadial, sphere_volume
 from confvol.renorm import (
@@ -167,7 +166,5 @@ def test_gauss_bonnet_compact_s4():
 
 
 def test_gauss_bonnet_guards():
-    with pytest.raises(WrongDimension):
-        gauss_bonnet_4d(1.0, 0.0, chi=1.0, dim=5)
     with pytest.raises(InvalidRange):
         gauss_bonnet_4d(1.0, 0.0, chi=1.0, mode="weird")

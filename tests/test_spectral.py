@@ -126,6 +126,12 @@ def test_basis_for_dispatch_and_guards():
         sphere_basis(RoundSphere(3, 1.0), lmax=0)
     with pytest.raises(InvalidRange):
         torus_basis(FlatTorus((1.0,)), mmax=0)
+    # the member budget refuses a basis from its size alone, before building
+    with pytest.raises(InvalidRange, match="must be at most"):
+        sphere_basis(RoundSphere(3, 1.0), lmax=100_000)
+    with pytest.raises(InvalidRange, match="must be at most"):
+        # each factor has 3 + 299 * 2 = 601 members; the product has 1,202
+        product_basis(ProductOfSpheres(((2, 1.0), (2, 1.0))), lmax=300)
     from confvol.models import HyperbolicSpace
 
     with pytest.raises(InvalidRange):

@@ -201,15 +201,15 @@ def cmd_vk(config: dict) -> dict:
 
 
 def cmd_ltensor(config: dict) -> dict:
-    from .series import L_tensor, einstein_L_exact
+    from .series import L_tensors, einstein_L_exact
 
     s = _series(config)
+    L = L_tensors(s)
     ginv0 = np.linalg.inv(s.g0)
     rows = []
     for k in range(1, s.K + 1):
-        L = L_tensor(s, k)
         exact = einstein_L_exact(s.n, s.einstein_a, k)
-        err = float(np.max(np.abs(L.components - exact * ginv0)))
+        err = float(np.max(np.abs(L[k] - exact * ginv0)))
         rows.append({"k": k, "scalar_factor": exact, "residual": err})
     return {"a": _round(s.einstein_a), "rows": _round(rows)}
 
@@ -342,6 +342,12 @@ def cmd_flow(config: dict) -> dict:
                                amplitude=config["amplitude"])
         kw = {"shape": (config["grid"],) * m.n}
     else:
+        if config["k"] in (2, 3):
+            # k = 2, 3 take v_direct on chart jets of order 2k - 2 at the
+            # flow's 48 nodes; the n^4 Riemann jets are the largest array
+            order = 2 * config["k"] - 2
+            _check_size("sphere flow chart-jet entries 48 * n^4 * C(n+order, order)",
+                        48 * m.n ** 4 * comb(m.n + order, order))
         member = sphere_basis(m, lmax=2, axes_per_degree=1).members[-1]
         omega0 = lambda x: config["amplitude"] * member(x)
         kw = {}

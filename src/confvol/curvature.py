@@ -1,9 +1,13 @@
 """Pointwise curvature of model metrics.
 
-The chart path propagates metric component jets through the Christoffel /
-Riemann / Schouten / Bach pipeline; all derivatives are exact Taylor
-coefficients, never finite differences.  Kinds with a closed-form Riemann
-tensor contract it in one shared tail instead; the two routes must agree.
+Two routes, chosen by model kind.  Flat tori, space forms, products of
+round spheres and warped products over a round sphere write their Riemann
+tensor in closed form as a sum of Kulkarni-Nomizu products, contract it in
+one tail, and take Bach as -P^{kl} W_{kijl}.  Every other kind propagates
+metric component jets through the Christoffel / Riemann / Schouten / Bach
+pipeline; all derivatives are exact Taylor coefficients, never finite
+differences.  Order-4 jets, and so the Bach pipeline, serve only that
+chart route.  The two routes must agree.
 
 Conventions: lowered Riemann tensor satisfies Rm[i,j,i,j] > 0 on round
 spheres (unit sphere sectional curvature +1), and the Laplacian is the
@@ -52,30 +56,21 @@ class CurvaturePack:
 def curvature_pack(m: ModelMetric, points, want_bach=None) -> CurvaturePack:
     """Curvature tensors of ``m`` at the given chart points.
 
-    Flat tori, space forms and products of round spheres have a parallel
-    Schouten tensor, so their Bach tensor is -P^{kl} W_{kijl}.  A warped
-    product over a round sphere takes the closed form unless Bach is
-    wanted; that and every other kind run the chart jets.
+    Flat tori, space forms, products of round spheres and warped products
+    over a round sphere take the closed form.  The first three have a
+    parallel Schouten tensor and the last is conformally flat, so on all
+    of them Bach is -P^{kl} W_{kijl}.  Every other kind runs the chart jets.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = m.n
     if want_bach is None:
-        want_bach = n >= 3
-    factors = _round_factors(m)
-    if factors is not None:
-        g0 = metric_values(m, points)
-        riemann = np.zeros(g0.shape[:1] + (n,) * 4)
-        for sl, kappa in factors:
-            riemann[:, sl, sl, sl, sl] += kappa * _unit_riemann(g0[:, sl, sl])
-        pack = _pack(points, g0, riemann)
-        if want_bach and n >= 3:
-            pack.bach = -_p_dot_weyl(pack.inverse, pack.schouten, pack.weyl)
-        return pack
-    if (isinstance(m, WarpedRadial) and isinstance(m.fiber, RoundSphere)
-            and not want_bach):
-        g0 = metric_values(m, points)
-        return _pack(points, g0, _warped_riemann(m, points[:, 0], g0))
-    return _chart_pack(m, points, want_bach)
+        want_bach = m.n >= 3
+    closed = _closed_form(m, points)
+    if closed is None:
+        return _chart_pack(m, points, want_bach)
+    pack = _pack(points, *closed)
+    if want_bach and m.n >= 3:
+        pack.bach = -_p_dot_weyl(pack.inverse, pack.schouten, pack.weyl)
+    return pack
 
 
 def sigma_k(schouten: np.ndarray, metric: np.ndarray, k: int) -> np.ndarray:
@@ -257,49 +252,46 @@ def _p_dot_weyl(ginv0, P0, weyl):
 # -- closed forms -----------------------------------------------------------
 
 
-def _round_factors(m: ModelMetric):
-    """(slice, sectional curvature) of each constant-curvature factor of a
-    kind whose Schouten tensor is parallel; None for any other kind."""
+def _closed_form(m: ModelMetric, points: np.ndarray):
+    """(metric, lowered Riemann tensor) at the points for a kind with
+    closed-form curvature, or None for any other kind, decided before the
+    metric is evaluated.
+
+    Each such metric is block diagonal, and its Riemann tensor is a sum of
+    c * h_a KN h_b Kulkarni-Nomizu products of its blocks h.  A factor of
+    sectional curvature kappa gives (kappa / 2) h KN h.  dr^2 + f(r)^2
+    g_{S^q(L)}, with blocks dr^2 and ghat, has radial and tangential
+    sectional curvatures -f''/f and (1/L^2 - f'^2)/f^2, and so gives
+    (-f''/f) dr^2 KN ghat + (1/L^2 - f'^2)/(2 f^2) ghat KN ghat.
+    """
     if isinstance(m, FlatTorus):
-        return ()
-    if isinstance(m, RoundSphere):
-        return ((slice(0, m.n), 1.0 / m.radius ** 2),)
-    if isinstance(m, HyperbolicSpace):
-        return ((slice(0, m.n), -1.0 / m.radius ** 2),)
-    if isinstance(m, ProductOfSpheres):
-        ends = np.cumsum([d for d, _ in m.factors])
-        return tuple((slice(end - d, end), 1.0 / r ** 2)
-                     for end, (d, r) in zip(ends, m.factors))
-    return None
-
-
-def _unit_riemann(g: np.ndarray) -> np.ndarray:
-    """Riemann tensor of unit sectional curvature for the metric g."""
-    return (np.einsum("...ik,...jl->...ijkl", g, g)
-            - np.einsum("...il,...jk->...ijkl", g, g))
-
-
-def _warped_riemann(m: WarpedRadial, r: np.ndarray, g0: np.ndarray) -> np.ndarray:
-    """Riemann tensor of dr^2 + f(r)^2 g_{S^q} (fiber radius L) from its
-    radial and tangential sectional curvatures -f''/f, (1/L^2 - f'^2)/f^2."""
-    B, n = g0.shape[:2]
-    fj = m.warp(Jet.variable(jets.jet_space(1, 2), 0, r))
-    f = fj.value
-    fp = fj.diff(0).value
-    fpp = fj.diff(0).diff(0).value
-    k_rad = -fpp / f
-    k_tan = (1.0 / m.fiber.radius ** 2 - fp ** 2) / f ** 2
-    ghat = g0.copy()
-    ghat[:, 0, :] = 0.0
-    ghat[:, :, 0] = 0.0
-    u = np.zeros((B, n))
-    u[:, 0] = 1.0
-    rad = (np.einsum("...i,...k,...jl->...ijkl", u, u, ghat)
-           + np.einsum("...j,...l,...ik->...ijkl", u, u, ghat)
-           - np.einsum("...i,...l,...jk->...ijkl", u, u, ghat)
-           - np.einsum("...j,...k,...il->...ijkl", u, u, ghat))
-    return (k_rad[:, None, None, None, None] * rad
-            + k_tan[:, None, None, None, None] * _unit_riemann(ghat))
+        cuts, terms = (), ()
+    elif isinstance(m, RoundSphere):
+        cuts, terms = (0, m.n), ((0.5 / m.radius ** 2, 0, 0),)
+    elif isinstance(m, HyperbolicSpace):
+        cuts, terms = (0, m.n), ((-0.5 / m.radius ** 2, 0, 0),)
+    elif isinstance(m, ProductOfSpheres):
+        cuts = (0, *np.cumsum([d for d, _ in m.factors]))
+        terms = [(0.5 / r ** 2, a, a) for a, (_, r) in enumerate(m.factors)]
+    elif isinstance(m, WarpedRadial) and isinstance(m.fiber, RoundSphere):
+        f = m.warp(Jet.variable(jets.jet_space(1, 2), 0, points[:, 0]))
+        fp, fpp = f.diff(0).value, f.diff(0).diff(0).value
+        cuts = (0, 1, m.n)
+        terms = ((-fpp / f.value, 0, 1),
+                 (0.5 * (1.0 / m.fiber.radius ** 2 - fp ** 2) / f.value ** 2, 1, 1))
+    else:
+        return None
+    g = metric_values(m, points)
+    blocks = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        h = np.zeros_like(g)
+        h[:, lo:hi, lo:hi] = g[:, lo:hi, lo:hi]
+        blocks.append(h)
+    riemann = np.zeros(g.shape[:1] + g.shape[1:] * 2)
+    for c, a, b in terms:
+        riemann += (np.reshape(c, (-1, 1, 1, 1, 1))
+                    * _kulkarni_nomizu(blocks[a], blocks[b]))
+    return g, riemann
 
 
 def _pack(points: np.ndarray, g0: np.ndarray, riemann: np.ndarray) -> CurvaturePack:

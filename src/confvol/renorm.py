@@ -7,8 +7,12 @@ term V, the renormalized volume.  V is recovered three ways: from the
 exact antiderivative when f is polynomial, from a least-squares fit in
 the expansion monomials, and from the bulk integral
 C_{n+1} * integral of v^(n+1) over the geodesic compactification
-dr^2 + g_r.  Dimension four additionally ties V to the Euler
-characteristic through the Gauss-Bonnet identities.
+dr^2 + g_r.  Over a round-sphere boundary the compactification is a
+warped product over a round sphere, so its curvature, Bach included, takes
+the closed form; over any other boundary, or after a conformal change, it
+runs the chart jets (order 4 when v^(6) needs Bach).  Dimension four
+additionally ties V to the Euler characteristic through the Gauss-Bonnet
+identities.
 """
 
 from __future__ import annotations

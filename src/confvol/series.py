@@ -3,8 +3,8 @@
 A MetricSeries stores the Taylor coefficients of a one-parameter family of
 metrics g(rho) pointwise on a batch of chart points.  Volume coefficients
 v_k come from the log-determinant expansion of (det g(rho)/det g)^{1/2};
-the associated contravariant tensors L_(k) are the Taylor coefficients of
--v(rho) int_0^rho g^{ij}(u) du.
+the associated contravariant tensors L_(k), all computed in one pass, are
+the Taylor coefficients of -v(rho) int_0^rho g^{ij}(u) du.
 
 Einstein backgrounds (Ric = 2a(n-1)g) have the closed family
 g(rho) = (1 + a rho)^2 g, which makes every quantity here available in
@@ -61,14 +61,6 @@ class VolumeCoefficients:
         if k >= self.values.shape[0]:
             raise TruncationTooShort(f"v_{k} beyond stored order {self.values.shape[0] - 1}")
         return self.values[k]
-
-
-@dataclass(frozen=True)
-class LTensor:
-    """Contravariant symmetric 2-tensor L^{ij}_(k), pointwise."""
-
-    k: int
-    components: np.ndarray      # shape (npts, n, n)
 
 
 _DEFAULT_POINT_COUNT = 6
@@ -157,7 +149,11 @@ def vk_from_series(s: MetricSeries, kmax: int | None = None) -> VolumeCoefficien
     """
     kmax = s.K if kmax is None else kmax
     _check_order(s, kmax)
-    ginv = inverse_series(s)
+    return VolumeCoefficients(values=_volume_values(s, inverse_series(s), kmax))
+
+
+def _volume_values(s: MetricSeries, ginv: np.ndarray, kmax: int) -> np.ndarray:
+    """v_0..v_kmax, shape (kmax+1, npts), from the inverse series ginv."""
     # derivative series g'(rho): coefficient l is (l+1) g_{l+1}
     npts = s.points.shape[0]
     t = np.zeros((kmax + 1, npts))     # tr(g^{-1} g'), coefficients 0..kmax-1 used
@@ -178,29 +174,30 @@ def vk_from_series(s: MetricSeries, kmax: int | None = None) -> VolumeCoefficien
         for j in range(1, mdeg + 1):
             acc += j * 0.5 * w[j] * v[mdeg - j]
         v[mdeg] = acc / mdeg
-    return VolumeCoefficients(values=v)
+    return v
 
 
-def L_tensor(s: MetricSeries, k: int) -> LTensor:
-    """Contravariant tensor L^{ij}_(k), the k-th Taylor coefficient of
-    -v(rho) int_0^rho g^{ij}(u) du.
+def L_tensors(s: MetricSeries, kmax: int | None = None) -> np.ndarray:
+    """Contravariant tensors L^{ij}_(k), the Taylor coefficients of
+    -v(rho) int_0^rho g^{ij}(u) du, shape (kmax+1, npts, n, n).
+
+    Row k holds L_(k) for k = 1..kmax; row 0, the constant term, is zero.
     """
-    if k < 1:
-        raise KOutOfRange(f"k = {k} must be at least 1")
-    if k > s.K:
-        raise TruncationTooShort(f"L_({k}) needs series order {k}, have {s.K}")
-    if s.einstein_a is None and s.n % 2 == 0 and k > s.n // 2:
-        raise InvalidRange(
-            f"L_(k) for k > n/2 = {s.n // 2} undefined for general metrics in even dimension")
+    kmax = s.K if kmax is None else kmax
+    if kmax < 1:
+        raise KOutOfRange(f"kmax = {kmax} must be at least 1")
+    _check_order(s, kmax)
     ginv = inverse_series(s)
-    vk = vk_from_series(s, kmax=k - 1).values
-
-    # coefficient of rho^k in v(rho) * int_0^rho g^{ij}(u) du, where the
-    # integral contributes Ginv_{l} rho^{l+1} / (l+1)
-    direct = np.zeros_like(ginv[0])
-    for l in range(k):                 # integral term rho^{l+1}, v term rho^{k-1-l}
-        direct += vk[k - 1 - l][:, None, None] * ginv[l] / (l + 1)
-    return LTensor(k=k, components=-direct)
+    vk = _volume_values(s, ginv, kmax - 1)
+    out = np.zeros((kmax + 1,) + ginv.shape[1:])
+    for k in range(1, kmax + 1):
+        # coefficient of rho^k in v(rho) * int_0^rho g^{ij}(u) du, where the
+        # integral contributes Ginv_l rho^{l+1} / (l+1)
+        direct = np.zeros_like(ginv[0])
+        for l in range(k):             # integral term rho^{l+1}, v term rho^{k-1-l}
+            direct += vk[k - 1 - l][:, None, None] * ginv[l] / (l + 1)
+        out[k] = -direct
+    return out
 
 
 def v_direct(m: ModelMetric, k: int, points=None,

@@ -20,7 +20,7 @@ from confvol.models import (
     RoundSphere,
 )
 from confvol.series import (
-    L_tensor,
+    L_tensors,
     einstein_L_exact,
     einstein_series,
     einstein_vk_exact,
@@ -72,10 +72,10 @@ def test_L_tensor_routes_and_closed_form():
         a = einstein_constant(m)
         s = einstein_series(m)
         ginv0 = inverse_series(s)[0]
+        L = L_tensors(s, m.n)
         for k in range(1, m.n + 1):
-            lt = L_tensor(s, k)
             c = einstein_L_exact(m.n, a, k)
-            assert np.max(np.abs(lt.components - c * ginv0)) <= 1e-12 * max(1.0, abs(c))
+            assert np.max(np.abs(L[k] - c * ginv0)) <= 1e-12 * max(1.0, abs(c))
 
 
 def test_v_direct_matches_series():
@@ -130,7 +130,7 @@ def test_error_conditions():
     with pytest.raises(TruncationTooShort):
         vk_from_series(s, kmax=3)
     with pytest.raises(TruncationTooShort):
-        L_tensor(s, 3)
+        L_tensors(s, 3)
     from confvol.series import MetricSeries
 
     se = einstein_series(RoundSphere(4, 1.0), K=4)
@@ -139,13 +139,13 @@ def test_error_conditions():
     with pytest.raises(InvalidRange):
         vk_from_series(s4, kmax=3)   # k > n/2 = 2, general metric, even n
     with pytest.raises(InvalidRange):
-        L_tensor(s4, 3)
+        L_tensors(s4, 3)
     with pytest.raises(DimensionFour):
         v_direct(RoundSphere(4, 1.0), 3)
     with pytest.raises(KOutOfRange):
         v_direct(RoundSphere(5, 1.0), 4)
     with pytest.raises(KOutOfRange):
-        L_tensor(s, 0)
+        L_tensors(s, 0)
 
 
 def test_v_direct_dimension_guard():

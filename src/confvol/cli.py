@@ -193,7 +193,7 @@ def cmd_vk(config: dict) -> dict:
     vk = vk_from_series(s)
     rows = []
     for k in range(s.K + 1):
-        val = float(np.mean(vk.vk(k)))
+        val = float(np.mean(vk[k]))
         exact = einstein_vk_exact(s.n, s.einstein_a, k)
         rows.append({"k": k, "vk": val, "exact": exact,
                      "error": abs(val - exact)})
@@ -342,12 +342,12 @@ def cmd_flow(config: dict) -> dict:
                                amplitude=config["amplitude"])
         kw = {"shape": (config["grid"],) * m.n}
     else:
-        if config["k"] in (2, 3):
-            # k = 2, 3 take v_direct on chart jets of order 2k - 2 at the
-            # flow's 48 nodes; the n^4 Riemann jets are the largest array
-            order = 2 * config["k"] - 2
-            _check_size("sphere flow chart-jet entries 48 * n^4 * C(n+order, order)",
-                        48 * m.n ** 4 * comb(m.n + order, order))
+        if config["k"] >= 2:
+            # k >= 2 take sigma_k on order-2 chart jets of the conformally
+            # flat deformations at the flow's 48 nodes; the n^4 Riemann
+            # jets are the largest array
+            _check_size("sphere flow chart-jet entries 48 * n^4 * C(n+2, 2)",
+                        48 * m.n ** 4 * comb(m.n + 2, 2))
         member = sphere_basis(m, lmax=2, axes_per_degree=1).members[-1]
         omega0 = lambda x: config["amplitude"] * member(x)
         kw = {}

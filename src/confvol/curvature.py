@@ -6,8 +6,10 @@ tensor in closed form as a sum of Kulkarni-Nomizu products, contract it in
 one tail, and take Bach as -P^{kl} W_{kijl}.  Every other kind propagates
 metric component jets through the Christoffel / Riemann / Schouten / Bach
 pipeline; all derivatives are exact Taylor coefficients, never finite
-differences.  Order-4 jets, and so the Bach pipeline, serve only that
-chart route.  The two routes must agree.
+differences.  The two routes must agree.  Order-4 jets, and so the Bach
+pipeline, serve only that chart route, and only when Bach is asked for:
+series.v_direct asks for it at k = 3 on kinds that are not conformally
+flat, since on conformally flat kinds Bach vanishes and v_k is sigma_k.
 
 Conventions: lowered Riemann tensor satisfies Rm[i,j,i,j] > 0 on round
 spheres (unit sphere sectional curvature +1), and the Laplacian is the

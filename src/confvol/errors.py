@@ -28,7 +28,7 @@ class DimensionFour(ConfvolError):
 
 
 class KOutOfRange(ConfvolError):
-    """Symmetric-function index outside 0..n."""
+    """Coefficient or symmetric-function index outside its range."""
 
 
 class GridResolutionInsufficient(NumericalFailure):
@@ -75,10 +75,6 @@ class EvenDimension(ConfvolError):
 
 class NotTotallyGeodesic(NumericalFailure):
     """Compactification has nonvanishing boundary second fundamental form."""
-
-
-class CoefficientUnavailable(ConfvolError):
-    """Needed volume coefficient beyond the implemented direct formulas."""
 
 
 class EpsilonOutOfRange(ConfvolError):

@@ -1,16 +1,18 @@
 """Volume-constrained conformal gradient flow toward constant v_k.
 
 Explicit Euler with step rejection on the conformal factor omega of
-e^{2 omega} g: each step moves omega against sign(n-2k) (v_k - mean v_k)
-and then renormalizes the volume exactly by subtracting a constant.  The
+e^{2 omega} g: each step moves omega by -(v_k - mean v_k), the sigma_k
+flow of Guan and Wang (J. Reine Angew. Math. 557, 2003), for every k, and
+then renormalizes the volume exactly by subtracting a constant.  The
 variance of v_k must not increase on accepted steps; the caller's step
 controller halves dt on rejection and grows it slowly on acceptance.
 
 Discretizations: flat tori on uniform grids with Fourier differentiation
 (k = 1, where v_1 follows from the conformal transformation law of scalar
 curvature); round spheres restricted to zonal (single-axis) conformal
-factors, where fields live on a 1D Gauss-Legendre grid and k up to 3 is
-available through the pointwise curvature formulas.
+factors, where fields live on a 1D Gauss-Legendre grid.  The deformed
+sphere is conformally flat, so every k <= n is available there through
+v_k = sigma_k(g^{-1}P).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .models import (
     sphere_volume,
     zonal_field,
 )
+from .series import v_direct
 from .spectral import _gegenbauer_coeffs, field_values
 
 _VARIANCE_SLACK = 1e-14
@@ -141,12 +144,8 @@ class SphereZonal:
             R = n * (n - 1) / L ** 2
             return np.exp(-2.0 * omega) * (
                 R / (2.0 * (n - 1)) - lap - 0.5 * (n - 2) * grad2)
-        if k in (2, 3):
-            from .series import v_direct
-
-            deformed = ConformalDeformation(self.base, self._field(omega))
-            return (-2.0) ** k * v_direct(deformed, k, points=self.points)
-        raise KOutOfRange(f"flow supports k in {{1, 2, 3}}, got {k}")
+        deformed = ConformalDeformation(self.base, self._field(omega))
+        return (-2.0) ** k * v_direct(deformed, k, points=self.points)
 
     def volume(self, omega):
         return float(np.sum(self.w * np.exp(self.base.n * omega)))
@@ -200,8 +199,7 @@ def flow_step(state: FlowState, k: int, dt: float) -> FlowState:
     """One explicit Euler step; raises StepRejected if the v_k variance grew."""
     disc = state.disc
     n = disc.base.n
-    orient = np.sign(n - 2 * k)
-    omega = state.omega - dt * orient * (state.vk - state.mean_vk)
+    omega = state.omega - dt * (state.vk - state.mean_vk)
     omega = disc.project(omega)
     omega = omega - np.log(disc.volume(omega) / disc.base_volume) / n
     vk = disc.vk(omega, k)

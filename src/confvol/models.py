@@ -243,6 +243,21 @@ def einstein_constant(m: ModelMetric):
     return None
 
 
+_SPACE_FORMS = (RoundSphere, HyperbolicSpace, FlatTorus)
+
+
+def conformally_flat(m: ModelMetric) -> bool:
+    """Whether the kind is locally conformally flat by construction: a space
+    form, a conformal deformation of such a kind, or dr^2 + f^2 h over a
+    space form h, since that is f^2 (ds^2 + h) with ds = dr / f.  Decided by
+    kind only, never by a numerical Weyl test (Weyl vanishes at n = 3)."""
+    if isinstance(m, ConformalDeformation):
+        return conformally_flat(m.base)
+    if isinstance(m, WarpedRadial):
+        return isinstance(m.fiber, _SPACE_FORMS)
+    return isinstance(m, _SPACE_FORMS)
+
+
 def einstein_model(n: int, a: float) -> ModelMetric:
     """Space form with Ric = 2a(n-1)g; self-checked on construction."""
     if a > 0:

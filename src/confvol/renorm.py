@@ -7,12 +7,13 @@ term V, the renormalized volume.  V is recovered three ways: from the
 exact antiderivative when f is polynomial, from a least-squares fit in
 the expansion monomials, and from the bulk integral
 C_{n+1} * integral of v^(n+1) over the geodesic compactification
-dr^2 + g_r.  Over a round-sphere boundary the compactification is a
-warped product over a round sphere, so its curvature, Bach included, takes
-the closed form; over any other boundary, or after a conformal change, it
-runs the chart jets (order 4 when v^(6) needs Bach).  Dimension four
-additionally ties V to the Euler characteristic through the Gauss-Bonnet
-identities.
+dr^2 + g_r.  Over a space-form boundary the compactification is
+conformally flat, before and after a conformal change, so v^(n+1) is
+(-1/2)^k sigma_k(g^{-1}P) with k = (n+1)/2 for every odd n; over a round
+sphere its curvature takes the closed form.  Over any other boundary
+v^(n+1) exists only for n <= 5, with Bach from order-4 chart jets at
+n = 5.  Dimension four additionally ties V to the Euler characteristic
+through the Gauss-Bonnet identities.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from scipy.special import roots_legendre
 from . import jets
 from .curvature import curvature_pack
 from .errors import (
-    CoefficientUnavailable,
     EpsilonOutOfRange,
     EvenDimension,
     IllConditionedFit,
@@ -242,9 +242,6 @@ def renorm_volume_geodcomp(compact: WarpedRadial, n: int, omega=None) -> float:
         raise EvenDimension(f"renormalized volume extraction needs odd n, got {n}")
     if n < 3:
         raise InvalidRange(f"n = {n} below 3")
-    if n > 5:
-        raise CoefficientUnavailable(
-            f"v^({n + 1}) has no direct curvature formula here (n = {n})")
     if abs(boundary_shape_value(compact.warp)) > _GEODESIC_TOL:
         raise NotTotallyGeodesic(
             f"boundary shape value {boundary_shape_value(compact.warp):.3e}")

@@ -28,7 +28,7 @@ from .errors import (
     NotEinstein,
     TruncationTooShort,
 )
-from .models import ModelMetric, einstein_constant, metric_values
+from .models import ModelMetric, conformally_flat, einstein_constant, metric_values
 
 
 @dataclass(frozen=True)
@@ -49,18 +49,6 @@ class MetricSeries:
     @property
     def g0(self) -> np.ndarray:
         return self.coeffs[0]
-
-
-@dataclass(frozen=True)
-class VolumeCoefficients:
-    """v_0..v_K pointwise; row k holds v_k = (-2)^k v^(2k)."""
-
-    values: np.ndarray          # shape (K+1, npts)
-
-    def vk(self, k: int) -> np.ndarray:
-        if k >= self.values.shape[0]:
-            raise TruncationTooShort(f"v_{k} beyond stored order {self.values.shape[0] - 1}")
-        return self.values[k]
 
 
 _DEFAULT_POINT_COUNT = 6
@@ -141,15 +129,16 @@ def _check_order(s: MetricSeries, kmax: int):
             f"v_k for k > n/2 = {s.n // 2} undefined for general metrics in even dimension")
 
 
-def vk_from_series(s: MetricSeries, kmax: int | None = None) -> VolumeCoefficients:
-    """Volume coefficients v_k of (det g(rho)/det g)^{1/2} up to order kmax.
+def vk_from_series(s: MetricSeries, kmax: int | None = None) -> np.ndarray:
+    """Volume coefficients of (det g(rho)/det g)^{1/2} up to order kmax,
+    shape (kmax+1, npts); row k holds v_k = (-2)^k v^(2k).
 
     Uses d/drho log det g = tr(g^{-1} g') termwise, then the exponential of
     half the log series.
     """
     kmax = s.K if kmax is None else kmax
     _check_order(s, kmax)
-    return VolumeCoefficients(values=_volume_values(s, inverse_series(s), kmax))
+    return _volume_values(s, inverse_series(s), kmax)
 
 
 def _volume_values(s: MetricSeries, ginv: np.ndarray, kmax: int) -> np.ndarray:
@@ -202,30 +191,35 @@ def L_tensors(s: MetricSeries, kmax: int | None = None) -> np.ndarray:
 
 def v_direct(m: ModelMetric, k: int, points=None,
              count: int = _DEFAULT_POINT_COUNT, seed: int = 0) -> np.ndarray:
-    """v^(2k) pointwise from curvature, k in {1, 2, 3}.
+    """v^(2k) pointwise from curvature; convert to v_k with (-2)^k.
 
-    v^(2) = -R / (4(n-1)); v^(4) = sigma_2(g^{-1}P) / 4;
-    v^(6) = -(sigma_3(g^{-1}P) + P^{ij}B_{ij} / (3(n-4))) / 8.
-    Convert to v_k with the factor (-2)^k.
+    v^(2) = -R / (4(n-1)), and for k >= 2
+    v^(2k) = (-1/2)^k [sigma_k(g^{-1}P) + P^{ij}B_{ij} / (3(n-4))],
+    where the Bach term enters at k = 3 only.  On conformally flat kinds
+    the expansion terminates, Bach vanishes and the formula holds for every
+    k <= n without it; other kinds take Bach and stop at k = 3.
     """
-    if k not in (1, 2, 3):
-        raise KOutOfRange(f"direct formulas cover k in {{1, 2, 3}}, got {k}")
     n = m.n
     if k >= 2 and n < 3:
         raise DimensionTooSmall(
             f"v^({2 * k}) needs the Schouten tensor, undefined at n = {n}")
-    if k == 3 and n == 4:
+    flat = conformally_flat(m)
+    kmax = n if flat else 3
+    if not 1 <= k <= kmax:
+        raise KOutOfRange(f"direct formulas cover k in 1..{kmax} for "
+                          f"{type(m).__name__}, got {k}")
+    want_bach = k == 3 and not flat
+    if want_bach and n == 4:
         raise DimensionFour("the sixth-order coefficient formula is singular at n = 4")
     pts = _series_points(m, points, count, seed)
-    pack = curvature_pack(m, pts, want_bach=(k == 3))
+    pack = curvature_pack(m, pts, want_bach=want_bach)
     if k == 1:
         return -pack.scalar / (4.0 * (n - 1))
-    if k == 2:
-        return sigma_k(pack.schouten, pack.metric, 2) / 4.0
-    s3 = sigma_k(pack.schouten, pack.metric, 3)
-    p_up = np.einsum("bik,bjl,bkl->bij", pack.inverse, pack.inverse, pack.schouten)
-    pb = np.einsum("bij,bij->b", p_up, pack.bach)
-    return -(s3 + pb / (3.0 * (n - 4))) / 8.0
+    vk = sigma_k(pack.schouten, pack.metric, k)
+    if want_bach:
+        p_up = np.einsum("bik,bjl,bkl->bij", pack.inverse, pack.inverse, pack.schouten)
+        vk = vk + np.einsum("bij,bij->b", p_up, pack.bach) / (3.0 * (n - 4))
+    return (-0.5) ** k * vk
 
 
 def einstein_vk_exact(n: int, a: float, k: int) -> float:

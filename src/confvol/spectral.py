@@ -32,17 +32,13 @@ from .models import (
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Orthonormal mean-zero eigenfunctions of -Delta on a model manifold.
-
-    gram is the identity and dirichlet = diag(eigenvalues) by construction;
-    both are stored so consumers can cross-check them by quadrature.
-    """
+    """Orthonormal mean-zero eigenfunctions of -Delta on a model manifold,
+    so its Gram matrix is the identity and its Dirichlet matrix is
+    diag(eigenvalues) by construction."""
 
     model: ModelMetric
     members: tuple
     eigenvalues: np.ndarray
-    gram: np.ndarray
-    dirichlet: np.ndarray
     labels: tuple
     # for sphere bases: per member, ((degree, axis, weight), ...) expressing
     # it as a combination of raw zonal harmonics
@@ -153,8 +149,6 @@ def sphere_basis(m: RoundSphere, lmax: int = 8, axes_per_degree: int = 2) -> Spe
         model=m,
         members=tuple(members),
         eigenvalues=eigenvalues,
-        gram=np.eye(len(members)),
-        dirichlet=np.diag(eigenvalues),
         labels=tuple(labels),
         zonal_structure=tuple(structure),
     )
@@ -261,8 +255,6 @@ def torus_basis(m: FlatTorus, mmax: int = 4) -> SpectralBasis:
         model=m,
         members=tuple(members),
         eigenvalues=eigenvalues,
-        gram=np.eye(len(members)),
-        dirichlet=np.diag(eigenvalues),
         labels=tuple(labels),
     )
 
@@ -297,8 +289,6 @@ def product_basis(m: ProductOfSpheres, lmax: int = 4,
         model=m,
         members=members,
         eigenvalues=eigenvalues,
-        gram=np.eye(len(members)),
-        dirichlet=np.diag(eigenvalues),
         labels=labels,
     )
 

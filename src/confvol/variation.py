@@ -103,7 +103,7 @@ def delta_vk(background: ModelMetric, omega, k: int, points: np.ndarray) -> np.n
 
 def vk_pointwise(m: ModelMetric, k: int, points: np.ndarray) -> np.ndarray:
     """v_k at the given points: Einstein closed form, else the direct
-    curvature formulas (k <= 3)."""
+    curvature formula (k <= n on conformally flat kinds, else k <= 3)."""
     a = einstein_constant(m)
     if a is not None:
         return np.full(np.atleast_2d(points).shape[0], einstein_vk_exact(m.n, a, k))
@@ -201,8 +201,8 @@ def _second_variation(background: ModelMetric, k: int, basis: SpectralBasis,
     When the basis lives on the background itself, Dir and Gram are
     assembled by quadrature and H is checked against the closed-form
     diagonal exact_diag(a) * (lambda_l - 2na); otherwise (noncompact
-    backgrounds probed through a surrogate spectrum) the basis's exact
-    matrices are used directly.
+    backgrounds probed through a surrogate spectrum) the orthonormal
+    basis gives Gram = I and Dir = diag(eigenvalues) directly.
     """
     a = _require_einstein(background)
     n = background.n
@@ -220,7 +220,7 @@ def _second_variation(background: ModelMetric, k: int, basis: SpectralBasis,
     if on_model:
         dir_, gram = _basis_dir_gram(background, basis, resolution)
     else:
-        dir_, gram = basis.dirichlet, basis.gram
+        dir_, gram = np.diag(basis.eigenvalues), np.eye(basis.size)
     H = pref * (cL * dir_ + 2.0 * k * vk * gram)
     H = 0.5 * (H + H.T)
 

@@ -111,6 +111,31 @@ def test_product_bach_matches_chart():
     assert np.max(np.abs(fast.bach - chart.bach)) < 1e-9
 
 
+def _p_dot_bach(pack):
+    return np.einsum("bik,bjl,bkl,bij->b", pack.inverse, pack.inverse,
+                     pack.schouten, pack.bach)
+
+
+def test_conformally_flat_kinds_have_no_bach():
+    # v_direct drops P^{ij}B_{ij} on every kind conformally_flat accepts;
+    # the order-4 chart, which never consults the predicate, must agree
+    warp = lambda r: 1.0 + 0.3 * r * r - 0.2 * r ** 4
+    bump = lambda x: 0.1 * x[0] * x[1] + 0.05 * x[2]
+    flat = [RoundSphere(5, 1.3), HyperbolicSpace(5, 0.8), FlatTorus((1.0,) * 5)]
+    flat += [ConformalDeformation(b, bump) for b in flat]
+    warped = [WarpedRadial(warp, b, (0.0, 1.0)) for b in
+              (RoundSphere(4, 1.3), HyperbolicSpace(4, 0.8), FlatTorus((1.0,) * 4))]
+    flat += warped + [ConformalDeformation(warped[0], bump)]
+    for m in flat:
+        assert models.conformally_flat(m), m
+        pb = _p_dot_bach(_chart_pack(m, _random_points(m, 2), True))
+        assert np.max(np.abs(pb)) < 1e-12, m
+    # a deformed product is not conformally flat, and its Bach term is not small
+    m = ConformalDeformation(ProductOfSpheres(((2, 1.0), (3, 1.0))), bump)
+    assert not models.conformally_flat(m)
+    assert np.min(np.abs(_p_dot_bach(_chart_pack(m, _random_points(m, 2), True)))) > 1e-2
+
+
 def test_scaling_covariance():
     # g -> c^2 g: Rm_{ijkl} -> c^2 Rm, R -> R / c^2, P -> P, W -> c^2 W
     base = ConformalDeformation(RoundSphere(3, 1.0), lambda x: 0.3 * x[1])

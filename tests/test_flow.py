@@ -1,5 +1,7 @@
 """Normalized gradient flow toward constant volume coefficients."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,16 @@ def test_sphere_flow_k2():
     assert report.converged
     # v_2 = a^2 binom(5, 2) = 2.5 at a = 1/2
     assert report.final_constant == pytest.approx(2.5, abs=1e-3)
+
+
+def test_sphere_flow_beyond_half_dimension():
+    # for 2k > n the flow still moves omega by -(v_k - mean): v_k -> a^k C(n, k)
+    for n in (4, 5):
+        sphere = RoundSphere(n, 1.0)
+        disc = discretize(sphere, nodes=32, degree=8)
+        report = run_flow(sphere, 3, 0.02 * disc.synth[:, 2], tol=1e-6,
+                          max_steps=4000, nodes=32, degree=8)
+        assert report.final_constant == pytest.approx(comb(n, 3) / 8.0, abs=1e-5)
 
 
 def test_volume_renormalized_each_step():

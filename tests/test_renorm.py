@@ -5,7 +5,6 @@ import pytest
 
 from confvol import jets
 from confvol.errors import (
-    CoefficientUnavailable,
     EpsilonOutOfRange,
     EvenDimension,
     IllConditionedFit,
@@ -134,9 +133,12 @@ def test_range_guards():
         renorm_volume_geodcomp(compact, 4)
     with pytest.raises(InvalidRange):
         renorm_volume_geodcomp(compact, 1)
-    a7 = hyperbolic_normal_form(RoundSphere(7, 1.0))
-    with pytest.raises(CoefficientUnavailable):
-        renorm_volume_geodcomp(geodesic_compactification(a7), 7)
+    # the compactification is conformally flat, so v^(n+1) is sigma_k at
+    # every odd n and the bulk route matches the analytic V
+    for n in (7, 9):
+        a_n = hyperbolic_normal_form(RoundSphere(n, 1.0))
+        V = renorm_volume_geodcomp(geodesic_compactification(a_n), n)
+        assert V == pytest.approx(extract_expansion(a_n).V, rel=1e-12, abs=0.0)
     with pytest.raises(InvalidRange):
         AHNormalForm(boundary=RoundSphere(3, 1.0),
                      warp=lambda r: 1.0 - r, r_max=1.0)   # odd warp term

@@ -18,6 +18,7 @@ from confvol.models import (
     HyperbolicSpace,
     ProductOfSpheres,
     RoundSphere,
+    WarpedRadial,
 )
 from confvol.series import (
     L_tensors,
@@ -49,7 +50,7 @@ def test_einstein_vk_closed_form():
         v = vk_from_series(s, kmax=m.n + 2)
         for k in range(m.n + 3):
             expect = einstein_vk_exact(m.n, a, k)
-            got = v.vk(k)
+            got = v[k]
             assert np.max(np.abs(got - expect)) <= 1e-12 * max(1.0, abs(expect)), (m, k)
 
 
@@ -86,7 +87,30 @@ def test_v_direct_matches_series():
             if k == 3 and m.n == 4:
                 continue
             direct = v_direct(m, k, points=s.points)
-            assert np.max(np.abs((-2.0) ** k * direct - v.vk(k))) < 1e-9, (m, k)
+            assert np.max(np.abs((-2.0) ** k * direct - v[k])) < 1e-9, (m, k)
+
+
+def test_v_direct_sigma3_on_conformally_flat_kinds():
+    # v_direct reads sigma_3 from an order-2 pack on these kinds; the order-4
+    # chart with the Bach term, the formula for every other kind, must agree
+    from confvol.curvature import _chart_pack, sigma_k
+
+    bump = lambda x: 0.1 * x[0] * x[1] + 0.05 * x[2]
+    warped = WarpedRadial(lambda r: 1.0 + 0.3 * r * r, RoundSphere(4, 1.0),
+                          (0.0, 1.0))
+    for m in (ConformalDeformation(RoundSphere(5, 1.0), bump),
+              ConformalDeformation(RoundSphere(7, 1.0), bump),
+              ConformalDeformation(warped, bump)):
+        pts = m.sample_points(2, np.random.default_rng(4))
+        got = v_direct(m, 3, points=pts)
+        pack = _chart_pack(m, pts, True)
+        s3 = sigma_k(pack.schouten, pack.metric, 3)
+        pb = np.einsum("bik,bjl,bkl,bij->b", pack.inverse, pack.inverse,
+                       pack.schouten, pack.bach)
+        chart = -(s3 + pb / (3.0 * (m.n - 4))) / 8.0
+        scale = np.max(np.abs(chart))
+        assert np.max(np.abs(got + s3 / 8.0)) <= 1e-13 * scale, m
+        assert np.max(np.abs(got - chart)) <= 1e-13 * scale, m
 
 
 def test_v_direct_nonhomogeneous():
@@ -108,7 +132,7 @@ def test_first_order_series_general_metric():
     from confvol.curvature import curvature_pack
 
     R = curvature_pack(m, s.points, want_bach=False).scalar
-    assert np.max(np.abs(v.vk(1) - R / (2.0 * (m.n - 1)))) < 1e-10
+    assert np.max(np.abs(v[1] - R / (2.0 * (m.n - 1)))) < 1e-10
 
 
 def test_scaling_law():
@@ -118,7 +142,7 @@ def test_scaling_law():
         v_scaled = vk_from_series(einstein_series(RoundSphere(4, c)), kmax=4)
         for k in range(5):
             assert np.max(np.abs(
-                v_scaled.vk(k) - c ** (-2 * k) * v_base.vk(k))) < 1e-12
+                v_scaled[k] - c ** (-2 * k) * v_base[k])) < 1e-12
 
 
 def test_error_conditions():
@@ -140,10 +164,12 @@ def test_error_conditions():
         vk_from_series(s4, kmax=3)   # k > n/2 = 2, general metric, even n
     with pytest.raises(InvalidRange):
         L_tensors(s4, 3)
+    # conformally flat kinds have v_k = sigma_k for every k <= n; the Bach
+    # route's limits show on products
     with pytest.raises(DimensionFour):
-        v_direct(RoundSphere(4, 1.0), 3)
+        v_direct(ProductOfSpheres(((2, 1.0), (2, 1.0))), 3)
     with pytest.raises(KOutOfRange):
-        v_direct(RoundSphere(5, 1.0), 4)
+        v_direct(ProductOfSpheres(((2, 1.0), (3, 1.0))), 4)
     with pytest.raises(KOutOfRange):
         L_tensors(s, 0)
 

@@ -60,6 +60,9 @@ _RULES = {
     "amplitude": (lambda v, c: isfinite(v), "finite"),
     "tol": (lambda v, c: isfinite(v) and v > 0, "finite and positive"),
     "max_steps": (lambda v, c: v >= 1, "at least 1"),
+    "k": (lambda v, c: v >= 1, "at least 1"),
+    "kmax": (lambda v, c: v >= 0, "at least 0 (0 means n)"),
+    "lmax": (lambda v, c: v >= 1, "at least 1"),
     "functional": (lambda v, c: v in ("Fk", "V"), "Fk or V"),
 }
 

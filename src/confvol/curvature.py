@@ -148,32 +148,35 @@ def _chart_pack(m: ModelMetric, points: np.ndarray, want_bach: bool) -> Curvatur
     Ginv = _inverse_jets(G, g0, order)
     gam = _christoffel(G, Ginv, order)                        # trusted order-1
 
+    # Riemann jets are trusted to order o2 = order - 2 and only the nc
+    # coefficients up to it are formed: the value at order 2, and at order 4
+    # the second order that the Bach pipeline reads of P
     o2 = order - 2
-    dgam = Jet(space, np.stack([gam.diff(v).c for v in range(n)]))
+    nc = space.ncoef_at(o2)
+    dgam = np.stack([gam.diff(v).c[..., :nc] for v in range(n)])
     # Riem_up[rho, sig, mu, nu] = d_mu Gam^rho_{nu sig} - d_nu Gam^rho_{mu sig}
     #                             + Gam^rho_{mu lam} Gam^lam_{nu sig} - (mu<->nu)
-    t1 = dgam.c.transpose(1, 3, 0, 2, *range(4, dgam.c.ndim))
+    t1 = dgam.transpose(1, 3, 0, 2, *range(4, dgam.ndim))
     t2 = t1.swapaxes(2, 3)
-    gg = space.mul(gam.c, gam.c, o2, "rml...p,lsn...p->rsmn...")
-    riem_up = Jet(space, t1 - t2 + gg - gg.swapaxes(2, 3))
+    gg = space.mul(gam.c, gam.c, o2, "rml...p,lsn...p->rsmn...")[..., :nc]
+    riem_up = t1 - t2 + gg - gg.swapaxes(2, 3)
 
-    ric = Jet(space, np.einsum("msmn...->sn...", riem_up.c))
-    scal = Jet(space, space.mul(Ginv.c, ric.c, o2, "ij...p,ij...p->..."))
+    # mul at out_order o2 reads only the first nc coefficients of ric
+    ric = np.einsum("msmn...->sn...", riem_up)
+    scal = space.mul(Ginv.c, ric, o2, "ij...p,ij...p->...")[..., :nc]
     if n >= 3:
-        P = Jet(space, (ric.c - space.mul(scal.c[None, None], G.c, o2)
-                        / (2.0 * (n - 1))) / (n - 2))
-    else:
-        P = None
+        P = (ric - space.mul(scal[None, None], G.c, o2)[..., :nc]
+             / (2.0 * (n - 1))) / (n - 2)
 
     # lowered Riemann (values suffice downstream)
-    rm_up0 = np.moveaxis(riem_up.value, -1, 0)                # (B, n,n,n,n)
+    rm_up0 = np.moveaxis(riem_up[..., 0], -1, 0)             # (B, n,n,n,n)
     riemann = np.einsum("...rl,...lsmn->...rsmn", g0, rm_up0)
-    ricci = np.moveaxis(ric.value, -1, 0)
-    scalar = scal.value                                       # (B,)
+    ricci = np.moveaxis(ric[..., 0], -1, 0)
+    scalar = scal[..., 0]                                     # (B,)
     ginv0 = np.linalg.inv(g0)
 
     if n >= 3:
-        schout = np.moveaxis(P.value, -1, 0)
+        schout = np.moveaxis(P[..., 0], -1, 0)
         weyl = riemann - _kulkarni_nomizu(schout, g0)
     else:
         schout = np.zeros_like(ricci)
@@ -181,7 +184,9 @@ def _chart_pack(m: ModelMetric, points: np.ndarray, want_bach: bool) -> Curvatur
 
     bach = None
     if want_bach and n >= 3:
-        bach = _bach(space, gam, P, weyl, ginv0, n)
+        P_full = np.zeros(P.shape[:-1] + (space.ncoef,))
+        P_full[..., :nc] = P
+        bach = _bach(space, gam, Jet(space, P_full), weyl, ginv0, n)
 
     return CurvaturePack(points, g0, ginv0, riemann, ricci, scalar,
                          schout, weyl, bach)

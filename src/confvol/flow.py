@@ -47,28 +47,24 @@ class TorusGrid:
         axes = [np.arange(N) / N * p for N, p in zip(self.shape, torus.periods)]
         grids = np.meshgrid(*axes, indexing="ij")
         self.points = np.stack([g.ravel() for g in grids], axis=1)
-        self.freqs = [2.0 * np.pi * np.fft.fftfreq(N, d=p / N)
-                      for N, p in zip(self.shape, torus.periods)]
-        k2 = np.zeros(self.shape)
-        for axis, f in enumerate(self.freqs):
-            sh = [1] * n
-            sh[axis] = len(f)
-            k2 = k2 + (f ** 2).reshape(sh)
-        self.k2 = k2
+        freqs = [2.0 * np.pi * np.fft.fftfreq(N, d=p / N)
+                 for N, p in zip(self.shape, torus.periods)]
+        self.k2 = sum(k ** 2 for k in np.meshgrid(*freqs, indexing="ij"))
         self.base_volume = torus.volume
-        self.max_eigenvalue = float(np.max(k2))
+        self.max_eigenvalue = float(np.max(self.k2))
+        # multipliers on the rfftn half spectrum: -|k|^2, then i k_a with the
+        # Nyquist mode zeroed, as the real part of a derivative drops it
+        dfreqs = [np.where(np.arange(N) == N / 2, 0.0, f)
+                  for N, f in zip(self.shape, freqs)]
+        dk = np.meshgrid(*dfreqs, indexing="ij")
+        half = self.shape[-1] // 2 + 1
+        self._mult = np.stack([-self.k2] + [1j * d for d in dk])[..., :half]
 
     def _spectral(self, omega):
-        om = omega.reshape(self.shape)
-        hat = np.fft.fftn(om)
-        lap = np.real(np.fft.ifftn(-self.k2 * hat)).ravel()
-        grad2 = np.zeros(self.shape)
-        for axis, f in enumerate(self.freqs):
-            sh = [1] * len(self.shape)
-            sh[axis] = len(f)
-            d = np.real(np.fft.ifftn(1j * f.reshape(sh) * hat))
-            grad2 = grad2 + d ** 2
-        return lap, grad2.ravel()
+        hat = np.fft.rfftn(omega.reshape(self.shape))
+        axes = tuple(range(1, len(self.shape) + 1))
+        out = np.fft.irfftn(self._mult * hat, s=self.shape, axes=axes)
+        return out[0].ravel(), np.sum(out[1:] ** 2, axis=0).ravel()
 
     def vk(self, omega, k):
         if k != 1:

@@ -6,9 +6,10 @@ coordinates around a base point, truncated at a fixed total degree.  The
 coefficient array carries arbitrary leading batch axes, so whole tensors
 and whole batches of evaluation points propagate in one vectorized sweep.
 
-``JetSpace.mul`` is the one product kernel.  For each output coefficient it
-gathers the coefficient pairs that multiply into it and combines them with
-one ``np.einsum`` call, so the same loop gives the elementwise product of
+``JetSpace.mul`` is the one product kernel.  Output coefficients of one
+degree with the same number of contributing coefficient pairs form a group;
+for each group it gathers those pairs and combines them with one
+``np.einsum`` call, so the same loop gives the elementwise product of
 ``Jet`` arithmetic and tensor contractions of jets, such as the matrix
 products and Christoffel contractions of the curvature pipeline.
 
@@ -63,6 +64,16 @@ class JetSpace:
             (np.array([p[0] for p in ps]), np.array([p[1] for p in ps]))
             for ps in pairs
         ]
+        # the same pairs grouped by (degree, pair count) and sorted by degree:
+        # (degree, ks, idx_i, idx_j), idx_i and idx_j of shape (len(ks), count)
+        groups = {}
+        for k, (idx_i, _) in enumerate(self._pairs):
+            groups.setdefault((int(self.degree[k]), len(idx_i)), []).append(k)
+        self._groups = [
+            (deg, np.array(ks), np.stack([self._pairs[k][0] for k in ks]),
+             np.stack([self._pairs[k][1] for k in ks]))
+            for (deg, _), ks in sorted(groups.items())
+        ]
         # index maps for partial derivatives
         self._dmaps = []
         for v in range(nvars):
@@ -86,20 +97,23 @@ class JetSpace:
         """Coefficient-array product, truncated at ``out_order``.
 
         ``subscripts`` is an ``np.einsum`` spec over the leading axes, with
-        ``p`` the axis of coefficient pairs of one output coefficient.  The
-        default is the broadcast elementwise product; a tensor letter both
-        operands share contracts, e.g. ``"ik...p,kj...p->ij..."`` multiplies
-        matrix jets.  Output coefficients up to ``out_order`` read only input
-        coefficients of degree <= ``out_order``; those above it are zero.
+        ``p`` the axis of coefficient pairs of one output coefficient; the
+        ellipsis also carries the axis of the output coefficients of one
+        group.  The default is the broadcast elementwise product; a tensor
+        letter both operands share contracts, e.g. ``"ik...p,kj...p->ij..."``
+        multiplies matrix jets.  Output coefficients up to ``out_order`` read
+        only input coefficients of degree <= ``out_order``; those above it
+        are zero.
         """
-        nout = self.ncoef_at(self.order if out_order is None else out_order)
+        top = self.order if out_order is None else out_order
         out = None
-        for k in range(nout):
-            idx_i, idx_j = self._pairs[k]
+        for deg, ks, idx_i, idx_j in self._groups:
+            if deg > top:
+                break
             term = np.einsum(subscripts, a[..., idx_i], b[..., idx_j])
             if out is None:
-                out = np.zeros(np.shape(term) + (self.ncoef,), dtype=term.dtype)
-            out[..., k] = term
+                out = np.zeros(term.shape[:-1] + (self.ncoef,), dtype=term.dtype)
+            out[..., ks] = term
         return out
 
     def diff(self, c: np.ndarray, v: int) -> np.ndarray:

@@ -112,6 +112,14 @@ def test_exit_code_out_of_range_model_keys(capsys):
         ("flow", "--tol", "nan"),
         ("flow", "--amplitude", "inf"),
         ("flow", "--max-steps", "0"),
+        ("vk", "--kmax", "-1"),
+        ("ltensor", "--kmax", "-2"),
+        ("hessian", "--k", "0"),
+        ("variation", "--k", "0"),
+        ("flow", "--k", "-1"),
+        ("hessian", "--lmax", "0"),
+        ("variation", "--lmax", "0"),
+        ("signtable", "--lmax", "0"),
         # the default torus basis (4,912 members) is refused before it is built
         ("hessian", "--model", "torus"),
         ("hessian", "--n", "1"),
@@ -136,6 +144,7 @@ def test_exit_code_out_of_range_model_keys(capsys):
         assert "must be" in err, argv
     # the smallest valid values still run
     assert _run(capsys, "vk", "--n", "1")[0] == 0
+    assert _run(capsys, "vk", "--kmax", "0")[0] == 0
     code, out, _ = _run(capsys, "flow", "--model", "torus", "--grid", "2")
     assert code == 0
     assert json.loads(out)["payload"]["converged"] is True

@@ -23,6 +23,22 @@ def test_torus_flow_converges():
     assert np.all(np.diff(report.variance_history) <= 1e-14)
 
 
+def test_torus_spectral_matches_full_fft():
+    # Laplacian and |grad|^2 on the half spectrum against the real parts of
+    # full-spectrum inverse transforms, on a rough field with Nyquist content
+    for periods, shape in (((1.0, 2.0, 0.5), (8, 7, 6)), ((1.5, 1.0), (6, 6))):
+        disc = discretize(FlatTorus(periods), shape=shape)
+        om = np.random.default_rng(3).standard_normal(shape)
+        hat = np.fft.fftn(om)
+        ks = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(N, d=p / N)
+                           for N, p in zip(shape, periods)], indexing="ij")
+        lap = np.real(np.fft.ifftn(-sum(k ** 2 for k in ks) * hat))
+        grad2 = sum(np.real(np.fft.ifftn(1j * k * hat)) ** 2 for k in ks)
+        got_lap, got_grad2 = disc._spectral(om.ravel())
+        assert np.max(np.abs(got_lap - lap.ravel())) <= 1e-13 * np.max(np.abs(lap))
+        assert np.max(np.abs(got_grad2 - grad2.ravel())) <= 1e-13 * np.max(grad2)
+
+
 def test_zero_start_is_stationary():
     torus = FlatTorus((1.0, 1.0, 1.0))
     report = run_flow(torus, 1, np.zeros(8 ** 3), tol=1e-8, shape=(8, 8, 8))

@@ -108,6 +108,40 @@ def test_mul_order_cut():
     assert np.allclose(cut[..., : sp.ncoef_at(1)], full[..., : sp.ncoef_at(1)])
 
 
+def _mul_per_coefficient(sp, a, b, out_order, subscripts):
+    # one einsum per output coefficient over its pairs, the plain definition
+    nout = sp.ncoef_at(sp.order if out_order is None else out_order)
+    terms = [np.einsum(subscripts, a[..., i], b[..., j])
+             for i, j in sp._pairs[:nout]]
+    out = np.zeros(terms[0].shape + (sp.ncoef,), dtype=terms[0].dtype)
+    for k, term in enumerate(terms):
+        out[..., k] = term
+    return out
+
+
+def test_grouped_mul_matches_per_coefficient_loop():
+    rng = np.random.default_rng(11)
+    for nvars, order in ((5, 2), (3, 4)):
+        sp = jets.jet_space(nvars, order)
+        nc = (sp.ncoef,)
+        cases = [
+            ("...p,...p->...", (3, 1, 2), (4, 1)),
+            ("ik...p,kj...p->ij...", (2, 4, 3), (4, 3, 3)),
+            ("kl...p,lij...p->kij...", (nvars, nvars, 2), (nvars,) * 3 + (2,)),
+        ]
+        for subscripts, sa, sb in cases:
+            a = rng.standard_normal(sa + nc)
+            b = rng.standard_normal(sb + nc)
+            for x, y in ((a, b), (a + 1j * rng.standard_normal(a.shape), b)):
+                for o in (None, *range(order)):
+                    got = sp.mul(x, y, o, subscripts)
+                    want = _mul_per_coefficient(sp, x, y, o, subscripts)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    err = np.max(np.abs(got - want))
+                    assert err <= 1e-15 * np.max(np.abs(want)), (
+                        nvars, order, subscripts, o)
+
+
 def test_contracted_mul_matches_explicit_sum():
     # the matrix-jet product spec against the sum of elementwise products
     sp = jets.jet_space(3, 4)

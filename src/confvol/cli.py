@@ -134,10 +134,7 @@ def build_model(config: dict):
     if kind == "torus":
         return FlatTorus(_periods(config["periods"]))
     if kind == "einstein":
-        # its self-check takes order-2 chart jets of the n^4 curvature at 2 points
-        n = config["n"]
-        _check_size("einstein self-check entries", comb(n + 2, 2) * n ** 4 * 2)
-        return einstein_model(n, config["a"])
+        return einstein_model(config["n"], config["a"])
     raise ConfigInvalid(f"unknown model kind {config['model']!r}")
 
 
@@ -169,13 +166,13 @@ def cmd_curvature(config: dict) -> dict:
                           np.random.default_rng(config["seed"]))
     pack = curvature_pack(m, pts)
     out = {
-        "scalar_min": float(np.min(pack.scalar)),
-        "scalar_max": float(np.max(pack.scalar)),
-        "weyl_sup": float(np.max(np.abs(pack.weyl))),
+        "scalar_min": np.min(pack.scalar),
+        "scalar_max": np.max(pack.scalar),
+        "weyl_sup": np.max(np.abs(pack.weyl)),
     }
     if pack.bach is not None:
-        out["bach_sup"] = float(np.max(np.abs(pack.bach)))
-    return _round(out)
+        out["bach_sup"] = np.max(np.abs(pack.bach))
+    return out
 
 
 def _series(config: dict):
@@ -196,11 +193,11 @@ def cmd_vk(config: dict) -> dict:
     vk = vk_from_series(s)
     rows = []
     for k in range(s.K + 1):
-        val = float(np.mean(vk[k]))
+        val = np.mean(vk[k])
         exact = einstein_vk_exact(s.n, s.einstein_a, k)
         rows.append({"k": k, "vk": val, "exact": exact,
                      "error": abs(val - exact)})
-    return {"a": _round(s.einstein_a), "rows": _round(rows)}
+    return {"a": s.einstein_a, "rows": rows}
 
 
 def cmd_ltensor(config: dict) -> dict:
@@ -212,9 +209,9 @@ def cmd_ltensor(config: dict) -> dict:
     rows = []
     for k in range(1, s.K + 1):
         exact = einstein_L_exact(s.n, s.einstein_a, k)
-        err = float(np.max(np.abs(L[k] - exact * ginv0)))
+        err = np.max(np.abs(L[k] - exact * ginv0))
         rows.append({"k": k, "scalar_factor": exact, "residual": err})
-    return {"a": _round(s.einstein_a), "rows": _round(rows)}
+    return {"a": s.einstein_a, "rows": rows}
 
 
 def cmd_variation(config: dict) -> dict:
@@ -229,12 +226,12 @@ def cmd_variation(config: dict) -> dict:
                             f"0..{basis.size - 1}")
     member = basis.members[config["member"]]
     pts = m.sample_points(4, np.random.default_rng(config["seed"]))
-    return _round({
+    return {
         "F_k": functional_Fk(m, k),
         "first_variation": first_variation_Fk(m, k, member),
-        "delta_vk_sup": float(np.max(np.abs(delta_vk(m, member, k, pts)))),
-        "eigenvalue": float(basis.eigenvalues[config["member"]]),
-    })
+        "delta_vk_sup": np.max(np.abs(delta_vk(m, member, k, pts))),
+        "eigenvalue": basis.eigenvalues[config["member"]],
+    }
 
 
 def cmd_hessian(config: dict) -> dict:
@@ -245,14 +242,14 @@ def cmd_hessian(config: dict) -> dict:
     basis = basis_for(m, config["lmax"])
     form = (hessian_V(m, basis) if config["functional"] == "V"
             else hessian_Fk(m, config["k"], basis))
-    return _round({
+    return {
         "functional": form.functional,
         "k": form.k,
         "classification": form.classification,
         "nullity": form.nullity,
         "eigenvalues": form.eigenvalues,
         "unit_volume_factor": form.unit_volume_factor,
-    })
+    }
 
 
 def cmd_signtable(config: dict) -> dict:
@@ -309,7 +306,7 @@ def cmd_rv(config: dict) -> dict:
     if n == 3:
         out["gauss_bonnet_residual"] = gauss_bonnet_4d(exp.V, 0.0, 1,
                                                        mode="AHE")
-    return _round(out)
+    return out
 
 
 def cmd_gaussbonnet(config: dict) -> dict:
@@ -320,12 +317,12 @@ def cmd_gaussbonnet(config: dict) -> dict:
     case = config["case"]
     if case == "h4":
         resid = gauss_bonnet_4d(4.0 * pi ** 2 / 3.0, 0.0, 1, mode="AHE")
-        return _round({"case": case, "chi": 1, "residual": resid})
+        return {"case": case, "chi": 1, "residual": resid}
     if case == "s4":
         m = RoundSphere(4, 1.0)
-        v4 = float(v_direct(m, 2, count=2)[0])
+        v4 = v_direct(m, 2, count=2)[0]
         resid = gauss_bonnet_4d(v4 * sphere_volume(4), 0.0, 2, mode="compact")
-        return _round({"case": case, "chi": 2, "v4": v4, "residual": resid})
+        return {"case": case, "chi": 2, "v4": v4, "residual": resid}
     raise ConfigInvalid(f"gaussbonnet case must be h4 or s4, got {case!r}")
 
 
@@ -358,7 +355,7 @@ def cmd_flow(config: dict) -> dict:
                       max_steps=config["max_steps"], **kw)
     hist = report.variance_history
     stride = max(1, len(hist) // 200)
-    return _round({
+    return {
         "converged": report.converged,
         "steps": report.steps,
         "accepted": report.accepted,
@@ -367,7 +364,7 @@ def cmd_flow(config: dict) -> dict:
         "final_sup_deviation": report.final.sup_deviation,
         "volume_drift": report.volume_drift,
         "variance_history": hist[::stride],
-    })
+    }
 
 
 def _read_record(path: str) -> dict:
@@ -502,7 +499,8 @@ def cli_dispatch(argv) -> int:
                      if getattr(args, k) is not None}
         config = load_config(args.command, args.config, overrides)
         start = time.perf_counter()
-        payload = run(config)
+        # one rounding of every float makes the payload byte-deterministic
+        payload = _round(run(config))
         record = make_record(args.command, config, payload,
                              time.perf_counter() - start)
         text = _json_text(record, indent=1) + "\n"

@@ -222,11 +222,11 @@ class FlowReport:
 
 
 def discretize(m: ModelMetric, **kw):
+    """The flow grid of the model's kind; keywords go to its constructor."""
     if isinstance(m, FlatTorus):
-        return TorusGrid(m, shape=kw.get("shape"))
+        return TorusGrid(m, **kw)
     if isinstance(m, RoundSphere):
-        return SphereZonal(m, nodes=kw.get("nodes", 48),
-                           degree=kw.get("degree", 16))
+        return SphereZonal(m, **kw)
     raise InvalidRange(f"no flow discretization for {type(m).__name__}")
 
 

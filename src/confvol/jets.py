@@ -5,6 +5,8 @@ A jet holds the Taylor coefficients of a scalar quantity in the chart
 coordinates around a base point, truncated at a fixed total degree.  The
 coefficient array carries arbitrary leading batch axes, so whole tensors
 and whole batches of evaluation points propagate in one vectorized sweep.
+A tensor of jets is one ``Jet`` whose array leads with the tensor axes: a
+chart metric writes its (n, n, ..., ncoef) coefficient array directly.
 
 ``JetSpace.mul`` is the one product kernel.  Output coefficients of one
 degree with the same number of contributing coefficient pairs form a group;
@@ -163,9 +165,6 @@ class Jet:
     def value(self) -> np.ndarray:
         return self.c[..., 0]
 
-    def __getitem__(self, idx) -> "Jet":
-        return Jet(self.space, self.c[idx])
-
     def diff(self, v: int) -> "Jet":
         return Jet(self.space, self.space.diff(self.c, v))
 
@@ -308,28 +307,3 @@ def coordinates(space: JetSpace, values: np.ndarray) -> list[Jet]:
     """Coordinate seed jets at base point(s) ``values`` (shape (nvars, ...))."""
     values = np.asarray(values, dtype=float)
     return [Jet.variable(space, v, values[v]) for v in range(space.nvars)]
-
-
-def stack(jets) -> Jet:
-    """Stack jets (or scalars broadcastable against them) along a new axis."""
-    space = next(j.space for j in _flatten(jets) if isinstance(j, Jet))
-    return _stack_rec(jets, space)
-
-
-def _flatten(obj):
-    if isinstance(obj, (list, tuple)):
-        for o in obj:
-            yield from _flatten(o)
-    else:
-        yield obj
-
-
-def _stack_rec(obj, space: JetSpace) -> Jet:
-    if isinstance(obj, (list, tuple)):
-        parts = [_stack_rec(o, space) for o in obj]
-        shape = np.broadcast_shapes(*[p.c.shape for p in parts])
-        cs = [np.broadcast_to(p.c, shape) for p in parts]
-        return Jet(space, np.stack(cs, axis=0))
-    if isinstance(obj, Jet):
-        return obj
-    return Jet.constant(space, obj)

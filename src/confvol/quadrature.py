@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import GridResolutionInsufficient
+from .errors import GridResolutionInsufficient, InvalidRange
 from .models import (
     ConformalDeformation,
     FlatTorus,
@@ -60,10 +60,12 @@ def grid_with_weights(m: ModelMetric, resolution: int):
     if isinstance(m, (RoundSphere, ProductOfSpheres)):
         factors = ((m.n, m.radius),) if isinstance(m, RoundSphere) else m.factors
         # an S^d grid has 2 resolution^d nodes; refuse before exhausting memory
-        if np.prod([2.0 * resolution ** d for d, _ in factors]) > _MAX_NODES:
-            raise GridResolutionInsufficient(
+        nodes = np.prod([2 * resolution ** d for d, _ in factors])
+        if nodes > _MAX_NODES:
+            raise InvalidRange(
                 f"grid on {type(m).__name__} at resolution {resolution} in "
-                f"dimension {m.n} exceeds the node budget")
+                f"dimension {m.n} has {nodes} nodes; it must be at most "
+                f"{_MAX_NODES}")
         parts = [_sphere_grid(d, r, resolution) for d, r in factors]
         pts = _mesh_points([p for p, _ in parts])
         ws = _mesh_points([w[:, None] for _, w in parts])

@@ -11,10 +11,11 @@ lift factor harmonics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gamma, pi
 
 import numpy as np
-from scipy.special import gegenbauer
+from scipy.special import gegenbauer, roots_legendre
 
 from . import jets
 from .errors import InvalidRange
@@ -53,6 +54,7 @@ class SpectralBasis:
 
 
 _MAX_MEMBERS = 1000      # Dir/Gram assembly costs members^2 x nodes
+_PAIR_NODES = 48         # Gauss-Legendre nodes in psi of the sphere Dir/Gram disk
 
 
 def _check_size(size: int, what: str):
@@ -102,9 +104,13 @@ def _poly_pair_integral(n: int, f: np.ndarray, g: np.ndarray, same_axis: bool) -
     )
 
 
+@lru_cache(maxsize=None)
 def _gegenbauer_coeffs(l: int, n: int) -> np.ndarray:
-    """Ascending coefficients of the degree-l zonal harmonic polynomial."""
-    return np.asarray(gegenbauer(l, (n - 1) / 2.0).coeffs[::-1])
+    """Ascending coefficients of the degree-l zonal harmonic polynomial
+    (read-only: the array is shared between callers)."""
+    coeffs = np.asarray(gegenbauer(l, (n - 1) / 2.0).coeffs[::-1])
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 # -- sphere basis -----------------------------------------------------------
@@ -130,10 +136,9 @@ def sphere_basis(m: RoundSphere, lmax: int = 8, axes_per_degree: int = 2) -> Spe
         coeffs = _gegenbauer_coeffs(l, n)
         axes = list(range(naxes))
         # exact Gram of the raw zonal block on the radius-L sphere
-        raw = np.empty((naxes, naxes))
-        for i in range(naxes):
-            for j in range(naxes):
-                raw[i, j] = _poly_pair_integral(n, coeffs, coeffs, i == j) * L ** n
+        same, cross = (_poly_pair_integral(n, coeffs, coeffs, same_axis) * L ** n
+                       for same_axis in (True, False))
+        raw = np.where(np.eye(naxes, dtype=bool), same, cross)
         # rows of inv(chol) give orthonormal combinations
         trans = np.linalg.inv(np.linalg.cholesky(raw))
         fields = [zonal_field(m, coeffs, axis) for axis in axes]
@@ -154,69 +159,62 @@ def sphere_basis(m: RoundSphere, lmax: int = 8, axes_per_degree: int = 2) -> Spe
     )
 
 
-def sphere_pair_matrices(m: RoundSphere, basis: SpectralBasis, nodes: int = 48):
+def sphere_pair_matrices(m: RoundSphere, basis: SpectralBasis):
     """Dirichlet and Gram matrices of a sphere basis by numeric quadrature.
 
-    Every basis member is a function of at most a few ambient coordinates,
-    and any product of two zonal harmonics depends on two coordinates
-    (y_i, y_j), so each entry reduces to a weighted integral over the unit
-    disk: the slice measure is area(S^{n-2}) (1 - s^2 - t^2)^{(n-3)/2} ds dt.
-    The substitution (s, t) = sin(psi) (cos phi, sin phi) makes the weight a
-    smooth trigonometric density, so Gauss-Legendre in psi converges at
-    spectral rate in every dimension.  Independent of the closed-form
-    Gamma-function route used to orthonormalize the basis.
+    Every basis member is a combination of raw zonal harmonics, each a
+    function of one ambient coordinate, and the product of two of them
+    depends on two coordinates (y_i, y_j) at most, so each raw entry
+    reduces to a weighted integral over the unit disk: the slice measure is
+    area(S^{n-2}) (1 - s^2 - t^2)^{(n-3)/2} ds dt.  The substitution
+    (s, t) = sin(psi) (cos phi, sin phi) makes the weight a smooth
+    trigonometric density, so Gauss-Legendre in psi converges at spectral
+    rate in every dimension.  The raw entries of every degree pair come
+    from (degree, node) tables of the Gegenbauer values and derivatives at
+    s and t, on one axis or across two, and the member weights W of
+    ``zonal_structure`` give Dir = W D W^T and Gram = W G W^T.  Independent
+    of the closed-form Gamma-function route used to orthonormalize the
+    basis.
     """
     if basis.zonal_structure is None:
         raise InvalidRange("basis carries no zonal structure")
     n, L = m.n, m.radius
-    from scipy.special import roots_legendre
-
-    xs, ws = roots_legendre(nodes)
+    xs, ws = roots_legendre(_PAIR_NODES)
     psi = 0.25 * np.pi * (xs + 1.0)
     wpsi = 0.25 * np.pi * ws * np.sin(psi) * np.cos(psi) ** (n - 2)
-    phi = 2.0 * np.pi * (np.arange(2 * nodes) + 0.5) / (2 * nodes)
-    wphi = np.full(2 * nodes, np.pi / nodes)
+    phi = 2.0 * np.pi * (np.arange(2 * _PAIR_NODES) + 0.5) / (2 * _PAIR_NODES)
+    wphi = np.full(2 * _PAIR_NODES, np.pi / _PAIR_NODES)
     r = np.sin(psi)[:, None]
     s = (r * np.cos(phi)).ravel()
     t = (r * np.sin(phi)).ravel()
     w = (wpsi[:, None] * wphi).ravel() * sphere_volume(n - 2)
 
-    degrees = sorted({d for st in basis.zonal_structure for d, _, _ in st})
-    polys = {d: _gegenbauer_coeffs(d, n) for d in degrees}
-    vs = {d: np.polynomial.polynomial.polyval(s, polys[d]) for d in degrees}
-    vt = {d: np.polynomial.polynomial.polyval(t, polys[d]) for d in degrees}
-    dvs = {d: np.polynomial.polynomial.polyval(
-        s, np.polynomial.polynomial.polyder(polys[d])) for d in degrees}
-    dvt = {d: np.polynomial.polynomial.polyval(
-        t, np.polynomial.polynomial.polyder(polys[d])) for d in degrees}
+    # raw harmonics (degree, axis), and the members as rows of weights on them
+    raw = sorted({(d, ax) for st in basis.zonal_structure for d, ax, _ in st})
+    column = {key: c for c, key in enumerate(raw)}
+    W = np.zeros((basis.size, len(raw)))
+    for a, st in enumerate(basis.zonal_structure):
+        for d, ax, weight in st:
+            W[a, column[(d, ax)]] += weight
 
-    def prim_entries(d1, ax1, d2, ax2):
-        if ax1 == ax2:
-            g = float(np.sum(vs[d1] * vs[d2] * w))
-            dd = float(np.sum(dvs[d1] * dvs[d2] * (1.0 - s * s) * w))
-        else:
-            g = float(np.sum(vs[d1] * vt[d2] * w))
-            dd = -float(np.sum(dvs[d1] * dvt[d2] * s * t * w))
-        return dd, g
+    degrees = sorted({d for d, _ in raw})
+    polys = [_gegenbauer_coeffs(d, n) for d in degrees]
+    poly = np.polynomial.polynomial
+    vs, vt = (np.array([poly.polyval(u, p) for p in polys]) for u in (s, t))
+    dvs, dvt = (np.array([poly.polyval(u, poly.polyder(p)) for p in polys])
+                for u in (s, t))
+    # (degree, degree) tables on one axis and across two
+    gram_same, gram_cross = (vs * w) @ vs.T, (vs * w) @ vt.T
+    dir_same = (dvs * ((1.0 - s * s) * w)) @ dvs.T
+    dir_cross = -((dvs * (s * t * w)) @ dvt.T)
 
-    size = basis.size
-    dir_ = np.zeros((size, size))
-    gram = np.zeros((size, size))
-    cache = {}
-    for a in range(size):
-        for b in range(a, size):
-            dsum = gsum = 0.0
-            for d1, ax1, w1 in basis.zonal_structure[a]:
-                for d2, ax2, w2 in basis.zonal_structure[b]:
-                    key = (d1, d2, ax1 == ax2)
-                    if key not in cache:
-                        cache[key] = prim_entries(d1, ax1, d2, ax2)
-                    dd, g = cache[key]
-                    dsum += w1 * w2 * dd
-                    gsum += w1 * w2 * g
-            dir_[a, b] = dir_[b, a] = dsum
-            gram[a, b] = gram[b, a] = gsum
-    return dir_ * L ** (n - 2), gram * L ** n
+    deg = np.searchsorted(degrees, [d for d, _ in raw])
+    ax = np.array([a for _, a in raw])
+    same = ax[:, None] == ax[None, :]
+    i, j = deg[:, None], deg[None, :]
+    D = np.where(same, dir_same[i, j], dir_cross[i, j])
+    G = np.where(same, gram_same[i, j], gram_cross[i, j])
+    return W @ D @ W.T * L ** (n - 2), W @ G @ W.T * L ** n
 
 
 # -- torus basis ------------------------------------------------------------

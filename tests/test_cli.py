@@ -129,9 +129,12 @@ def test_exit_code_out_of_range_model_keys(capsys):
         ("curvature", "--points", "1000000"),
         ("curvature", "--model", "torus", "--periods", ",".join(["1"] * 40)),
         ("vk", "--n", "300"),
-        ("vk", "--model", "einstein", "--n", "40", "--kmax", "1"),
+        ("vk", "--model", "einstein", "--n", "600", "--kmax", "1"),
         ("ltensor", "--n", "300"),
         ("hessian", "--lmax", "100000"),
+        # the first variation doubles its S^n grid past the node budget
+        ("variation", "--n", "6"),
+        ("variation", "--n", "7"),
         # sphere flows at k >= 2 run order-2 chart jets
         ("flow", "--model", "sphere", "--n", "7", "--k", "2"),
         ("flow", "--model", "sphere", "--n", "7", "--k", "3"),

@@ -106,6 +106,15 @@ def test_no_convergence_carries_report():
     assert exc.value.report.steps == 3
 
 
+def test_discretization_keywords_reach_the_grid():
+    # a keyword the kind's grid does not take is an error, never ignored
+    with pytest.raises(TypeError):
+        discretize(FlatTorus((1.0, 1.0, 1.0)), nodes=32)
+    with pytest.raises(TypeError):
+        run_flow(RoundSphere(3, 1.0), 1, lambda x: 0.0, shape=(8,))
+    assert discretize(RoundSphere(3, 1.0), nodes=32).t.shape == (32,)
+
+
 def test_guards():
     torus = FlatTorus((1.0, 1.0, 1.0))
     disc = discretize(torus)

@@ -91,14 +91,6 @@ def test_batched_coefficients():
     assert f.diff(0).value == pytest.approx(vals[1])
 
 
-def test_stack_shapes():
-    sp = _space()
-    x, y = jets.coordinates(sp, np.array([1.0, 2.0]))
-    mat = jets.stack([[x, y], [y, x]])
-    assert mat.c.shape == (2, 2, sp.ncoef)
-    assert mat.value[0, 1] == 2.0
-
-
 def test_mul_order_cut():
     sp = _space(2, 3)
     x, y = jets.coordinates(sp, np.array([1.0, 1.0]))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from confvol.errors import GridResolutionInsufficient
+from confvol.errors import GridResolutionInsufficient, InvalidRange
 from confvol.models import (
     ConformalDeformation,
     FlatTorus,
@@ -73,10 +73,12 @@ def test_sphere_grid_exact_for_polynomials():
 
 
 def test_node_budget_guard():
-    with pytest.raises(GridResolutionInsufficient):
+    # a grid over the node budget is a size the input asks for (exit 1),
+    # not a quadrature that failed to converge
+    with pytest.raises(InvalidRange, match="must be at most"):
         grid_with_weights(RoundSphere(8, 1.0), 64)
     # S^3 x S^3 at resolution 16 would mesh 67M nodes
-    with pytest.raises(GridResolutionInsufficient):
+    with pytest.raises(InvalidRange, match="must be at most"):
         grid_with_weights(ProductOfSpheres(((3, 1.0), (3, 1.0))), 16)
 
 

@@ -11,7 +11,13 @@ from confvol.errors import (
     InvalidRange,
     NotTotallyGeodesic,
 )
-from confvol.models import RoundSphere, WarpedRadial, sphere_volume
+from confvol.models import (
+    ConformalDeformation,
+    RoundSphere,
+    WarpedRadial,
+    sphere_volume,
+    zonal_field,
+)
 from confvol.renorm import (
     AHNormalForm,
     boundary_shape_value,
@@ -96,6 +102,16 @@ def test_conformal_rescale_invariance():
     V0 = renorm_volume_geodcomp(compact, 3)
     V1 = renorm_volume_geodcomp(compact, 3, omega=omega)
     assert V1 == pytest.approx(V0, rel=1e-9)
+
+
+def test_cohomogeneity_spot_check_fires():
+    # a deformed boundary makes the compactification's curvature vary along
+    # the fiber; the bulk route must refuse it rather than integrate one slice
+    sphere = RoundSphere(3, 1.0)
+    boundary = ConformalDeformation(sphere, zonal_field(sphere, [0.0, 0.2], 0))
+    compact = geodesic_compactification(hyperbolic_normal_form(boundary))
+    with pytest.raises(InvalidRange, match="radius alone"):
+        renorm_volume_geodcomp(compact, 3)
 
 
 def test_boundary_shape_operator():

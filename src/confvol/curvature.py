@@ -153,7 +153,7 @@ def _chart_pack(m: ModelMetric, points: np.ndarray, want_bach: bool) -> Curvatur
     # the second order that the Bach pipeline reads of P
     o2 = order - 2
     nc = space.ncoef_at(o2)
-    dgam = np.stack([gam.diff(v).c[..., :nc] for v in range(n)])
+    dgam = np.stack([space.diff(gam.c, v, o2) for v in range(n)])
     # Riem_up[rho, sig, mu, nu] = d_mu Gam^rho_{nu sig} - d_nu Gam^rho_{mu sig}
     #                             + Gam^rho_{mu lam} Gam^lam_{nu sig} - (mu<->nu)
     t1 = dgam.transpose(1, 3, 0, 2, *range(4, dgam.ndim))
@@ -215,7 +215,7 @@ def _inverse_jets(G: Jet, g0: np.ndarray, order: int) -> Jet:
 def _christoffel(G: Jet, Ginv: Jet, order: int) -> Jet:
     space = G.space
     n = G.c.shape[0]
-    dG = np.stack([G.diff(v).c for v in range(n)])            # (v, a, b, B, nc)
+    dG = np.stack([space.diff(G.c, v, order - 1) for v in range(n)])  # (v,a,b,B,nc)
     M1 = dG.transpose(2, 0, 1, *range(3, dG.ndim))            # [l,i,j] = d_i g_{jl}
     M2 = dG.transpose(2, 1, 0, *range(3, dG.ndim))            # [l,i,j] = d_j g_{il}
     T = M1 + M2 - dG

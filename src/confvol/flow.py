@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import InvalidRange, KOutOfRange, NoConvergence, StepRejected
 from .models import (
@@ -92,6 +91,8 @@ class SphereZonal:
     """Zonal fields omega = f(y_axis) on a round sphere, 1D spectral grid."""
 
     def __init__(self, sphere: RoundSphere, nodes: int = 48, degree: int = 16):
+        from scipy.special import roots_legendre
+
         self.base = sphere
         n, L = sphere.n, sphere.radius
         xs, ws = roots_legendre(nodes)

@@ -14,6 +14,9 @@ for each group it gathers those pairs and combines them with one
 ``np.einsum`` call, so the same loop gives the elementwise product of
 ``Jet`` arithmetic and tensor contractions of jets, such as the matrix
 products and Christoffel contractions of the curvature pipeline.
+The pair tables are built with array operations on monomial codes, and the
+pairs of each output coefficient are kept in row-major ``(i, j)`` order:
+that order is the einsum's summation order, so it fixes the output bits.
 
 Curvature needs exact metric derivatives to fourth order (the Bach tensor
 consumes four), which is why charts are evaluated on jets instead of being
@@ -54,18 +57,23 @@ class JetSpace:
         # boundaries of the degree blocks: monomials of degree <= d occupy
         # indices [0, self._cut[d])
         self._cut = [int(np.searchsorted(self.degree, d + 1)) for d in range(order + 1)]
-        # multiplication pairs grouped by output coefficient
-        pairs = [[] for _ in range(self.ncoef)]
-        for i, mi in enumerate(monos):
-            di = self.degree[i]
-            for j, mj in enumerate(monos):
-                if di + self.degree[j] <= order:
-                    k = self.index[tuple(a + b for a, b in zip(mi, mj))]
-                    pairs[k].append((i, j))
-        self._pairs = [
-            (np.array([p[0] for p in ps]), np.array([p[1] for p in ps]))
-            for ps in pairs
-        ]
+        # monomial codes in base order + 1: exponents of a product within
+        # the order never carry, so the code of a product is the sum of codes
+        alpha = np.array(monos, dtype=np.int64)              # (ncoef, nvars)
+        code = alpha @ (order + 1) ** np.arange(nvars, dtype=np.int64)
+        by_code = np.argsort(code)
+
+        def lookup(codes):
+            return by_code[np.searchsorted(code, codes, sorter=by_code)]
+
+        # multiplication pairs grouped by output coefficient, each group in
+        # row-major (i, j) order (the einsum summation order)
+        left, right = np.nonzero(self.degree[:, None] + self.degree <= order)
+        product = lookup(code[left] + code[right])
+        grouped = np.argsort(product, kind="stable")
+        bounds = np.cumsum(np.bincount(product, minlength=self.ncoef))[:-1]
+        self._pairs = list(zip(np.split(left[grouped], bounds),
+                               np.split(right[grouped], bounds)))
         # the same pairs grouped by (degree, pair count) and sorted by degree:
         # (degree, ks, idx_i, idx_j), idx_i and idx_j of shape (len(ks), count)
         groups = {}
@@ -76,20 +84,13 @@ class JetSpace:
              np.stack([self._pairs[k][1] for k in ks]))
             for (deg, _), ks in sorted(groups.items())
         ]
-        # index maps for partial derivatives
-        self._dmaps = []
-        for v in range(nvars):
-            src, dst, fac = [], [], []
-            for i, m in enumerate(monos):
-                if self.degree[i] < order:
-                    up = list(m)
-                    up[v] += 1
-                    src.append(self.index[tuple(up)])
-                    dst.append(i)
-                    fac.append(up[v])
-            self._dmaps.append(
-                (np.array(src), np.array(dst), np.array(fac, dtype=float))
-            )
+        # partial derivative maps: coefficient i of d/dx_v, for the monomials
+        # i of degree below the order, is coefficient src[i] times fac[i]
+        nlow = self._cut[order - 1] if order else 0
+        self._dmaps = [
+            (lookup(code[:nlow] + (order + 1) ** v), alpha[:nlow, v] + 1.0)
+            for v in range(nvars)
+        ]
 
     def ncoef_at(self, order: int) -> int:
         return self._cut[min(order, self.order)]
@@ -118,10 +119,16 @@ class JetSpace:
             out[..., ks] = term
         return out
 
-    def diff(self, c: np.ndarray, v: int) -> np.ndarray:
-        src, dst, fac = self._dmaps[v]
-        out = np.zeros_like(c)
-        out[..., dst] = c[..., src] * fac
+    def diff(self, c: np.ndarray, v: int, out_order: int | None = None) -> np.ndarray:
+        """Partial derivative in variable ``v``, as its coefficients up to
+        ``out_order`` (all ``ncoef`` by default; those of the top degree
+        are zero)."""
+        src, fac = self._dmaps[v]
+        nc = self.ncoef if out_order is None else self.ncoef_at(out_order)
+        if nc <= len(src):
+            return c[..., src[:nc]] * fac[:nc]
+        out = np.zeros(c.shape[:-1] + (nc,), dtype=c.dtype)
+        out[..., :len(src)] = c[..., src] * fac
         return out
 
 

@@ -10,7 +10,6 @@ successive estimates agree.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import GridResolutionInsufficient, InvalidRange
 from .models import (
@@ -71,6 +70,8 @@ def grid_with_weights(m: ModelMetric, resolution: int):
         ws = _mesh_points([w[:, None] for _, w in parts])
         return pts, np.prod(ws, axis=1)
     if isinstance(m, WarpedRadial):
+        from scipy.special import roots_legendre
+
         r0, rmax = m.r_range
         xs, ws = roots_legendre(resolution * 4)
         rs = 0.5 * (rmax - r0) * xs + 0.5 * (rmax + r0)
@@ -117,6 +118,8 @@ def _sphere_grid(n: int, radius: float, resolution: int):
     t = cos(theta), so Gauss-Jacobi in t integrates ambient polynomials of
     degree below 2 * resolution exactly.
     """
+    from scipy.special import roots_jacobi
+
     polar_nodes = []
     polar_weights = []
     for k in range(n - 1, 0, -1):       # weight sin^k(theta)

@@ -23,8 +23,6 @@ from math import factorial, log, pi
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import roots_legendre
 
 from . import jets
 from .curvature import curvature_pack
@@ -115,6 +113,8 @@ def truncated_volume(a: AHNormalForm, eps: float) -> float:
             else:
                 total += bj * (a.r_max ** (j - n) - eps ** (j - n)) / (j - n)
         return vol * total
+    from scipy.integrate import quad
+
     val, _ = quad(lambda r: a.warp(r) ** n / r ** (n + 1), eps, a.r_max,
                   limit=200, epsabs=0.0, epsrel=1e-12)
     return vol * val
@@ -206,6 +206,8 @@ def bulk_coefficient_integral(compact: WarpedRadial, k: int, omega=None,
     """Integral of v^(2k) over the compactification, reduced to the radial
     direction (the warped models are cohomogeneity one, so curvature
     depends on r alone; verified on a second fiber point)."""
+    from scipy.special import roots_legendre
+
     r0, rmax = compact.r_range
     xs, ws = roots_legendre(nodes)
     rs = 0.5 * (rmax - r0) * xs + 0.5 * (rmax + r0)

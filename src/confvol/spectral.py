@@ -15,7 +15,6 @@ from functools import lru_cache
 from math import gamma, pi
 
 import numpy as np
-from scipy.special import gegenbauer, roots_legendre
 
 from . import jets
 from .errors import InvalidRange
@@ -108,6 +107,8 @@ def _poly_pair_integral(n: int, f: np.ndarray, g: np.ndarray, same_axis: bool) -
 def _gegenbauer_coeffs(l: int, n: int) -> np.ndarray:
     """Ascending coefficients of the degree-l zonal harmonic polynomial
     (read-only: the array is shared between callers)."""
+    from scipy.special import gegenbauer
+
     coeffs = np.asarray(gegenbauer(l, (n - 1) / 2.0).coeffs[::-1])
     coeffs.flags.writeable = False
     return coeffs
@@ -178,6 +179,8 @@ def sphere_pair_matrices(m: RoundSphere, basis: SpectralBasis):
     """
     if basis.zonal_structure is None:
         raise InvalidRange("basis carries no zonal structure")
+    from scipy.special import roots_legendre
+
     n, L = m.n, m.radius
     xs, ws = roots_legendre(_PAIR_NODES)
     psi = 0.25 * np.pi * (xs + 1.0)

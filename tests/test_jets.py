@@ -146,3 +146,38 @@ def test_contracted_mul_matches_explicit_sum():
             want = sum(sp.mul(A[:, l][:, None], B[l][None, :], o) for l in range(4))
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+TABLE_SPACES = ((1, 2), (3, 2), (5, 4), (7, 4))
+
+
+@pytest.mark.parametrize("nvars, order", TABLE_SPACES)
+def test_pair_tables_list_each_product_once_in_row_major_order(nvars, order):
+    # the pairs of one output coefficient are the einsum's summation order,
+    # so they must come in lexicographic (i, j) order
+    sp = jets.JetSpace(nvars, order)
+    monos = sp.monomials
+    seen = set()
+    for k, (idx_i, idx_j) in enumerate(sp._pairs):
+        pairs = list(zip(idx_i.tolist(), idx_j.tolist()))
+        assert pairs == sorted(set(pairs)), k
+        for i, j in pairs:
+            assert tuple(a + b for a, b in zip(monos[i], monos[j])) == monos[k]
+        seen.update(pairs)
+    assert seen == {(i, j) for i, mi in enumerate(monos)
+                    for j, mj in enumerate(monos) if sum(mi) + sum(mj) <= order}
+
+
+@pytest.mark.parametrize("nvars, order", TABLE_SPACES)
+def test_diff_out_order_keeps_the_leading_coefficients(nvars, order):
+    sp = jets.JetSpace(nvars, order)
+    c = np.random.default_rng(nvars).standard_normal((2, 3, sp.ncoef))
+    for v in range(nvars):
+        full = sp.diff(c, v)
+        # d/dx_v of x^m has coefficient (m_v + 1) c[m + e_v]
+        for k, m in enumerate(sp.monomials):
+            up = tuple(a + (u == v) for u, a in enumerate(m))
+            want = (m[v] + 1) * c[..., sp.index[up]] if sum(m) < order else 0.0
+            assert np.array_equal(full[..., k], np.broadcast_to(want, (2, 3)))
+        for o in range(order + 1):
+            assert np.array_equal(sp.diff(c, v, o), full[..., :sp.ncoef_at(o)])

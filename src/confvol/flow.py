@@ -237,6 +237,7 @@ def run_flow(m: ModelMetric, k: int, omega0, tol: float = 1e-6,
     disc = discretize(m, **disc_kw)
     state = make_state(disc, omega0, k)
     dt = 0.5 / disc.max_eigenvalue
+    # 5x Euler's 2/max_eigenvalue bound: stable only while unexcited modes stay 0
     dt_cap = 10.0 / disc.max_eigenvalue
     vol0 = state.volume
     variances = [state.variance]

@@ -10,7 +10,7 @@ lift factor harmonics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gamma, pi
 
@@ -43,6 +43,10 @@ class SpectralBasis:
     # for sphere bases: per member, ((degree, axis, weight), ...) expressing
     # it as a combination of raw zonal harmonics
     zonal_structure: tuple | None = None
+    # (Dir, Gram) by quadrature resolution, filled by variation._basis_dir_gram
+    # so that a k sweep over one basis assembles once
+    _dir_gram: dict = field(default_factory=dict, init=False, compare=False,
+                            repr=False)
 
     @property
     def size(self) -> int:
@@ -201,11 +205,14 @@ def sphere_pair_matrices(m: RoundSphere, basis: SpectralBasis):
             W[a, column[(d, ax)]] += weight
 
     degrees = sorted({d for d, _ in raw})
-    polys = [_gegenbauer_coeffs(d, n) for d in degrees]
+    # one zero-padded (power, degree) coefficient matrix evaluates every
+    # degree at once
+    C = np.zeros((degrees[-1] + 1, len(degrees)))
+    for c, d in enumerate(degrees):
+        C[: d + 1, c] = _gegenbauer_coeffs(d, n)
     poly = np.polynomial.polynomial
-    vs, vt = (np.array([poly.polyval(u, p) for p in polys]) for u in (s, t))
-    dvs, dvt = (np.array([poly.polyval(u, poly.polyder(p)) for p in polys])
-                for u in (s, t))
+    vs, vt = (poly.polyval(u, C) for u in (s, t))
+    dvs, dvt = (poly.polyval(u, poly.polyder(C)) for u in (s, t))
     # (degree, degree) tables on one axis and across two
     gram_same, gram_cross = (vs * w) @ vs.T, (vs * w) @ vt.T
     dir_same = (dvs * ((1.0 - s * s) * w)) @ dvs.T

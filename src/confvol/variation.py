@@ -133,18 +133,47 @@ def first_variation_Fk(m: ModelMetric, k: int, omega, tol: float = 1e-9,
     return (n - 2 * k) * integrate(m, f=integrand, tol=tol, resolution=resolution)
 
 
-def _basis_dir_gram(m: ModelMetric, basis: SpectralBasis, resolution: int):
-    """Dirichlet and Gram matrices of the basis by quadrature on m."""
+def _basis_dir_gram(basis: SpectralBasis, resolution: int):
+    """Dirichlet and Gram matrices of the basis by quadrature on its model,
+    assembled once per resolution and kept on the basis (read-only).
+
+    Sphere bases reduce every entry to a 2D disk quadrature from their
+    ``zonal_structure`` (resolution unused); torus bases evaluate their
+    cos/sin modes from ``labels`` in closed form on a uniform grid; other
+    bases evaluate their member closures on the quadrature grid.
+    """
+    memo = basis._dir_gram
+    if resolution not in memo:
+        pair = _assemble_dir_gram(basis, resolution)
+        for mat in pair:
+            mat.flags.writeable = False
+        memo[resolution] = pair
+    return memo[resolution]
+
+
+def _assemble_dir_gram(basis: SpectralBasis, resolution: int):
+    m = basis.model
     if isinstance(m, RoundSphere) and basis.zonal_structure is not None:
         # pair products depend on two ambient coordinates only, so the
         # integrals reduce to cheap 2D quadrature in any dimension
         return sphere_pair_matrices(m, basis)
     if isinstance(m, FlatTorus):
-        # a product of two modes up to mmax has frequencies up to 2 mmax,
-        # which a uniform grid integrates exactly with more than 2 mmax
-        # points per axis
-        mmax = max(max(abs(v) for v in mode) for mode, _ in basis.labels)
-        resolution = max(resolution, 2 * mmax + 1)
+        # member (mode, tag) is amp cos(kappa . x + phase), kappa = 2 pi mode /
+        # periods; a product of two modes up to mmax has frequencies up to
+        # 2 mmax, which a uniform grid integrates exactly with more than
+        # 2 mmax points per axis
+        modes = np.array([mode for mode, _ in basis.labels], dtype=float)
+        pts, w = grid_with_weights(
+            m, max(resolution, 2 * int(np.max(np.abs(modes))) + 1))
+        kappa = 2.0 * np.pi * modes / np.asarray(m.periods)
+        phase = np.array([-0.5 * np.pi if tag == "sin" else 0.0
+                          for _, tag in basis.labels])
+        arg = kappa @ pts.T + phase[:, None]
+        amp = np.sqrt(2.0 / m.volume)
+        vals, dvals = amp * np.cos(arg), -amp * np.sin(arg)
+        # the flat metric is the identity: Dir = (kappa kappa^T) * (d d^T)
+        return ((kappa @ kappa.T) * ((dvals * w) @ dvals.T),
+                (vals * w) @ vals.T)
     pts, w = grid_with_weights(m, resolution)
     vals = np.stack([field_values(f, pts) for f in basis.members])
     grads = np.stack([field_gradients(f, pts) for f in basis.members])
@@ -170,7 +199,8 @@ def hessian_Fk(background: ModelMetric, k: int, basis: SpectralBasis,
         raise KOutOfRange(f"k = {k} outside 1..{n}")
     if n % 2 == 0 and k == n // 2:
         raise HalfDimension(
-            f"F_{k} in dimension {n} is conformally invariant; use hessian_V")
+            f"F_{k} in dimension {n} is conformally invariant; use hessian_V "
+            f"(--functional V on the command line)")
     return _second_variation(
         background, k, basis, resolution, "F_k", -(n - 2 * k),
         lambda a: (n - 2 * k) * a ** (k - 1) * comb(n - 1, k - 1))
@@ -218,7 +248,7 @@ def _second_variation(background: ModelMetric, k: int, basis: SpectralBasis,
 
     on_model = basis.model == background
     if on_model:
-        dir_, gram = _basis_dir_gram(background, basis, resolution)
+        dir_, gram = _basis_dir_gram(basis, resolution)
     else:
         dir_, gram = np.diag(basis.eigenvalues), np.eye(basis.size)
     H = pref * (cL * dir_ + 2.0 * k * vk * gram)

@@ -220,6 +220,19 @@ def test_hessian_command_torus(capsys):
     assert len(rec["payload"]["eigenvalues"]) == 124
 
 
+def test_half_dimension_names_the_cli_option(capsys):
+    # F_{n/2} is conformally invariant; the message points at --functional V
+    for argv in (("--n", "4", "--k", "2"),
+                 ("--model", "torus", "--periods", "1,2", "--k", "1",
+                  "--lmax", "2")):
+        code, _, err = _run(capsys, "hessian", *argv)
+        assert code == 1, argv
+        assert "--functional V" in err and "Traceback" not in err, argv
+    code, _, _ = _run(capsys, "hessian", "--model", "torus", "--periods", "1,2",
+                      "--functional", "V", "--lmax", "2")
+    assert code == 0
+
+
 def test_variation_command_torus(capsys):
     code, out, _ = _run(capsys, "variation", "--model", "torus", "--lmax", "2")
     assert code == 0

@@ -20,8 +20,12 @@ from confvol.models import (
     einstein_constant,
     sphere_volume,
 )
+from confvol import variation
+from confvol.cli import cli_dispatch
+from confvol.quadrature import grid_with_weights
 from confvol.series import einstein_vk_exact, v_direct
-from confvol.spectral import basis_for, field_values, sphere_basis, torus_basis
+from confvol.spectral import (basis_for, field_gradients, field_values,
+                              sphere_basis, sphere_pair_matrices, torus_basis)
 from confvol.variation import (
     classify_sign_Fk,
     classify_sign_V,
@@ -237,3 +241,41 @@ def test_torus_hessian_does_not_alias():
     assert basis.size == 80
     H = hessian_V(t, basis)
     assert H.classification == "negative definite"
+
+
+def test_torus_dir_gram_from_labels_matches_members():
+    # the torus route evaluates the modes named by the labels; they must
+    # stay the functions the member closures compute
+    for periods, mmax in (((1.0, 2.0), 2), ((1, 1, 1), 1)):
+        t = FlatTorus(periods)
+        basis = torus_basis(t, mmax=mmax)
+        dir_, gram = variation._basis_dir_gram(basis, 8)
+        pts, w = grid_with_weights(t, 8)
+        vals = np.stack([field_values(f, pts) for f in basis.members])
+        grads = np.stack([field_gradients(f, pts) for f in basis.members])
+        ref_gram = (vals * w) @ vals.T
+        ref_dir = np.einsum("ipa,jpa,p->ij", grads, grads, w)
+        for got, ref in ((dir_, ref_dir), (gram, ref_gram)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_one_dir_gram_assembly_per_basis(monkeypatch, capsys):
+    calls = []
+
+    def counted(m, basis):
+        calls.append(m.n)
+        return sphere_pair_matrices(m, basis)
+
+    monkeypatch.setattr(variation, "sphere_pair_matrices", counted)
+    assert cli_dispatch(["signtable", "--nmin", "3", "--nmax", "5"]) == 0
+    capsys.readouterr()
+    assert calls == [3, 4, 5]
+    # a Hessian from a basis that already holds its matrices is the one a
+    # fresh basis gives, bit for bit
+    for m, k, make in ((RoundSphere(5, 1.0), 2, lambda m: sphere_basis(m, lmax=4)),
+                       (FlatTorus((1, 1, 1)), 1, lambda m: torus_basis(m, 1))):
+        reused = make(m)
+        hessian_Fk(m, 1, reused)
+        a, b = hessian_Fk(m, k, reused), hessian_Fk(m, k, make(m))
+        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)

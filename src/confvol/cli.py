@@ -141,17 +141,17 @@ def build_model(config: dict):
 # -- command implementations -------------------------------------------------
 
 
-def _round(x, digits=14):
+def _round(x):
     if isinstance(x, dict):
-        return {k: _round(v, digits) for k, v in x.items()}
+        return {k: _round(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_round(v, digits) for v in x]
+        return [_round(v) for v in x]
     if isinstance(x, np.ndarray):
-        return _round(x.tolist(), digits)
+        return _round(x.tolist())
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
     if isinstance(x, (float, np.floating)):
-        return round(float(x), digits)
+        return round(float(x), 14)
     if isinstance(x, (int, np.integer)):
         return int(x)
     return x

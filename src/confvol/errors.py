@@ -41,10 +41,6 @@ class NotEinstein(ConfvolError):
     """Closed-form Einstein expansion requested for a non-Einstein metric."""
 
 
-class TruncationTooShort(NumericalFailure):
-    """Series truncation order below what the operation needs."""
-
-
 class GeneralFGUnavailable(ConfvolError):
     """Higher-order expansion coefficients unavailable for generic metrics."""
 

@@ -174,6 +174,19 @@ class FlowState:
         return float(np.max(np.abs(self.vk - self.mean_vk)))
 
 
+def _state(disc, omega, k: int, step: int) -> FlowState:
+    """Project omega, fix the gauge by exact volume renormalization, and
+    evaluate v_k with its mean and variance."""
+    omega = disc.project(omega)
+    omega = omega - np.log(disc.volume(omega) / disc.base_volume) / disc.base.n
+    vk = disc.vk(omega, k)
+    mean = disc.average(vk, omega)
+    var = disc.average((vk - mean) ** 2, omega)
+    return FlowState(disc=disc, omega=omega, k=k, step=step,
+                     volume=disc.volume(omega), vk=vk, variance=var,
+                     mean_vk=mean)
+
+
 def make_state(disc, omega0, k: int) -> FlowState:
     n = disc.base.n
     if n == 2 * k:
@@ -181,33 +194,17 @@ def make_state(disc, omega0, k: int) -> FlowState:
             f"F_{k} is conformally invariant in dimension {n}; no flow")
     omega = np.asarray(omega0, dtype=float) if not callable(omega0) \
         else disc.sample(omega0)
-    omega = disc.project(omega)
-    # fix the gauge: exact volume renormalization
-    omega = omega - np.log(disc.volume(omega) / disc.base_volume) / n
-    vk = disc.vk(omega, k)
-    mean = disc.average(vk, omega)
-    var = disc.average((vk - mean) ** 2, omega)
-    return FlowState(disc=disc, omega=omega, k=k, step=0,
-                     volume=disc.volume(omega), vk=vk, variance=var,
-                     mean_vk=mean)
+    return _state(disc, omega, k, 0)
 
 
-def flow_step(state: FlowState, k: int, dt: float) -> FlowState:
+def flow_step(state: FlowState, dt: float) -> FlowState:
     """One explicit Euler step; raises StepRejected if the v_k variance grew."""
-    disc = state.disc
-    n = disc.base.n
-    omega = state.omega - dt * (state.vk - state.mean_vk)
-    omega = disc.project(omega)
-    omega = omega - np.log(disc.volume(omega) / disc.base_volume) / n
-    vk = disc.vk(omega, k)
-    mean = disc.average(vk, omega)
-    var = disc.average((vk - mean) ** 2, omega)
-    if var > state.variance * (1.0 + _VARIANCE_SLACK) + _VARIANCE_SLACK:
-        raise StepRejected(
-            f"variance grew {state.variance:.6e} -> {var:.6e} at dt = {dt:.3e}")
-    return FlowState(disc=disc, omega=omega, k=k, step=state.step + 1,
-                     volume=disc.volume(omega), vk=vk, variance=var,
-                     mean_vk=mean)
+    nxt = _state(state.disc, state.omega - dt * (state.vk - state.mean_vk),
+                 state.k, state.step + 1)
+    if nxt.variance > state.variance * (1.0 + _VARIANCE_SLACK) + _VARIANCE_SLACK:
+        raise StepRejected(f"variance grew {state.variance:.6e} -> "
+                           f"{nxt.variance:.6e} at dt = {dt:.3e}")
+    return nxt
 
 
 @dataclass(frozen=True)
@@ -245,7 +242,7 @@ def run_flow(m: ModelMetric, k: int, omega0, tol: float = 1e-6,
     drift = 0.0
     while state.sup_deviation >= tol and accepted + rejected < max_steps:
         try:
-            state = flow_step(state, k, dt)
+            state = flow_step(state, dt)
         except StepRejected:
             rejected += 1
             dt *= 0.5

@@ -18,6 +18,9 @@ The pair tables are built with array operations on monomial codes, and the
 pairs of each output coefficient are kept in row-major ``(i, j)`` order:
 that order is the einsum's summation order, so it fixes the output bits.
 
+Besides ring arithmetic and integer powers, jets compose with ``exp``,
+``cos`` and ``reciprocal``, the functions the model charts and fields use.
+
 Curvature needs exact metric derivatives to fourth order (the Bach tensor
 consumes four), which is why charts are evaluated on jets instead of being
 finite-differenced.
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -221,15 +225,14 @@ class Jet:
         return reciprocal(self) * other
 
     def __pow__(self, p):
-        if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
-            p = int(p)
-            if p < 0:
-                return reciprocal(self) ** (-p)
-            out = Jet.constant(self.space, np.ones(self.c.shape[:-1]))
-            for _ in range(p):
-                out = out * self
-            return out
-        return power(self, p)
+        """Integer powers only; any other exponent raises TypeError."""
+        p = operator.index(p)
+        if p < 0:
+            return reciprocal(self) ** (-p)
+        out = Jet.constant(self.space, np.ones(self.c.shape[:-1]))
+        for _ in range(p):
+            out = out * self
+        return out
 
 
 # -- analytic functions of jets ------------------------------------------
@@ -258,45 +261,11 @@ def reciprocal(u: Jet) -> Jet:
     return _compose(u, derivs)
 
 
-def power(u: Jet, p: float) -> Jet:
-    u0 = u.value
-    derivs = []
-    coef = 1.0
-    for m in range(u.space.order + 1):
-        derivs.append(coef * u0 ** (p - m))
-        coef *= (p - m)
-    return _compose(u, derivs)
-
-
 def exp(x):
     if isinstance(x, Jet):
         e0 = np.exp(x.value)
         return _compose(x, [e0] * (x.space.order + 1))
     return np.exp(x)
-
-
-def log(x):
-    if isinstance(x, Jet):
-        u0 = x.value
-        derivs = [np.log(u0)]
-        for m in range(1, x.space.order + 1):
-            derivs.append(((-1.0) ** (m - 1)) * math.factorial(m - 1) / u0 ** m)
-        return _compose(x, derivs)
-    return np.log(x)
-
-
-def sqrt(x):
-    if isinstance(x, Jet):
-        return power(x, 0.5)
-    return np.sqrt(x)
-
-
-def sin(x):
-    if isinstance(x, Jet):
-        s0, c0 = np.sin(x.value), np.cos(x.value)
-        cycle = [s0, c0, -s0, -c0]
-        return _compose(x, [cycle[m % 4] for m in range(x.space.order + 1)])
-    return np.sin(x)
 
 
 def cos(x):

@@ -200,7 +200,9 @@ def metric_values(m: ModelMetric, points) -> np.ndarray:
 
 
 def einstein_constant(m: ModelMetric):
-    """Einstein constant a (Ric = 2a(n-1)g) for structured kinds, else None."""
+    """Einstein constant a (Ric = 2a(n-1)g) of the Einstein kinds, else None.
+    Decided by kind, as ``conformally_flat`` is: a conformal deformation is
+    never one, even with a constant factor; direct formulas serve it."""
     if isinstance(m, RoundSphere):
         return 1.0 / (2.0 * m.radius ** 2)
     if isinstance(m, HyperbolicSpace):
@@ -212,20 +214,6 @@ def einstein_constant(m: ModelMetric):
         ratios = [(d - 1) / r ** 2 for d, r in m.factors]
         if max(ratios) - min(ratios) < 1e-13:
             return ratios[0] / (2.0 * (n - 1))
-        return None
-    if isinstance(m, ConformalDeformation):
-        # only a constant conformal factor preserves the Einstein property
-        probe = m.omega([Jet.variable(jets.jet_space(m.n, 1), v, 0.0)
-                         for v in range(m.n)])
-        if isinstance(probe, Jet):
-            grad = probe.gradient_value()
-            if np.max(np.abs(grad)) > 1e-13:
-                return None
-            base_a = einstein_constant(m.base)
-            if base_a is None:
-                return None
-            return base_a * float(np.exp(-2.0 * probe.value))
-        return None
     return None
 
 

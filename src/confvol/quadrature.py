@@ -2,9 +2,11 @@
 
 Structured kinds use product grids with exact closed-form measures:
 uniform (trapezoidal = spectral) grids on tori, Gauss-Jacobi in the
-cosines of the polar angles times uniform azimuth on spheres,
-Gauss-Legendre radially on warped products.  Resolution doubles until two
-successive estimates agree.
+cosines of the polar angles times uniform azimuth on spheres and their
+products, and the base grid reweighted by e^{n omega} on conformal
+deformations.  Resolution doubles until two successive estimates agree.
+Warped products have no grid here: renorm.bulk_coefficient_integral
+reduces them to a radial rule.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .models import (
     ModelMetric,
     ProductOfSpheres,
     RoundSphere,
-    WarpedRadial,
 )
 from .spectral import field_values
 
@@ -69,22 +70,6 @@ def grid_with_weights(m: ModelMetric, resolution: int):
         pts = _mesh_points([p for p, _ in parts])
         ws = _mesh_points([w[:, None] for _, w in parts])
         return pts, np.prod(ws, axis=1)
-    if isinstance(m, WarpedRadial):
-        from scipy.special import roots_legendre
-
-        r0, rmax = m.r_range
-        xs, ws = roots_legendre(resolution * 4)
-        rs = 0.5 * (rmax - r0) * xs + 0.5 * (rmax + r0)
-        wr = 0.5 * (rmax - r0) * ws
-        fpts, fw = grid_with_weights(m.fiber, resolution)
-        q = m.fiber.n
-        warp = np.asarray(m.warp(rs), dtype=float)
-        pts = np.concatenate(
-            [np.repeat(rs, len(fw))[:, None],
-             np.tile(fpts, (len(rs), 1))], axis=1)
-        w = (np.repeat(wr * warp ** q, len(fw))
-             * np.tile(fw, len(rs)))
-        return pts, w
     if isinstance(m, ConformalDeformation):
         pts, w = grid_with_weights(m.base, resolution)
         om = field_values(m.omega, pts)

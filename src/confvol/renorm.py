@@ -25,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .curvature import curvature_pack
 from .errors import (
     EpsilonOutOfRange,
     EvenDimension,
@@ -43,6 +42,7 @@ from .spectral import field_values
 # divergent terms; beyond this the analytic path is the only reliable route
 _COND_LIMIT = 1e11
 _GEODESIC_TOL = 1e-10
+_RADIAL_NODES = 48      # Gauss-Legendre nodes of the bulk integral in r
 
 
 @dataclass(frozen=True)
@@ -201,15 +201,14 @@ def renorm_coefficient(n: int) -> float:
     return 2.0 ** (n - 1) * (n + 1) * factorial(half) ** 2 / factorial(n)
 
 
-def bulk_coefficient_integral(compact: WarpedRadial, k: int, omega=None,
-                              nodes: int = 48) -> float:
+def bulk_coefficient_integral(compact: WarpedRadial, k: int, omega=None) -> float:
     """Integral of v^(2k) over the compactification, reduced to the radial
     direction (the warped models are cohomogeneity one, so curvature
     depends on r alone; verified on a second fiber point)."""
     from scipy.special import roots_legendre
 
     r0, rmax = compact.r_range
-    xs, ws = roots_legendre(nodes)
+    xs, ws = roots_legendre(_RADIAL_NODES)
     rs = 0.5 * (rmax - r0) * xs + 0.5 * (rmax + r0)
     wr = 0.5 * (rmax - r0) * ws
     q = compact.fiber.n
@@ -223,7 +222,7 @@ def bulk_coefficient_integral(compact: WarpedRadial, k: int, omega=None,
             return base
         return base * np.exp((q + 1) * field_values(omega, r[:, None]))
 
-    pts = np.concatenate([rs[:, None], np.tile(fiber_pts[0], (nodes, 1))], axis=1)
+    pts = np.concatenate([rs[:, None], np.tile(fiber_pts[0], (len(rs), 1))], axis=1)
     vals = v_direct(model, k, points=pts)
     # cohomogeneity-one spot check at a second fiber point
     probe = np.concatenate([rs[:1, None], fiber_pts[1:2]], axis=1)
@@ -256,14 +255,6 @@ def renorm_volume_geodcomp(compact: WarpedRadial, n: int, omega=None) -> float:
                 "conformal factor must vanish to second order at the boundary")
     k = (n + 1) // 2
     return renorm_coefficient(n) * bulk_coefficient_integral(compact, k, omega)
-
-
-def weyl_norm_squared(m: ModelMetric, points: np.ndarray) -> np.ndarray:
-    """|W|^2 = W_{ijkl} W^{ijkl} pointwise."""
-    pack = curvature_pack(m, points, want_bach=False)
-    gi = pack.inverse
-    w_up = np.einsum("bia,bjc,bkd,ble,bacde->bijkl", gi, gi, gi, gi, pack.weyl)
-    return np.einsum("bijkl,bijkl->b", w_up, pack.weyl)
 
 
 def gauss_bonnet_4d(V: float, weyl_integral: float, chi: float,

@@ -26,7 +26,6 @@ from .errors import (
     InvalidRange,
     KOutOfRange,
     NotEinstein,
-    TruncationTooShort,
 )
 from .models import ModelMetric, conformally_flat, einstein_constant, metric_values
 
@@ -54,15 +53,15 @@ class MetricSeries:
 _DEFAULT_POINT_COUNT = 6
 
 
-def _series_points(m: ModelMetric, points, count: int, seed: int) -> np.ndarray:
+def _series_points(m: ModelMetric, points, count: int) -> np.ndarray:
+    """The given points, else ``count`` samples of the model from seed 0."""
     if points is not None:
         return np.atleast_2d(np.asarray(points, dtype=float))
-    rng = np.random.default_rng(seed)
-    return m.sample_points(count, rng)
+    return m.sample_points(count, np.random.default_rng(0))
 
 
 def einstein_series(m: ModelMetric, K: int | None = None, points=None,
-                    count: int = _DEFAULT_POINT_COUNT, seed: int = 0) -> MetricSeries:
+                    count: int = _DEFAULT_POINT_COUNT) -> MetricSeries:
     """Series of the closed Einstein family g(rho) = (1 + a rho)^2 g.
 
     Coefficients: g_l = binom(2, l) a^l g for l <= 2, zero beyond.
@@ -75,7 +74,7 @@ def einstein_series(m: ModelMetric, K: int | None = None, points=None,
         K = 2 * n + 2
     if K < 0:
         raise InvalidRange(f"truncation order K = {K} must be nonnegative")
-    pts = _series_points(m, points, count, seed)
+    pts = _series_points(m, points, count)
     g0 = metric_values(m, pts)
     coeffs = np.zeros((K + 1,) + g0.shape)
     for l in range(min(K, 2) + 1):
@@ -84,7 +83,7 @@ def einstein_series(m: ModelMetric, K: int | None = None, points=None,
 
 
 def first_order_series(m: ModelMetric, K: int = 1, points=None,
-                       count: int = _DEFAULT_POINT_COUNT, seed: int = 0) -> MetricSeries:
+                       count: int = _DEFAULT_POINT_COUNT) -> MetricSeries:
     """General-metric series to first order: g_1 = 2P (P the Schouten tensor).
 
     Higher coefficients for non-Einstein metrics require the full expansion
@@ -95,8 +94,8 @@ def first_order_series(m: ModelMetric, K: int = 1, points=None,
             "general-metric series coefficients beyond order 1 are not constructed")
     a = einstein_constant(m)
     if a is not None:
-        return einstein_series(m, K=K, points=points, count=count, seed=seed)
-    pts = _series_points(m, points, count, seed)
+        return einstein_series(m, K=K, points=points, count=count)
+    pts = _series_points(m, points, count)
     pack = curvature_pack(m, pts, want_bach=False)
     coeffs = np.zeros((K + 1,) + pack.metric.shape)
     coeffs[0] = pack.metric
@@ -121,24 +120,22 @@ def inverse_series(s: MetricSeries) -> np.ndarray:
     return out
 
 
-def _check_order(s: MetricSeries, kmax: int):
-    if kmax > s.K:
-        raise TruncationTooShort(f"order {kmax} requested, series truncated at {s.K}")
-    if (s.einstein_a is None and s.n % 2 == 0 and kmax > s.n // 2):
+def _check_order(s: MetricSeries):
+    if s.einstein_a is None and s.n % 2 == 0 and s.K > s.n // 2:
         raise InvalidRange(
             f"v_k for k > n/2 = {s.n // 2} undefined for general metrics in even dimension")
 
 
-def vk_from_series(s: MetricSeries, kmax: int | None = None) -> np.ndarray:
-    """Volume coefficients of (det g(rho)/det g)^{1/2} up to order kmax,
-    shape (kmax+1, npts); row k holds v_k = (-2)^k v^(2k).
+def vk_from_series(s: MetricSeries) -> np.ndarray:
+    """Volume coefficients of (det g(rho)/det g)^{1/2} up to the series
+    order K, shape (K+1, npts); row k holds v_k = (-2)^k v^(2k) and reads
+    only the coefficients g_0..g_k, so a row does not depend on K.
 
     Uses d/drho log det g = tr(g^{-1} g') termwise, then the exponential of
     half the log series.
     """
-    kmax = s.K if kmax is None else kmax
-    _check_order(s, kmax)
-    return _volume_values(s, inverse_series(s), kmax)
+    _check_order(s)
+    return _volume_values(s, inverse_series(s), s.K)
 
 
 def _volume_values(s: MetricSeries, ginv: np.ndarray, kmax: int) -> np.ndarray:
@@ -166,20 +163,19 @@ def _volume_values(s: MetricSeries, ginv: np.ndarray, kmax: int) -> np.ndarray:
     return v
 
 
-def L_tensors(s: MetricSeries, kmax: int | None = None) -> np.ndarray:
+def L_tensors(s: MetricSeries) -> np.ndarray:
     """Contravariant tensors L^{ij}_(k), the Taylor coefficients of
-    -v(rho) int_0^rho g^{ij}(u) du, shape (kmax+1, npts, n, n).
+    -v(rho) int_0^rho g^{ij}(u) du, shape (K+1, npts, n, n).
 
-    Row k holds L_(k) for k = 1..kmax; row 0, the constant term, is zero.
+    Row k holds L_(k) for k = 1..K; row 0, the constant term, is zero.
     """
-    kmax = s.K if kmax is None else kmax
-    if kmax < 1:
-        raise KOutOfRange(f"kmax = {kmax} must be at least 1")
-    _check_order(s, kmax)
+    if s.K < 1:
+        raise KOutOfRange(f"series order K = {s.K} must be at least 1")
+    _check_order(s)
     ginv = inverse_series(s)
-    vk = _volume_values(s, ginv, kmax - 1)
-    out = np.zeros((kmax + 1,) + ginv.shape[1:])
-    for k in range(1, kmax + 1):
+    vk = _volume_values(s, ginv, s.K - 1)
+    out = np.zeros((s.K + 1,) + ginv.shape[1:])
+    for k in range(1, s.K + 1):
         # coefficient of rho^k in v(rho) * int_0^rho g^{ij}(u) du, where the
         # integral contributes Ginv_l rho^{l+1} / (l+1)
         direct = np.zeros_like(ginv[0])
@@ -190,7 +186,7 @@ def L_tensors(s: MetricSeries, kmax: int | None = None) -> np.ndarray:
 
 
 def v_direct(m: ModelMetric, k: int, points=None,
-             count: int = _DEFAULT_POINT_COUNT, seed: int = 0) -> np.ndarray:
+             count: int = _DEFAULT_POINT_COUNT) -> np.ndarray:
     """v^(2k) pointwise from curvature; convert to v_k with (-2)^k.
 
     v^(2) = -R / (4(n-1)), and for k >= 2
@@ -211,7 +207,7 @@ def v_direct(m: ModelMetric, k: int, points=None,
     want_bach = k == 3 and not flat
     if want_bach and n == 4:
         raise DimensionFour("the sixth-order coefficient formula is singular at n = 4")
-    pts = _series_points(m, points, count, seed)
+    pts = _series_points(m, points, count)
     pack = curvature_pack(m, pts, want_bach=want_bach)
     if k == 1:
         return -pack.scalar / (4.0 * (n - 1))

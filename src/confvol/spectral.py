@@ -43,10 +43,10 @@ class SpectralBasis:
     # for sphere bases: per member, ((degree, axis, weight), ...) expressing
     # it as a combination of raw zonal harmonics
     zonal_structure: tuple | None = None
-    # (Dir, Gram) by quadrature resolution, filled by variation._basis_dir_gram
-    # so that a k sweep over one basis assembles once
-    _dir_gram: dict = field(default_factory=dict, init=False, compare=False,
-                            repr=False)
+    # the quadrature (Dir, Gram) pair, filled by variation._basis_dir_gram so
+    # that a k sweep over one basis assembles once
+    _dir_gram: tuple | None = field(default=None, init=False, compare=False,
+                                    repr=False)
 
     @property
     def size(self) -> int:
@@ -270,17 +270,17 @@ def torus_basis(m: FlatTorus, mmax: int = 4) -> SpectralBasis:
 # -- products ---------------------------------------------------------------
 
 
-def product_basis(m: ProductOfSpheres, lmax: int = 4,
-                  axes_per_degree: int = 2) -> SpectralBasis:
-    """Factor harmonics lifted to the product (constant on the other factors)."""
-    _check_size(sum(_zonal_size(d, lmax, axes_per_degree) for d, _ in m.factors),
+def product_basis(m: ProductOfSpheres, lmax: int = 4) -> SpectralBasis:
+    """Factor harmonics lifted to the product (constant on the other factors),
+    from each factor's sphere basis with its default two axes per degree."""
+    _check_size(sum(_zonal_size(d, lmax, 2) for d, _ in m.factors),
                 f"lmax = {lmax} on {len(m.factors)} sphere factors")
     members, eigenvalues, labels = [], [], []
     offset = 0
     total_vol = m.volume
     for fi, (d, r) in enumerate(m.factors):
         sub = RoundSphere(d, r)
-        sub_basis = sphere_basis(sub, lmax=lmax, axes_per_degree=axes_per_degree)
+        sub_basis = sphere_basis(sub, lmax=lmax)
         other_vol = total_vol / sphere_volume(d, r)
         norm = 1.0 / np.sqrt(other_vol)
         for field, lam, lab in zip(sub_basis.members, sub_basis.eigenvalues,

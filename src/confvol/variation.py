@@ -39,6 +39,9 @@ from .spectral import (SpectralBasis, field_gradients, field_values,
 _NULL_THRESHOLD = 1e-8
 _CRITICAL_TOL = 1e-8
 _DIAGONAL_TOL = 1e-9
+_FUNCTIONAL_TOL = 1e-9      # convergence of the F_k and first-variation integrals
+_DIR_GRAM_RESOLUTION = 8    # quadrature grid of the Dir/Gram assembly
+_OBATA_TOL = 1e-9           # slack of the Obata bound and equality tests
 
 
 @dataclass(frozen=True)
@@ -110,48 +113,44 @@ def vk_pointwise(m: ModelMetric, k: int, points: np.ndarray) -> np.ndarray:
     return (-2.0) ** k * v_direct(m, k, points=points)
 
 
-def functional_Fk(m: ModelMetric, k: int, tol: float = 1e-9,
-                  resolution: int = 8) -> float:
+def functional_Fk(m: ModelMetric, k: int) -> float:
     """F_k(g) = integral of v_k over (M, g)."""
     if k == 0:
-        return integrate(m, tol=tol, resolution=resolution)
+        return integrate(m, tol=_FUNCTIONAL_TOL)
     a = einstein_constant(m)
     if a is not None:
-        return einstein_vk_exact(m.n, a, k) * integrate(m, tol=tol, resolution=resolution)
-    return integrate(m, f=lambda pts: vk_pointwise(m, k, pts), tol=tol,
-                     resolution=resolution)
+        return einstein_vk_exact(m.n, a, k) * integrate(m, tol=_FUNCTIONAL_TOL)
+    return integrate(m, f=lambda pts: vk_pointwise(m, k, pts), tol=_FUNCTIONAL_TOL)
 
 
-def first_variation_Fk(m: ModelMetric, k: int, omega, tol: float = 1e-9,
-                       resolution: int = 8) -> float:
+def first_variation_Fk(m: ModelMetric, k: int, omega) -> float:
     """dF_k in the direction 2*omega*g: (n - 2k) * integral of v_k omega."""
     n = m.n
 
     def integrand(pts):
         return vk_pointwise(m, k, pts) * field_values(omega, pts)
 
-    return (n - 2 * k) * integrate(m, f=integrand, tol=tol, resolution=resolution)
+    return (n - 2 * k) * integrate(m, f=integrand, tol=_FUNCTIONAL_TOL)
 
 
-def _basis_dir_gram(basis: SpectralBasis, resolution: int):
+def _basis_dir_gram(basis: SpectralBasis):
     """Dirichlet and Gram matrices of the basis by quadrature on its model,
-    assembled once per resolution and kept on the basis (read-only).
+    assembled once and kept on the basis (read-only).
 
     Sphere bases reduce every entry to a 2D disk quadrature from their
-    ``zonal_structure`` (resolution unused); torus bases evaluate their
-    cos/sin modes from ``labels`` in closed form on a uniform grid; other
-    bases evaluate their member closures on the quadrature grid.
+    ``zonal_structure``; torus bases evaluate their cos/sin modes from
+    ``labels`` in closed form on a uniform grid; other bases evaluate their
+    member closures on the resolution-8 quadrature grid.
     """
-    memo = basis._dir_gram
-    if resolution not in memo:
-        pair = _assemble_dir_gram(basis, resolution)
+    if basis._dir_gram is None:
+        pair = _assemble_dir_gram(basis)
         for mat in pair:
             mat.flags.writeable = False
-        memo[resolution] = pair
-    return memo[resolution]
+        object.__setattr__(basis, "_dir_gram", pair)
+    return basis._dir_gram
 
 
-def _assemble_dir_gram(basis: SpectralBasis, resolution: int):
+def _assemble_dir_gram(basis: SpectralBasis):
     m = basis.model
     if isinstance(m, RoundSphere) and basis.zonal_structure is not None:
         # pair products depend on two ambient coordinates only, so the
@@ -164,7 +163,7 @@ def _assemble_dir_gram(basis: SpectralBasis, resolution: int):
         # 2 mmax points per axis
         modes = np.array([mode for mode, _ in basis.labels], dtype=float)
         pts, w = grid_with_weights(
-            m, max(resolution, 2 * int(np.max(np.abs(modes))) + 1))
+            m, max(_DIR_GRAM_RESOLUTION, 2 * int(np.max(np.abs(modes))) + 1))
         kappa = 2.0 * np.pi * modes / np.asarray(m.periods)
         phase = np.array([-0.5 * np.pi if tag == "sin" else 0.0
                           for _, tag in basis.labels])
@@ -174,7 +173,7 @@ def _assemble_dir_gram(basis: SpectralBasis, resolution: int):
         # the flat metric is the identity: Dir = (kappa kappa^T) * (d d^T)
         return ((kappa @ kappa.T) * ((dvals * w) @ dvals.T),
                 (vals * w) @ vals.T)
-    pts, w = grid_with_weights(m, resolution)
+    pts, w = grid_with_weights(m, _DIR_GRAM_RESOLUTION)
     vals = np.stack([field_values(f, pts) for f in basis.members])
     grads = np.stack([field_gradients(f, pts) for f in basis.members])
     wginv = np.linalg.inv(metric_values(m, pts)) * w[:, None, None]
@@ -185,8 +184,7 @@ def _assemble_dir_gram(basis: SpectralBasis, resolution: int):
     return dir_, gram
 
 
-def hessian_Fk(background: ModelMetric, k: int, basis: SpectralBasis,
-               resolution: int = 8) -> HessianForm:
+def hessian_Fk(background: ModelMetric, k: int, basis: SpectralBasis) -> HessianForm:
     """Second conformal variation of F_k at an Einstein metric over a basis.
 
     H[l][m] = -(n-2k)(cL * Dir[l][m] + 2k v_k * Gram[l][m]) with
@@ -202,12 +200,11 @@ def hessian_Fk(background: ModelMetric, k: int, basis: SpectralBasis,
             f"F_{k} in dimension {n} is conformally invariant; use hessian_V "
             f"(--functional V on the command line)")
     return _second_variation(
-        background, k, basis, resolution, "F_k", -(n - 2 * k),
+        background, k, basis, "F_k", -(n - 2 * k),
         lambda a: (n - 2 * k) * a ** (k - 1) * comb(n - 1, k - 1))
 
 
-def hessian_V(background: ModelMetric, basis: SpectralBasis,
-              resolution: int = 8) -> HessianForm:
+def hessian_V(background: ModelMetric, basis: SpectralBasis) -> HessianForm:
     """Second conformal variation of the renormalized volume (n even).
 
     H[l][m] = (-1)^{n/2+1} 2^{-n/2} (cL * Dir + n v_{n/2} * Gram) with the
@@ -219,13 +216,12 @@ def hessian_V(background: ModelMetric, basis: SpectralBasis,
         raise OddDimension(f"renormalized volume Hessian needs even n, got {n}")
     k = n // 2
     return _second_variation(
-        background, k, basis, resolution, "V", (-1.0) ** (k + 1) * 2.0 ** (-k),
+        background, k, basis, "V", (-1.0) ** (k + 1) * 2.0 ** (-k),
         lambda a: -((-a) ** (k - 1)) * 2.0 ** (-k) * comb(n - 1, k - 1))
 
 
 def _second_variation(background: ModelMetric, k: int, basis: SpectralBasis,
-                      resolution: int, functional: str, pref: float,
-                      exact_diag) -> HessianForm:
+                      functional: str, pref: float, exact_diag) -> HessianForm:
     """H = pref * (cL * Dir + 2k v_k * Gram) at an Einstein background.
 
     When the basis lives on the background itself, Dir and Gram are
@@ -248,7 +244,7 @@ def _second_variation(background: ModelMetric, k: int, basis: SpectralBasis,
 
     on_model = basis.model == background
     if on_model:
-        dir_, gram = _basis_dir_gram(basis, resolution)
+        dir_, gram = _basis_dir_gram(basis)
     else:
         dir_, gram = np.diag(basis.eigenvalues), np.eye(basis.size)
     H = pref * (cL * dir_ + 2.0 * k * vk * gram)
@@ -302,7 +298,7 @@ def classify_sign_V(n: int, sign_R: float) -> str:
     return "positive definite" if n % 4 == 0 else "negative definite"
 
 
-def obata_check(basis: SpectralBasis, R: float, tol: float = 1e-9) -> dict:
+def obata_check(basis: SpectralBasis, R: float) -> dict:
     """First-eigenvalue bound lambda_1(-Delta) >= R/(n-1) for Einstein g."""
     n = basis.model.n
     lam1 = basis.first_eigenvalue()
@@ -310,6 +306,6 @@ def obata_check(basis: SpectralBasis, R: float, tol: float = 1e-9) -> dict:
     return {
         "lambda_1": lam1,
         "bound": bound,
-        "satisfied": lam1 >= bound - tol,
-        "equality": abs(lam1 - bound) <= tol,
+        "satisfied": lam1 >= bound - _OBATA_TOL,
+        "equality": abs(lam1 - bound) <= _OBATA_TOL,
     }

@@ -108,7 +108,7 @@ def test_criterion_03_L_tensor_identities():
         for a in SWEEP_A:
             s = einstein_series(einstein_model(n, a), K=n)
             ginv0 = inverse_series(s)[0]
-            L = L_tensors(s, n)
+            L = L_tensors(s)
             for k in range(1, n + 1):
                 c = einstein_L_exact(n, a, k)
                 err = np.max(np.abs(L[k] - c * ginv0)) / max(1.0, abs(c))

@@ -176,13 +176,12 @@ def test_unreadable_paths_and_non_records_exit_1(capsys, tmp_path):
 def test_exit_codes_live_on_error_classes():
     numerical = {"NoConvergence", "StepRejected", "IllConditionedFit",
                  "GridResolutionInsufficient", "NonFiniteResult",
-                 "NonPositiveDefinite", "NotCritical", "NotTotallyGeodesic",
-                 "TruncationTooShort"}
+                 "NonPositiveDefinite", "NotCritical", "NotTotallyGeodesic"}
     classes = {name: cls for name, cls in vars(errors).items()
                if isinstance(cls, type) and issubclass(cls, errors.ConfvolError)}
     assert numerical <= classes.keys()
     for name, cls in classes.items():
-        # NumericalFailure is the base the nine numerical classes share
+        # NumericalFailure is the base the eight numerical classes share
         expected = 2 if name in numerical | {"NumericalFailure"} else 1
         assert cls.exit_code == expected, name
 

@@ -20,6 +20,8 @@ def heavy():
 
 report = {"import": heavy()}
 for argv in (["vk", "--n", "5", "--kmax", "5"],
+             ["ltensor", "--n", "4", "--kmax", "4"],
+             ["curvature", "--n", "5"],
              ["gaussbonnet", "--case", "s4"],
              ["flow", "--model", "torus", "--periods", "1,1,1", "--k", "1"]):
     with contextlib.redirect_stdout(io.StringIO()):

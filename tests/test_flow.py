@@ -84,7 +84,7 @@ def test_volume_renormalized_each_step():
     omega0 = fourier_field(torus, (1, 1, 0), amplitude=0.1)
     state = make_state(disc, omega0, 1)
     assert state.volume == pytest.approx(disc.base_volume, rel=1e-13)
-    nxt = flow_step(state, 1, dt=1e-3)
+    nxt = flow_step(state, dt=1e-3)
     assert nxt.volume == pytest.approx(disc.base_volume, rel=1e-13)
     assert nxt.variance <= state.variance
 
@@ -94,7 +94,7 @@ def test_oversized_step_rejected():
     disc = discretize(torus, shape=(8, 8, 8))
     state = make_state(disc, fourier_field(torus, (1, 0, 0), amplitude=0.1), 1)
     with pytest.raises(StepRejected):
-        flow_step(state, 1, dt=1.0)
+        flow_step(state, dt=1.0)
 
 
 def test_no_convergence_carries_report():

@@ -9,7 +9,6 @@ from confvol.models import (
     FlatTorus,
     ProductOfSpheres,
     RoundSphere,
-    WarpedRadial,
     sphere_volume,
     zonal_field,
 )
@@ -34,12 +33,6 @@ def test_grid_weights_sum_to_volume():
     ]:
         pts, w = grid_with_weights(m, 12)
         assert np.sum(w) == pytest.approx(vol, rel=1e-10)
-
-
-def test_warped_radial_volume():
-    # dr^2 + r^2 g_{S^2} on (0, 1) is the flat unit ball: volume 4 pi / 3
-    m = WarpedRadial(lambda r: r, RoundSphere(2, 1.0), (0.0, 1.0))
-    assert integrate(m) == pytest.approx(4.0 * np.pi / 3.0, rel=1e-12)
 
 
 def test_conformal_volume():

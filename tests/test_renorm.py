@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from confvol import jets
+from confvol.curvature import curvature_pack
 from confvol.errors import (
     EpsilonOutOfRange,
     EvenDimension,
@@ -29,7 +30,6 @@ from confvol.renorm import (
     renorm_coefficient,
     renorm_volume_geodcomp,
     truncated_volume,
-    weyl_norm_squared,
 )
 from confvol.series import v_direct
 
@@ -176,8 +176,8 @@ def test_gauss_bonnet_hyperbolic4():
 def test_gauss_bonnet_compact_s4():
     m = RoundSphere(4, 1.0)
     pts = m.sample_points(3, np.random.default_rng(0))
-    w2 = weyl_norm_squared(m, pts)
-    assert np.max(np.abs(w2)) < 1e-9
+    # the round sphere is conformally flat: the |W|^2 term vanishes
+    assert np.max(np.abs(curvature_pack(m, pts).weyl)) < 1e-9
     # int v^(4) = sigma_2(P)/4 * Vol = (3/8) Vol(S^4); 16 * that = 8 pi^2 * 2
     v4 = float(v_direct(m, 2, points=pts)[0]) * sphere_volume(4)
     assert gauss_bonnet_4d(v4, 0.0, chi=2.0, mode="compact") < 1e-9

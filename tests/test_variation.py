@@ -19,11 +19,13 @@ from confvol.models import (
     RoundSphere,
     einstein_constant,
     sphere_volume,
+    zonal_field,
 )
 from confvol import variation
 from confvol.cli import cli_dispatch
-from confvol.quadrature import grid_with_weights
-from confvol.series import einstein_vk_exact, v_direct
+from confvol.curvature import curvature_pack
+from confvol.quadrature import grid_with_weights, integrate
+from confvol.series import einstein_series, einstein_vk_exact, v_direct
 from confvol.spectral import (basis_for, field_gradients, field_values,
                               sphere_basis, sphere_pair_matrices, torus_basis)
 from confvol.variation import (
@@ -83,6 +85,23 @@ def test_functional_values():
     for k in (0, 1, 2):
         expect = einstein_vk_exact(4, a, k) * sphere_volume(4, 2.0)
         assert functional_Fk(m, k) == pytest.approx(expect, rel=1e-12)
+
+
+def test_deformation_with_flat_origin_is_not_einstein():
+    # omega = 0.2 y_0^2 has zero gradient at the chart origin, yet
+    # e^{2 omega} g is not Einstein: v_1 is not constant, so F_1 must come
+    # from the curvature, not from a closed form
+    s3 = RoundSphere(3, 1.0)
+    m = ConformalDeformation(s3, zonal_field(s3, [0.0, 0.0, 0.2], 0))
+    assert einstein_constant(m) is None
+    with pytest.raises(NotEinstein):
+        delta_vk(m, lambda x: x[0], 1, np.zeros((1, 3)))
+    with pytest.raises(NotEinstein):
+        einstein_series(m)
+    # v_1 = R / (2(n-1)) from the chart pack
+    chart = integrate(m, f=lambda pts: curvature_pack(m, pts, want_bach=False)
+                      .scalar / 4.0, tol=1e-9)
+    assert functional_Fk(m, 1) == pytest.approx(chart, rel=1e-9)
 
 
 def test_first_variation_vanishing_cases():
@@ -249,7 +268,7 @@ def test_torus_dir_gram_from_labels_matches_members():
     for periods, mmax in (((1.0, 2.0), 2), ((1, 1, 1), 1)):
         t = FlatTorus(periods)
         basis = torus_basis(t, mmax=mmax)
-        dir_, gram = variation._basis_dir_gram(basis, 8)
+        dir_, gram = variation._basis_dir_gram(basis)
         pts, w = grid_with_weights(t, 8)
         vals = np.stack([field_values(f, pts) for f in basis.members])
         grads = np.stack([field_gradients(f, pts) for f in basis.members])

@@ -203,10 +203,11 @@ def _inverse_jets(G: Jet, g0: np.ndarray, order: int) -> Jet:
     delta = G.c.copy()
     delta[..., 0] = 0.0
     E = space.mul(inv0_c, delta, order, _MATMUL)              # zero constant term
-    acc = Jet.constant(space, np.broadcast_to(np.eye(G.c.shape[0])[:, :, None],
-                                              inv0.shape).copy()).c
-    total = acc.copy()
-    for _ in range(order):
+    eye = Jet.constant(space, np.broadcast_to(np.eye(G.c.shape[0])[:, :, None],
+                                              inv0.shape)).c
+    acc = -E                                                  # Neumann series in -E
+    total = eye + acc
+    for _ in range(order - 1):
         acc = -space.mul(acc, E, order, _MATMUL)
         total = total + acc
     return Jet(space, space.mul(total, inv0_c, order, _MATMUL))

@@ -20,6 +20,8 @@ that order is the einsum's summation order, so it fixes the output bits.
 
 Besides ring arithmetic and integer powers, jets compose with ``exp``,
 ``cos`` and ``reciprocal``, the functions the model charts and fields use.
+``coordinates`` returns the seed jets in a list whose ``memo`` keeps jets
+formed from the whole list, such as |x|^2; its slices are plain lists.
 
 Curvature needs exact metric derivatives to fourth order (the Bach tensor
 consumes four), which is why charts are evaluated on jets instead of being
@@ -279,7 +281,15 @@ def cos(x):
 # -- structural helpers ---------------------------------------------------
 
 
-def coordinates(space: JetSpace, values: np.ndarray) -> list[Jet]:
+class Coordinates(list):
+    """Coordinate seed jets; ``memo`` keeps jets formed from all of them."""
+
+    def __init__(self, seeds):
+        super().__init__(seeds)
+        self.memo = {}
+
+
+def coordinates(space: JetSpace, values: np.ndarray) -> Coordinates:
     """Coordinate seed jets at base point(s) ``values`` (shape (nvars, ...))."""
     values = np.asarray(values, dtype=float)
-    return [Jet.variable(space, v, values[v]) for v in range(space.nvars)]
+    return Coordinates(Jet.variable(space, v, values[v]) for v in range(space.nvars))

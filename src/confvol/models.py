@@ -5,6 +5,9 @@ list of coordinate jets to the (n, n) matrix of metric components as a
 single Jet with leading tensor axes.  Structured kinds (spheres, flat
 tori, products, warped radial metrics) additionally carry closed-form
 data used by fast curvature paths and exact quadrature measures.
+Coordinate lists from ``jets.coordinates`` carry a memo, so a sphere chart
+and its zonal fields on one list form |x|^2 and 1/(L^2 + |x|^2) once per
+radius; slices, such as a product factor's block, carry none.
 """
 
 from __future__ import annotations
@@ -48,12 +51,8 @@ class RoundSphere(ModelMetric):
     radius: float = 1.0
 
     def chart(self, x):
-        L2 = self.radius ** 2
-        s2 = x[0] * x[0]
-        for xi in x[1:]:
-            s2 = s2 + xi * xi
-        conf = (2.0 * L2 / (L2 + s2)) ** 2
-        return _delta_matrix(x, scale=conf)
+        _, inv = _stereographic(self.radius, x)
+        return _delta_matrix(x, scale=(2.0 * self.radius ** 2 * inv) ** 2)
 
     def sample_points(self, count, rng):
         pts = rng.normal(size=(count, self.n)) * (0.4 * self.radius)
@@ -246,24 +245,38 @@ def einstein_model(n: int, a: float) -> ModelMetric:
 # -- scalar fields ---------------------------------------------------------
 
 
+def _stereographic(radius: float, x: Sequence[Jet]):
+    """(|x|^2, 1/(L^2 + |x|^2)) at radius L, once per list with a memo."""
+    memo = getattr(x, "memo", {})
+    if radius not in memo:
+        s2 = x[0] * x[0]
+        for xi in x[1:]:
+            s2 = s2 + xi * xi
+        memo[radius] = (s2, 1.0 / (radius ** 2 + s2))
+    return memo[radius]
+
+
+def _embedding_component(m: RoundSphere, x: Sequence[Jet], axis: int):
+    """Unit-sphere embedding component ``axis`` of the stereographic chart
+    point: 2 L x_axis / (L^2 + |x|^2), at axis n (L^2 - |x|^2) / (L^2 + |x|^2)."""
+    s2, inv = _stereographic(m.radius, x)
+    if axis == m.n:
+        return (m.radius ** 2 - s2) * inv
+    return 2.0 * m.radius * x[axis] * inv
+
+
 def sphere_embedding(m: RoundSphere, x: Sequence[Jet]):
     """Unit-sphere embedding components of the stereographic chart point."""
-    L2 = m.radius ** 2
-    s2 = x[0] * x[0]
-    for xi in x[1:]:
-        s2 = s2 + xi * xi
-    inv = 1.0 / (L2 + s2)
-    comps = [2.0 * m.radius * xi * inv for xi in x]
-    comps.append((L2 - s2) * inv)
-    return comps
+    return [_embedding_component(m, x, axis) for axis in range(m.n + 1)]
 
 
 def zonal_field(m: RoundSphere, poly_coeffs: np.ndarray, axis: int):
-    """Field sum_p c_p * yhat_axis^p on the sphere (yhat the unit embedding)."""
+    """Field sum_p c_p * yhat_axis^p on the sphere (yhat the unit embedding,
+    axis in 0..n)."""
     coeffs = np.asarray(poly_coeffs, dtype=float)
 
     def field(x):
-        t = sphere_embedding(m, x)[axis]
+        t = _embedding_component(m, x, axis)
         out = coeffs[-1] * (t * 0.0 + 1.0) if isinstance(t, Jet) else coeffs[-1]
         for c in coeffs[-2::-1]:
             out = out * t + c

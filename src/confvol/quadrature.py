@@ -74,8 +74,7 @@ def grid_with_weights(m: ModelMetric, resolution: int):
         pts, w = grid_with_weights(m.base, resolution)
         om = field_values(m.omega, pts)
         return pts, w * np.exp(m.n * om)
-    raise GridResolutionInsufficient(
-        f"no quadrature rule for model kind {type(m).__name__}")
+    raise InvalidRange(f"no quadrature rule for model kind {type(m).__name__}")
 
 
 def _integrate_once(m: ModelMetric, f, resolution: int) -> float:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from confvol import models
+from confvol import jets, models
 from confvol.curvature import (
+    _MATMUL,
     _chart_pack,
     _closed_form,
+    _inverse_jets,
     curvature_pack,
     laplacian,
     sigma_k,
@@ -19,7 +21,10 @@ from confvol.models import (
     ProductOfSpheres,
     RoundSphere,
     WarpedRadial,
+    zonal_field,
 )
+from confvol.jets import Jet
+from confvol.series import v_direct
 
 RNG = np.random.default_rng(42)
 
@@ -187,3 +192,137 @@ def test_sigma_k_values():
         assert np.max(np.abs(val - expect)) < 1e-12
     with pytest.raises(KOutOfRange):
         sigma_k(pack.schouten, pack.metric, 6)
+
+
+# -- shared stereographic jets ------------------------------------------------
+# The sphere chart and zonal fields share |x|^2 and 1/(L^2 + |x|^2) through
+# the coordinate list's memo; the reference formulas below form them afresh
+# for every component, as the code did before the memo, and must agree to
+# the bit.
+
+
+def _sum_of_squares(x):
+    s2 = x[0] * x[0]
+    for xi in x[1:]:
+        s2 = s2 + xi * xi
+    return s2
+
+
+def _ref_sphere_chart(m, x):
+    L2 = m.radius ** 2
+    conf = (2.0 * L2 / (L2 + _sum_of_squares(x))) ** 2
+    return models._delta_matrix(x, scale=conf)
+
+
+def _ref_zonal(m, coeffs, axis):
+    def field(x):
+        L2 = m.radius ** 2
+        s2 = _sum_of_squares(x)
+        inv = 1.0 / (L2 + s2)
+        comps = [2.0 * m.radius * xi * inv for xi in x]
+        comps.append((L2 - s2) * inv)
+        t = comps[axis]
+        out = coeffs[-1] * (t * 0.0 + 1.0)
+        for c in coeffs[-2::-1]:
+            out = out * t + c
+        return out
+
+    return field
+
+
+def _ref_inverse(G, g0, order):
+    space = G.space
+    inv0 = np.moveaxis(np.linalg.inv(g0), 0, -1)
+    inv0_c = Jet.constant(space, inv0).c
+    delta = G.c.copy()
+    delta[..., 0] = 0.0
+    E = space.mul(inv0_c, delta, order, _MATMUL)
+    acc = Jet.constant(space, np.broadcast_to(np.eye(G.c.shape[0])[:, :, None],
+                                              inv0.shape).copy()).c
+    total = acc.copy()
+    for _ in range(order):
+        acc = -space.mul(acc, E, order, _MATMUL)
+        total = total + acc
+    return space.mul(total, inv0_c, order, _MATMUL)
+
+
+_MIX = ((0, [0.1, -0.3, 0.2]), (2, [0.0, 0.25, -0.4]), (5, [-0.05, 0.0, 0.3]))
+
+
+def _mix(m, make):
+    return models.combined_field([make(m, np.array(c), a) for a, c in _MIX],
+                                 [1.0, 0.7, -0.6])
+
+
+def _coords(m, order, pts):
+    return jets.coordinates(jets.jet_space(m.n, order), pts.T)
+
+
+def test_shared_stereographic_jets_are_bitwise_unchanged():
+    m = RoundSphere(5, 1.3)
+    pts = _random_points(m, 4)
+    for order in (2, 4):
+        assert np.array_equal(m.chart(_coords(m, order, pts)).c,
+                              _ref_sphere_chart(m, _coords(m, order, pts)).c)
+        for axis in range(m.n + 1):
+            coeffs = np.array([0.2, -0.5, 0.3, 0.7])
+            new = zonal_field(m, coeffs, axis)(_coords(m, order, pts))
+            ref = _ref_zonal(m, coeffs, axis)(_coords(m, order, pts))
+            assert np.array_equal(new.c, ref.c), (order, axis)
+        # omega and the base chart read one memo entry
+        G = ConformalDeformation(m, _mix(m, zonal_field)).chart(
+            _coords(m, order, pts))
+        x = _coords(m, order, pts)
+        ref = jets.exp(2.0 * _mix(m, _ref_zonal)(x)) * _ref_sphere_chart(m, x)
+        assert np.array_equal(G.c, ref.c), order
+
+
+def test_inverse_jets_bitwise_unchanged():
+    m = RoundSphere(5, 1.3)
+    pts = _random_points(m, 4)
+    for order, space_order in ((0, 2), (2, 2), (4, 4)):
+        x = _coords(m, space_order, pts)
+        G = ConformalDeformation(m, _mix(m, zonal_field)).chart(x)
+        # off-diagonal terms exercise every entry of the matrix products
+        G = G + 0.1 * Jet(G.space, np.stack([np.stack([(xi * xj).c for xj in x])
+                                             for xi in x]))
+        g0 = np.moveaxis(G.value, -1, 0)
+        assert np.array_equal(_inverse_jets(G, g0, order).c,
+                              _ref_inverse(G, g0, order)), order
+
+
+def test_stereographic_memo_scope():
+    # the memo is keyed by radius: spheres of radius 1 and 2 on one list
+    # must match each on a list of its own
+    pts = _random_points(RoundSphere(4, 1.0), 3)
+    spheres = (RoundSphere(4, 1.0), RoundSphere(4, 2.0))
+    fields = [zonal_field(s, np.array([0.1, 0.5, -0.2]), a)
+              for s in spheres for a in (1, 4)]
+    shared = _coords(spheres[0], 2, pts)
+    for f in fields:
+        assert np.array_equal(f(shared).c, f(_coords(spheres[0], 2, pts)).c)
+    for s in spheres:
+        assert np.array_equal(s.chart(shared).c, s.chart(_coords(s, 2, pts)).c)
+    # a slice, such as a product factor's block, carries no memo
+    assert hasattr(shared, "memo") and not hasattr(shared[1:], "memo")
+
+
+def test_deformed_sphere_product_count(monkeypatch):
+    # one order-2 chart pack of e^{2 omega} g_{S^5}, omega a 3-axis zonal
+    # mix of degree 2: |x|^2 (5) and its reciprocal (2) once; per field
+    # one embedding component (1) and Horner (2); exp (2); the squared
+    # conformal factor (2) and its product with exp (1); the inverse
+    # (E, one series term, the product with g0^{-1}: 3); Christoffel (1);
+    # Riemann, scalar and Schouten (3)
+    m = RoundSphere(5)
+    omega = _mix(m, zonal_field)
+    counted = jets.JetSpace.mul
+    calls = []
+
+    def mul(self, *args, **kwargs):
+        calls.append(1)
+        return counted(self, *args, **kwargs)
+
+    monkeypatch.setattr(jets.JetSpace, "mul", mul)
+    v_direct(ConformalDeformation(m, omega), 2, _random_points(m, 3))
+    assert len(calls) == 7 + 3 * 3 + 2 + 2 + 1 + 3 + 1 + 3

@@ -7,8 +7,10 @@ from confvol.errors import GridResolutionInsufficient, InvalidRange
 from confvol.models import (
     ConformalDeformation,
     FlatTorus,
+    HyperbolicSpace,
     ProductOfSpheres,
     RoundSphere,
+    WarpedRadial,
     sphere_volume,
     zonal_field,
 )
@@ -73,6 +75,16 @@ def test_node_budget_guard():
     # S^3 x S^3 at resolution 16 would mesh 67M nodes
     with pytest.raises(InvalidRange, match="must be at most"):
         grid_with_weights(ProductOfSpheres(((3, 1.0), (3, 1.0))), 16)
+
+
+def test_kind_without_rule_is_invalid_input():
+    # no grid exists for the kind: invalid input (exit 1), not a quadrature
+    # that failed to converge (exit 2)
+    warped = WarpedRadial(lambda r: 1.0 + r, RoundSphere(2, 1.0), (0.0, 1.0))
+    for m in (HyperbolicSpace(3), warped):
+        with pytest.raises(InvalidRange, match="no quadrature rule") as err:
+            integrate(m, f=lambda pts: np.ones(pts.shape[0]))
+        assert err.value.exit_code == 1
 
 
 def test_nonconvergent_raises():

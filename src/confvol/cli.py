@@ -5,11 +5,14 @@ optionally a .cfg file), validates it against a typed schema, runs the
 corresponding library operation, and writes a JSON record whose payload
 is byte-deterministic for a fixed config and seed.  Wall-clock time lives
 outside the payload so records from identical runs hash identically.
+``cli_dispatch`` reuses one argument parser per process; each call's flags
+live in the Namespace that call parses.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -239,6 +242,8 @@ def cmd_hessian(config: dict) -> dict:
     from .variation import hessian_Fk, hessian_V
 
     m = build_model(config)
+    # the criticality check's curvature pack holds 4 * n^4 Riemann entries
+    _check_size("4 * n^4", 4 * m.n ** 4)
     basis = basis_for(m, config["lmax"])
     form = (hessian_V(m, basis) if config["functional"] == "V"
             else hessian_Fk(m, config["k"], basis))
@@ -257,6 +262,7 @@ def cmd_signtable(config: dict) -> dict:
     from .spectral import sphere_basis
     from .variation import classify_sign_Fk, hessian_Fk
 
+    _check_size("4 * nmax^4", 4 * config["nmax"] ** 4)
     rows = []
     for n in range(config["nmin"], config["nmax"] + 1):
         sphere = RoundSphere(n, 1.0)
@@ -467,6 +473,7 @@ def write_outputs(record: dict, text: str, json_path: str | None,
 # -- dispatch ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="confvol",

@@ -224,10 +224,11 @@ def _christoffel(G: Jet, Ginv: Jet, order: int) -> Jet:
 
 
 def _kulkarni_nomizu(P: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return (np.einsum("...ik,...jl->...ijkl", P, g)
-            + np.einsum("...jl,...ik->...ijkl", P, g)
-            - np.einsum("...il,...jk->...ijkl", P, g)
-            - np.einsum("...jk,...il->...ijkl", P, g))
+    """P_ik g_jl + P_jl g_ik - P_il g_jk - P_jk g_il, each term a view of
+    the one outer product O_abcd = P_ab g_cd."""
+    O = np.einsum("...ab,...cd->...abcd", P, g)
+    return (np.einsum("...ikjl->...ijkl", O) + np.einsum("...jlik->...ijkl", O)
+            - np.einsum("...iljk->...ijkl", O) - np.einsum("...jkil->...ijkl", O))
 
 
 def _bach(space, gam, P, weyl, ginv0, n):

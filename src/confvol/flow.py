@@ -73,12 +73,11 @@ class TorusGrid:
         lap, grad2 = self._spectral(omega)
         return np.exp(-2.0 * omega) * (-lap - 0.5 * (n - 2) * grad2)
 
-    def volume(self, omega):
-        return self.base_volume * float(np.mean(np.exp(self.base.n * omega)))
+    def density(self, omega):
+        return np.exp(self.base.n * omega)
 
-    def average(self, values, omega):
-        w = np.exp(self.base.n * omega)
-        return float(np.sum(values * w) / np.sum(w))
+    def volume(self, total):
+        return self.base_volume * float(total / len(self.points))
 
     def project(self, omega):
         return omega
@@ -144,12 +143,11 @@ class SphereZonal:
         deformed = ConformalDeformation(self.base, self._field(omega))
         return (-2.0) ** k * v_direct(deformed, k, points=self.points)
 
-    def volume(self, omega):
-        return float(np.sum(self.w * np.exp(self.base.n * omega)))
+    def density(self, omega):
+        return self.w * np.exp(self.base.n * omega)
 
-    def average(self, values, omega):
-        w = self.w * np.exp(self.base.n * omega)
-        return float(np.sum(values * w) / np.sum(w))
+    def volume(self, total):
+        return float(total)
 
     def project(self, omega):
         return self.synth @ (self.analysis @ omega)
@@ -176,14 +174,17 @@ class FlowState:
 
 def _state(disc, omega, k: int, step: int) -> FlowState:
     """Project omega, fix the gauge by exact volume renormalization, and
-    evaluate v_k with its mean and variance."""
+    evaluate v_k with its mean and variance under one volume density."""
     omega = disc.project(omega)
-    omega = omega - np.log(disc.volume(omega) / disc.base_volume) / disc.base.n
+    ratio = disc.volume(np.sum(disc.density(omega))) / disc.base_volume
+    omega = omega - np.log(ratio) / disc.base.n
     vk = disc.vk(omega, k)
-    mean = disc.average(vk, omega)
-    var = disc.average((vk - mean) ** 2, omega)
+    density = disc.density(omega)
+    total = np.sum(density)
+    mean = float(np.sum(vk * density) / total)
+    var = float(np.sum((vk - mean) ** 2 * density) / total)
     return FlowState(disc=disc, omega=omega, k=k, step=step,
-                     volume=disc.volume(omega), vk=vk, variance=var,
+                     volume=disc.volume(total), vk=vk, variance=var,
                      mean_vk=mean)
 
 

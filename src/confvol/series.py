@@ -208,7 +208,12 @@ def v_direct(m: ModelMetric, k: int, points=None,
     if want_bach and n == 4:
         raise DimensionFour("the sixth-order coefficient formula is singular at n = 4")
     pts = _series_points(m, points, count)
-    pack = curvature_pack(m, pts, want_bach=want_bach)
+    return _vk_from_pack(curvature_pack(m, pts, want_bach=want_bach), k, want_bach)
+
+
+def _vk_from_pack(pack, k: int, want_bach: bool) -> np.ndarray:
+    """v^(2k) of v_direct from a curvature pack that holds Bach if want_bach."""
+    n = pack.n
     if k == 1:
         return -pack.scalar / (4.0 * (n - 1))
     vk = sigma_k(pack.schouten, pack.metric, k)

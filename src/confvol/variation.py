@@ -11,16 +11,19 @@ assembled here over a Laplacian eigenbasis, where it diagonalizes with
 entries proportional to (lambda - R/(n-1)).  The sign pattern depends only
 on the signs of n-2k and of the scalar curvature, which classify_sign_Fk
 tabulates; hessian_V handles the conformally invariant k = n/2 slot.
+Each Hessian first checks v_k against the direct curvature formula, whose
+values come from one curvature pack per background, kept for the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .curvature import laplacian
+from .curvature import curvature_pack, laplacian
 from .errors import (
     HalfDimension,
     InvalidRange,
@@ -29,10 +32,10 @@ from .errors import (
     NotEinstein,
     OddDimension,
 )
-from .models import (FlatTorus, ModelMetric, RoundSphere, einstein_constant,
-                     metric_values)
+from .models import (FlatTorus, ModelMetric, RoundSphere, conformally_flat,
+                     einstein_constant, metric_values)
 from .quadrature import grid_with_weights, integrate
-from .series import einstein_L_exact, einstein_vk_exact, v_direct
+from .series import _vk_from_pack, einstein_L_exact, einstein_vk_exact, v_direct
 from .spectral import (SpectralBasis, field_gradients, field_values,
                        sphere_pair_matrices)
 
@@ -220,6 +223,25 @@ def hessian_V(background: ModelMetric, basis: SpectralBasis) -> HessianForm:
         lambda a: -((-a) ** (k - 1)) * 2.0 ** (-k) * comb(n - 1, k - 1))
 
 
+@lru_cache(maxsize=None)
+def _critical_values(background: ModelMetric) -> dict:
+    """(-2)^k v_direct(background, k, count=4), read-only, for each k the
+    criticality check covers (1..3 at n >= 3, but not k = 3 at n = 4), from
+    one pack at the same four seed-0 points, with Bach only if k = 3 needs it."""
+    n = background.n
+    if n < 3:
+        return {}
+    ks = (1, 2) if n == 4 else (1, 2, 3)
+    want_bach = 3 in ks and not conformally_flat(background)
+    pts = background.sample_points(4, np.random.default_rng(0))
+    pack = curvature_pack(background, pts, want_bach=want_bach)
+    out = {}
+    for k in ks:
+        out[k] = (-2.0) ** k * _vk_from_pack(pack, k, want_bach and k == 3)
+        out[k].flags.writeable = False
+    return out
+
+
 def _second_variation(background: ModelMetric, k: int, basis: SpectralBasis,
                       functional: str, pref: float, exact_diag) -> HessianForm:
     """H = pref * (cL * Dir + 2k v_k * Gram) at an Einstein background.
@@ -236,11 +258,11 @@ def _second_variation(background: ModelMetric, k: int, basis: SpectralBasis,
     cL = einstein_L_exact(n, a, k)
     # criticality: v_k must be constant; exact for the Einstein closed form,
     # but verify the direct curvature value agrees where a formula exists
-    if k <= 3 and n >= 3 and not (k == 3 and n == 4):
-        vals = (-2.0) ** k * v_direct(background, k, count=4)
-        if np.max(np.abs(vals - vk)) > _CRITICAL_TOL * max(1.0, abs(vk)):
-            raise NotCritical(f"v_{k} deviates from constant by "
-                              f"{np.max(np.abs(vals - vk)):.3e}")
+    vals = _critical_values(background).get(k)
+    if vals is not None and (np.max(np.abs(vals - vk))
+                             > _CRITICAL_TOL * max(1.0, abs(vk))):
+        raise NotCritical(f"v_{k} deviates from constant by "
+                          f"{np.max(np.abs(vals - vk)):.3e}")
 
     on_model = basis.model == background
     if on_model:

@@ -132,6 +132,12 @@ def test_exit_code_out_of_range_model_keys(capsys):
         ("vk", "--model", "einstein", "--n", "600", "--kmax", "1"),
         ("ltensor", "--n", "300"),
         ("hessian", "--lmax", "100000"),
+        # signtable and hessian pack 4 * n^4 Riemann entries per background
+        ("signtable", "--nmin", "3", "--nmax", "200"),
+        ("signtable", "--nmin", "27", "--nmax", "27"),
+        ("hessian", "--n", "27"),
+        ("hessian", "--model", "torus", "--periods", ",".join(["1"] * 27),
+         "--functional", "V"),
         # the first variation doubles its S^n grid past the node budget
         ("variation", "--n", "6"),
         ("variation", "--n", "7"),
@@ -258,3 +264,18 @@ def test_report_command(capsys, tmp_path):
     # deterministic: a second run prints the identical text
     code, out2, _ = _run(capsys, "report", "--inputs", str(j))
     assert out2 == out
+
+
+def test_one_parser_serves_successive_calls(capsys, tmp_path):
+    # the parser is built once per process; no flag of one call reaches
+    # the next
+    record = tmp_path / "first.json"
+    argv = ["hessian", "--n", "3", "--k", "1", "--lmax", "2"]
+    assert _run(capsys, "hessian", "--n", "3", "--bogus", "1")[0] == 1
+    code, first, _ = _run(capsys, *argv, "--json", str(record))
+    assert code == 0 and record.exists()
+    assert record.read_text() == first
+    record.unlink()
+    code, second, _ = _run(capsys, *argv)
+    assert code == 0 and not record.exists()
+    assert payload_bytes(json.loads(first)) == payload_bytes(json.loads(second))

@@ -9,6 +9,7 @@ from confvol.curvature import (
     _chart_pack,
     _closed_form,
     _inverse_jets,
+    _kulkarni_nomizu,
     curvature_pack,
     laplacian,
     sigma_k,
@@ -326,3 +327,22 @@ def test_deformed_sphere_product_count(monkeypatch):
     monkeypatch.setattr(jets.JetSpace, "mul", mul)
     v_direct(ConformalDeformation(m, omega), 2, _random_points(m, 3))
     assert len(calls) == 7 + 3 * 3 + 2 + 2 + 1 + 3 + 1 + 3
+
+
+def test_kulkarni_nomizu_bitwise_unchanged():
+    # the four-einsum formula, written out; signed zeros in both factors
+    rng = np.random.default_rng(7)
+    for n in (3, 5, 8):
+        P, g = rng.standard_normal((2, 4, n, n))
+        P[0, 0, :] = 0.0
+        P[1, :, 1] = -0.0
+        g[2, 1, :] = -0.0
+        g[3, :, 0] = 0.0
+        P[3, 2, 2], g[0, 1, 1] = -0.0, -0.0
+        ref = (np.einsum("...ik,...jl->...ijkl", P, g)
+               + np.einsum("...jl,...ik->...ijkl", P, g)
+               - np.einsum("...il,...jk->...ijkl", P, g)
+               - np.einsum("...jk,...il->...ijkl", P, g))
+        got = _kulkarni_nomizu(P, g)
+        assert np.array_equal(got, ref), n
+        assert np.array_equal(np.signbit(got), np.signbit(ref)), n

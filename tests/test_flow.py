@@ -126,3 +126,25 @@ def test_guards():
 
     with pytest.raises(InvalidRange):
         discretize(HyperbolicSpace(3, 1.0))
+
+
+def test_state_measure_bitwise_unchanged():
+    # one density per state gives the volume, mean and variance that
+    # per-quantity exponentials gave, bit for bit
+    torus, sphere = FlatTorus((1.0, 2.0, 1.0)), RoundSphere(5, 1.0)
+    for disc, k in ((discretize(torus, shape=(8, 6, 4)), 1),
+                    (discretize(sphere), 1), (discretize(sphere), 2)):
+        n = disc.base.n
+        rng = np.random.default_rng(11)
+        omega = 0.05 * disc.project(rng.standard_normal(len(disc.points)))
+        state = make_state(disc, omega, k)
+        om, vk = state.omega, state.vk
+        if isinstance(disc.base, FlatTorus):
+            w = np.exp(n * om)
+            volume = disc.base_volume * float(np.mean(np.exp(n * om)))
+        else:
+            w = disc.w * np.exp(n * om)
+            volume = float(np.sum(disc.w * np.exp(n * om)))
+        mean = float(np.sum(vk * w) / np.sum(w))
+        var = float(np.sum((vk - mean) ** 2 * w) / np.sum(w))
+        assert (state.volume, state.mean_vk, state.variance) == (volume, mean, var)

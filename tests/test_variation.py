@@ -21,7 +21,7 @@ from confvol.models import (
     sphere_volume,
     zonal_field,
 )
-from confvol import variation
+from confvol import series, variation
 from confvol.cli import cli_dispatch
 from confvol.curvature import curvature_pack
 from confvol.quadrature import grid_with_weights, integrate
@@ -298,3 +298,30 @@ def test_one_dir_gram_assembly_per_basis(monkeypatch, capsys):
         a, b = hessian_Fk(m, k, reused), hessian_Fk(m, k, make(m))
         assert np.array_equal(a.matrix, b.matrix)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+def test_one_criticality_pack_per_background(monkeypatch, capsys):
+    calls = []
+
+    def counted(m, points, want_bach=None):
+        calls.append(m)
+        return curvature_pack(m, points, want_bach=want_bach)
+
+    for module in (variation, series):
+        monkeypatch.setattr(module, "curvature_pack", counted)
+    variation._critical_values.cache_clear()
+    assert cli_dispatch(["signtable", "--nmin", "3", "--nmax", "8"]) == 0
+    capsys.readouterr()
+    # 6 spheres and 6 hyperbolic spaces, each packed once for all its k
+    assert len(calls) <= 12 and len(set(calls)) == len(calls)
+    # the check reads what v_direct gives at its four seed-0 points, bit
+    # for bit, for every k it covers; Bach enters at k = 3 on the product
+    backgrounds = (RoundSphere(3, 1.0), RoundSphere(6, 2.0), HyperbolicSpace(4, 1.0),
+                   HyperbolicSpace(7, 0.5), FlatTorus((1, 2, 3, 1, 1)),
+                   ProductOfSpheres(((3, 1.0), (3, 1.0))))
+    for m in backgrounds:
+        vals = variation._critical_values(m)
+        assert sorted(vals) == ([1, 2] if m.n == 4 else [1, 2, 3])
+        for k, got in vals.items():
+            assert not got.flags.writeable
+            assert np.array_equal(got, (-2.0) ** k * v_direct(m, k, count=4)), (m, k)

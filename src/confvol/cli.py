@@ -17,7 +17,7 @@ import hashlib
 import json
 import sys
 import time
-from math import comb, isfinite, pi
+from math import comb, isfinite
 
 import numpy as np
 
@@ -320,16 +320,9 @@ def cmd_gaussbonnet(config: dict) -> dict:
     from .renorm import gauss_bonnet_4d
     from .series import v_direct
 
-    case = config["case"]
-    if case == "h4":
-        resid = gauss_bonnet_4d(4.0 * pi ** 2 / 3.0, 0.0, 1, mode="AHE")
-        return {"case": case, "chi": 1, "residual": resid}
-    if case == "s4":
-        m = RoundSphere(4, 1.0)
-        v4 = v_direct(m, 2, count=2)[0]
-        resid = gauss_bonnet_4d(v4 * sphere_volume(4), 0.0, 2, mode="compact")
-        return {"case": case, "chi": 2, "v4": v4, "residual": resid}
-    raise ConfigInvalid(f"gaussbonnet case must be h4 or s4, got {case!r}")
+    v4 = v_direct(RoundSphere(4, 1.0), 2, count=2)[0]
+    resid = gauss_bonnet_4d(v4 * sphere_volume(4), 0.0, 2, mode="compact")
+    return {"chi": 2, "v4": v4, "residual": resid}
 
 
 def cmd_flow(config: dict) -> dict:
@@ -354,7 +347,7 @@ def cmd_flow(config: dict) -> dict:
             # jets are the largest array
             _check_size("sphere flow chart-jet entries 48 * n^4 * C(n+2, 2)",
                         48 * m.n ** 4 * comb(m.n + 2, 2))
-        member = sphere_basis(m, lmax=2, axes_per_degree=1).members[-1]
+        member = sphere_basis(m, lmax=2).members[m.n + 1]
         omega0 = lambda x: config["amplitude"] * member(x)
         kw = {}
     report = run_flow(m, config["k"], omega0, tol=config["tol"],
@@ -419,7 +412,7 @@ _COMMANDS = {
     "signtable": (cmd_signtable, {"nmin": (int, 3), "nmax": (int, 8),
                                   "lmax": (int, 8)}),
     "rv": (cmd_rv, {"model": (str, "hyperbolic4")}),
-    "gaussbonnet": (cmd_gaussbonnet, {"case": (str, "h4")}),
+    "gaussbonnet": (cmd_gaussbonnet, {}),
     "flow": (cmd_flow, {**{k: v for k, v in _MODEL_KEYS.items() if k != "a"},
                         "k": (int, 1), "amplitude": (float, 0.05),
                         "grid": (int, 16), "tol": (float, 1e-6),

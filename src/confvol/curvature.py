@@ -104,10 +104,7 @@ def sigma_k(schouten: np.ndarray, metric: np.ndarray, k: int) -> np.ndarray:
 
 
 def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
-    """Laplace-Beltrami of scalar field(s) at chart points, shape (F, B)."""
-    single = not isinstance(fields, (list, tuple))
-    if single:
-        fields = [fields]
+    """Laplace-Beltrami of a list of scalar fields at chart points, shape (F, B)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = m.n
     space = jets.jet_space(n, 2)
@@ -124,8 +121,7 @@ def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
         grad = w.gradient_value()                             # (n, B)
         cov = hess - np.einsum("kij...,k...->ij...", gam, grad)
         out.append(np.einsum("ij...,ij...->...", Ginv.value, cov))
-    res = np.stack(out)
-    return res[0] if single else res
+    return np.stack(out)
 
 
 # -- chart pipeline --------------------------------------------------------

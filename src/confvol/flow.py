@@ -82,9 +82,6 @@ class TorusGrid:
     def project(self, omega):
         return omega
 
-    def sample(self, field):
-        return field_values(field, self.points)
-
 
 class SphereZonal:
     """Zonal fields omega = f(y_axis) on a round sphere, 1D spectral grid."""
@@ -152,9 +149,6 @@ class SphereZonal:
     def project(self, omega):
         return self.synth @ (self.analysis @ omega)
 
-    def sample(self, field):
-        return field_values(field, self.points)
-
 
 @dataclass(frozen=True)
 class FlowState:
@@ -193,8 +187,8 @@ def make_state(disc, omega0, k: int) -> FlowState:
     if n == 2 * k:
         raise InvalidRange(
             f"F_{k} is conformally invariant in dimension {n}; no flow")
-    omega = np.asarray(omega0, dtype=float) if not callable(omega0) \
-        else disc.sample(omega0)
+    omega = field_values(omega0, disc.points) if callable(omega0) \
+        else np.asarray(omega0, dtype=float)
     return _state(disc, omega, k, 0)
 
 

@@ -265,11 +265,6 @@ def _embedding_component(m: RoundSphere, x: Sequence[Jet], axis: int):
     return 2.0 * m.radius * x[axis] * inv
 
 
-def sphere_embedding(m: RoundSphere, x: Sequence[Jet]):
-    """Unit-sphere embedding components of the stereographic chart point."""
-    return [_embedding_component(m, x, axis) for axis in range(m.n + 1)]
-
-
 def zonal_field(m: RoundSphere, poly_coeffs: np.ndarray, axis: int):
     """Field sum_p c_p * yhat_axis^p on the sphere (yhat the unit embedding,
     axis in 0..n)."""

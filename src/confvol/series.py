@@ -6,9 +6,13 @@ v_k come from the log-determinant expansion of (det g(rho)/det g)^{1/2};
 the associated contravariant tensors L_(k), all computed in one pass, are
 the Taylor coefficients of -v(rho) int_0^rho g^{ij}(u) du.
 
-Einstein backgrounds (Ric = 2a(n-1)g) have the closed family
-g(rho) = (1 + a rho)^2 g, which makes every quantity here available in
-closed form and serves as the primary oracle.
+Every series is one family, g(rho) = (g + rho P) g^{-1} (g + rho P) with P
+the Schouten tensor.  It is exact at every order on Einstein and on locally
+conformally flat metrics, where the expansion terminates (Fefferman and
+Graham, The Ambient Metric, ch. 7), and v_k is then sigma_k(g^{-1}P).
+Einstein backgrounds (Ric = 2a(n-1)g) have P = a g, so the family is
+(1 + a rho)^2 g, every quantity here has a closed form, and that closed
+form is the primary oracle.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ class MetricSeries:
     """Taylor coefficients g_0 + g_1 rho + ... + g_K rho^K at fixed points.
 
     coeffs has shape (K+1, npts, n, n); coeffs[0] is the base metric.
-    einstein_a is the Einstein constant when the family is the closed
-    Einstein one (the series is then exact at every order), else None.
+    einstein_a is the Einstein constant a of an Einstein model, whose
+    Schouten tensor is P = a g, so that the closed forms einstein_vk_exact
+    and einstein_L_exact apply; it is None on every other kind.
     """
 
     n: int
@@ -60,48 +65,40 @@ def _series_points(m: ModelMetric, points, count: int) -> np.ndarray:
     return m.sample_points(count, np.random.default_rng(0))
 
 
-def einstein_series(m: ModelMetric, K: int | None = None, points=None,
-                    count: int = _DEFAULT_POINT_COUNT) -> MetricSeries:
-    """Series of the closed Einstein family g(rho) = (1 + a rho)^2 g.
+def metric_series(m: ModelMetric, K: int = 1, points=None,
+                  count: int = _DEFAULT_POINT_COUNT) -> MetricSeries:
+    """Series of g(rho) = (g + rho P) g^{-1} (g + rho P) to order K:
+    g_0 = g, g_1 = 2P, g_2 = P g^{-1} P and zero beyond.
 
-    Coefficients: g_l = binom(2, l) a^l g for l <= 2, zero beyond.
+    Exact at every order on Einstein and conformally flat kinds.  On other
+    kinds only g_1 = 2P holds, so K > 1 is refused there.
     """
-    a = einstein_constant(m)
-    if a is None:
-        raise NotEinstein(f"{type(m).__name__} is not a recognized Einstein model")
-    n = m.n
-    if K is None:
-        K = 2 * n + 2
     if K < 0:
         raise InvalidRange(f"truncation order K = {K} must be nonnegative")
-    pts = _series_points(m, points, count)
-    g0 = metric_values(m, pts)
-    coeffs = np.zeros((K + 1,) + g0.shape)
-    for l in range(min(K, 2) + 1):
-        coeffs[l] = comb(2, l) * a ** l * g0
-    return MetricSeries(n=n, points=pts, coeffs=coeffs, K=K, einstein_a=a)
-
-
-def first_order_series(m: ModelMetric, K: int = 1, points=None,
-                       count: int = _DEFAULT_POINT_COUNT) -> MetricSeries:
-    """General-metric series to first order: g_1 = 2P (P the Schouten tensor).
-
-    Higher coefficients for non-Einstein metrics require the full expansion
-    recursion, which is out of scope here.
-    """
-    if K > 1:
+    a = einstein_constant(m)
+    if K > 1 and a is None and not conformally_flat(m):
         raise GeneralFGUnavailable(
             "general-metric series coefficients beyond order 1 are not constructed")
-    a = einstein_constant(m)
-    if a is not None:
-        return einstein_series(m, K=K, points=points, count=count)
     pts = _series_points(m, points, count)
-    pack = curvature_pack(m, pts, want_bach=False)
-    coeffs = np.zeros((K + 1,) + pack.metric.shape)
-    coeffs[0] = pack.metric
-    if K >= 1:
-        coeffs[1] = 2.0 * pack.schouten
-    return MetricSeries(n=m.n, points=pts, coeffs=coeffs, K=K, einstein_a=None)
+    if a is not None:
+        # P = a g; no curvature pack, whose n^4 tensors dominate at large n
+        g0 = metric_values(m, pts)
+        P = a * g0
+    else:
+        pack = curvature_pack(m, pts, want_bach=False)
+        g0, P = pack.metric, pack.schouten
+    coeffs = np.zeros((K + 1,) + g0.shape)
+    coeffs[:3] = np.stack([g0, 2.0 * P, P @ np.linalg.solve(g0, P)])[: K + 1]
+    return MetricSeries(n=m.n, points=pts, coeffs=coeffs, K=K, einstein_a=a)
+
+
+def einstein_series(m: ModelMetric, K: int | None = None, points=None,
+                    count: int = _DEFAULT_POINT_COUNT) -> MetricSeries:
+    """metric_series of an Einstein model, (1 + a rho)^2 g, to order K
+    (default 2n + 2)."""
+    if einstein_constant(m) is None:
+        raise NotEinstein(f"{type(m).__name__} is not a recognized Einstein model")
+    return metric_series(m, 2 * m.n + 2 if K is None else K, points, count)
 
 
 def inverse_series(s: MetricSeries) -> np.ndarray:
@@ -148,17 +145,13 @@ def _volume_values(s: MetricSeries, ginv: np.ndarray, kmax: int) -> np.ndarray:
             l = mdeg - j
             t[mdeg] += (l + 1) * np.einsum(
                 "bij,bji->b", ginv[j], s.coeffs[l + 1])
-    # w = log det ratio: w_0 = 0, w_m = t_{m-1} / m
-    w = np.zeros((kmax + 1, npts))
-    for mdeg in range(1, kmax + 1):
-        w[mdeg] = t[mdeg - 1] / mdeg
-    # v = exp(w / 2) via v' = (w/2)' v
+    # v = (det g(rho) / det g)^{1/2} solves v' = (t / 2) v
     v = np.zeros((kmax + 1, npts))
     v[0] = 1.0
     for mdeg in range(1, kmax + 1):
         acc = np.zeros(npts)
         for j in range(1, mdeg + 1):
-            acc += j * 0.5 * w[j] * v[mdeg - j]
+            acc += 0.5 * t[j - 1] * v[mdeg - j]
         v[mdeg] = acc / mdeg
     return v
 

@@ -58,6 +58,7 @@ class SpectralBasis:
 
 _MAX_MEMBERS = 1000      # Dir/Gram assembly costs members^2 x nodes
 _PAIR_NODES = 48         # Gauss-Legendre nodes in psi of the sphere Dir/Gram disk
+_AXES_PER_DEGREE = 2     # zonal axes of each sphere basis degree above 1
 
 
 def _check_size(size: int, what: str):
@@ -67,9 +68,9 @@ def _check_size(size: int, what: str):
                            f"at most {_MAX_MEMBERS} members")
 
 
-def _zonal_size(n: int, lmax: int, axes_per_degree: int) -> int:
+def _zonal_size(n: int, lmax: int) -> int:
     """Members of a sphere basis: the full degree-1 block, then a few axes."""
-    return (n + 1) + (lmax - 1) * min(axes_per_degree, n + 1)
+    return (n + 1) + (lmax - 1) * min(_AXES_PER_DEGREE, n + 1)
 
 
 def basis_for(m: ModelMetric, *args, **kw) -> SpectralBasis:
@@ -121,11 +122,11 @@ def _gegenbauer_coeffs(l: int, n: int) -> np.ndarray:
 # -- sphere basis -----------------------------------------------------------
 
 
-def sphere_basis(m: RoundSphere, lmax: int = 8, axes_per_degree: int = 2) -> SpectralBasis:
+def sphere_basis(m: RoundSphere, lmax: int = 8) -> SpectralBasis:
     """Zonal harmonics to degree lmax, orthonormalized degree by degree.
 
     Degree 1 always carries the full (n+1)-dimensional block of ambient
-    coordinate functions; higher degrees take ``axes_per_degree`` axes.
+    coordinate functions; higher degrees take ``_AXES_PER_DEGREE`` axes.
     """
     n, L = m.n, m.radius
     if n < 2:
@@ -133,11 +134,11 @@ def sphere_basis(m: RoundSphere, lmax: int = 8, axes_per_degree: int = 2) -> Spe
         raise InvalidRange(f"n = {n} must be at least 2 for zonal harmonics")
     if lmax < 1:
         raise InvalidRange(f"lmax = {lmax} must be at least 1")
-    _check_size(_zonal_size(n, lmax, axes_per_degree),
+    _check_size(_zonal_size(n, lmax),
                 f"lmax = {lmax} on S^{n}")
     members, eigenvalues, labels, structure = [], [], [], []
     for l in range(1, lmax + 1):
-        naxes = n + 1 if l == 1 else min(axes_per_degree, n + 1)
+        naxes = n + 1 if l == 1 else min(_AXES_PER_DEGREE, n + 1)
         coeffs = _gegenbauer_coeffs(l, n)
         axes = list(range(naxes))
         # exact Gram of the raw zonal block on the radius-L sphere
@@ -272,8 +273,8 @@ def torus_basis(m: FlatTorus, mmax: int = 4) -> SpectralBasis:
 
 def product_basis(m: ProductOfSpheres, lmax: int = 4) -> SpectralBasis:
     """Factor harmonics lifted to the product (constant on the other factors),
-    from each factor's sphere basis with its default two axes per degree."""
-    _check_size(sum(_zonal_size(d, lmax, 2) for d, _ in m.factors),
+    from each factor's sphere basis."""
+    _check_size(sum(_zonal_size(d, lmax) for d, _ in m.factors),
                 f"lmax = {lmax} on {len(m.factors)} sphere factors")
     members, eigenvalues, labels = [], [], []
     offset = 0

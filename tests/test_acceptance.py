@@ -19,9 +19,11 @@ from confvol.models import (
     HyperbolicSpace,
     ProductOfSpheres,
     RoundSphere,
+    combined_field,
     einstein_model,
     fourier_field,
     sphere_volume,
+    zonal_field,
 )
 from confvol.renorm import (
     AHNormalForm,
@@ -119,31 +121,19 @@ def test_criterion_03_L_tensor_identities():
 
 
 def _basis_direction(m, basis, coef):
-    """Random basis combination as one field sharing a single embedding
-    evaluation (equivalent to combined_field, but cheap on high-order jets)."""
-    from confvol.models import sphere_embedding
+    """Random basis combination as one zonal polynomial per axis (equal to
+    combining the members, but cheap on high-order jets); the per-axis
+    fields share the chart point's memoized |x|^2."""
+    from confvol.spectral import _gegenbauer_coeffs
 
     per_axis = {}
     for c, structure in zip(coef, basis.zonal_structure):
         for degree, axis, weight in structure:
             poly = per_axis.setdefault(axis, np.zeros(9))
-            from confvol.spectral import _gegenbauer_coeffs
-
             p = _gegenbauer_coeffs(degree, m.n)
             poly[: len(p)] += c * weight * p
-
-    def field(x):
-        emb = sphere_embedding(m, x)
-        out = 0.0
-        for axis, poly in per_axis.items():
-            t = emb[axis]
-            acc = poly[-1] * (t * 0.0 + 1.0)
-            for cc in poly[-2::-1]:
-                acc = acc * t + cc
-            out = out + acc
-        return out
-
-    return field
+    fields = [zonal_field(m, poly, axis) for axis, poly in per_axis.items()]
+    return combined_field(fields, np.ones(len(fields)))
 
 
 def test_criterion_04_variation_oracle():

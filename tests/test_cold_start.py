@@ -22,7 +22,7 @@ report = {"import": heavy()}
 for argv in (["vk", "--n", "5", "--kmax", "5"],
              ["ltensor", "--n", "4", "--kmax", "4"],
              ["curvature", "--n", "5"],
-             ["gaussbonnet", "--case", "s4"],
+             ["gaussbonnet"],
              ["flow", "--model", "torus", "--periods", "1,1,1", "--k", "1"]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = confvol.cli.cli_dispatch(argv)

@@ -14,7 +14,7 @@ from confvol.curvature import (
     laplacian,
     sigma_k,
 )
-from confvol.errors import KOutOfRange
+from confvol.errors import KOutOfRange, NonPositiveDefinite
 from confvol.models import (
     ConformalDeformation,
     FlatTorus,
@@ -346,3 +346,25 @@ def test_kulkarni_nomizu_bitwise_unchanged():
         got = _kulkarni_nomizu(P, g)
         assert np.array_equal(got, ref), n
         assert np.array_equal(np.signbit(got), np.signbit(ref)), n
+
+
+class _ChartOnly(models.ModelMetric):
+    """A metric given only by its chart function, so it takes the chart route."""
+
+    def __init__(self, n, chart):
+        self.n, self.chart = n, chart
+
+
+def test_chart_pack_rejects_degenerate_and_asymmetric_metrics():
+    pts = np.array([[0.0, 0.3, -0.2]])
+    degenerate = _ChartOnly(3, lambda x: models._delta_matrix(x, scale=x[0] * x[0]))
+    with pytest.raises(NonPositiveDefinite, match="degenerate"):
+        curvature_pack(degenerate, pts)
+
+    def asymmetric(x):
+        G = models._delta_matrix(x)
+        G.c[0, 1, ..., 0] = 0.1
+        return G
+
+    with pytest.raises(NonPositiveDefinite, match="not symmetric"):
+        curvature_pack(_ChartOnly(3, asymmetric), pts)

@@ -21,11 +21,12 @@ from confvol.models import (
 )
 from confvol.series import (
     L_tensors,
+    MetricSeries,
     einstein_L_exact,
     einstein_series,
     einstein_vk_exact,
-    first_order_series,
     inverse_series,
+    metric_series,
     v_direct,
     vk_from_series,
 )
@@ -124,12 +125,75 @@ def test_v_direct_nonhomogeneous():
 def test_first_order_series_general_metric():
     # v_1 = tr_g P = R / (2(n-1)) for any metric, via g_1 = 2P
     m = ProductOfSpheres(((2, 1.0), (2, 2.0)))   # not Einstein
-    s = first_order_series(m)
+    s = metric_series(m)
     v = vk_from_series(s)
     from confvol.curvature import curvature_pack
 
     R = curvature_pack(m, s.points, want_bach=False).scalar
     assert np.max(np.abs(v[1] - R / (2.0 * (m.n - 1)))) < 1e-10
+
+
+_bump = lambda x: 0.1 * x[0] * x[1] + 0.05 * x[2]
+_warped = WarpedRadial(lambda r: 1.0 + 0.3 * r * r, RoundSphere(4, 1.0), (0.0, 1.0))
+
+# conformally flat kinds that are not Einstein, with the largest k their
+# series reaches: every k <= n in odd n, k <= n/2 in even n
+CONFORMALLY_FLAT_CASES = [
+    (ConformalDeformation(RoundSphere(5, 1.0), _bump), 5),
+    (ConformalDeformation(RoundSphere(7, 1.3), _bump), 7),
+    (ConformalDeformation(HyperbolicSpace(5, 1.0), _bump), 5),
+    (ConformalDeformation(HyperbolicSpace(7, 1.0), _bump), 7),
+    (ConformalDeformation(FlatTorus((1.0,) * 5), _bump), 5),
+    (_warped, 5),
+    (ConformalDeformation(_warped, _bump), 5),
+    (ConformalDeformation(RoundSphere(6, 1.0), _bump), 3),
+]
+
+
+def _bounds(s: MetricSeries) -> np.ndarray:
+    """2^n r^j for j = 0..n, r the spectral radius of A = g^{-1}P at each
+    point, shape (n+1, npts).  The recurrences for v_j and L_(j+1) add terms
+    up to about this size (|tr A^i| <= n r^i, |sigma_i(A)| <= C(n, i) r^i),
+    so it is the scale of their rounding."""
+    A = np.linalg.solve(s.coeffs[0], s.coeffs[1] / 2.0)
+    r = np.max(np.abs(np.linalg.eigvals(A)), axis=1)
+    return np.stack([2.0 ** s.n * r ** j for j in range(s.n + 1)])
+
+
+def test_metric_series_matches_sigma_k_on_conformally_flat_kinds():
+    # g(rho) = (g + rho P) g^{-1} (g + rho P) is exact there, so the series
+    # route's v_k is sigma_k(g^{-1}P), which v_direct reads from Newton's
+    # identities; without g_2 the two disagree from k = 2 on
+    for m, kmax in CONFORMALLY_FLAT_CASES:
+        s = metric_series(m, K=kmax)
+        v, size = vk_from_series(s), _bounds(s)
+        no_g2 = vk_from_series(MetricSeries(
+            n=m.n, points=s.points, K=2,
+            coeffs=np.concatenate([s.coeffs[:2], np.zeros_like(s.coeffs[:1])])))
+        for k in range(1, kmax + 1):
+            direct = (-2.0) ** k * v_direct(m, k, points=s.points)
+            assert np.max(np.abs(v[k] - direct) / size[k]) <= 1e-13, (m, k)
+            if k == 2:
+                assert np.min(np.abs(no_g2[2] - direct) / size[2]) > 1e-3, m
+
+
+def test_L_tensors_are_newton_tensors_on_conformally_flat_kinds():
+    # L_(k) = -T_{k-1}(A) g^{-1}, with A = g^{-1}P and the Newton tensors
+    # T_0 = I, T_j = sigma_j(A) I - A T_{j-1}
+    from confvol.curvature import sigma_k
+
+    for m, kmax in CONFORMALLY_FLAT_CASES:
+        s = metric_series(m, K=kmax)
+        L, size = L_tensors(s), _bounds(s)
+        g0, P = s.coeffs[0], s.coeffs[1] / 2.0
+        ginv = np.linalg.inv(g0)
+        A = ginv @ P
+        scale = np.max(np.abs(ginv), axis=(1, 2))
+        T = np.broadcast_to(np.eye(m.n), A.shape)
+        for k in range(1, kmax + 1):
+            gap = np.max(np.abs(L[k] + T @ ginv), axis=(1, 2))
+            assert np.max(gap / (size[k - 1] * scale)) <= 1e-13, (m, k)
+            T = sigma_k(P, g0, k)[:, None, None] * np.eye(m.n) - A @ T
 
 
 def test_scaling_law():
@@ -146,9 +210,7 @@ def test_error_conditions():
     with pytest.raises(NotEinstein):
         einstein_series(ProductOfSpheres(((2, 1.0), (2, 2.0))))
     with pytest.raises(GeneralFGUnavailable):
-        first_order_series(ProductOfSpheres(((2, 1.0), (2, 2.0))), K=2)
-    from confvol.series import MetricSeries
-
+        metric_series(ProductOfSpheres(((2, 1.0), (2, 2.0))), K=2)
     se = einstein_series(RoundSphere(4, 1.0), K=4)
     s4 = MetricSeries(n=4, points=se.points, coeffs=se.coeffs, K=4,
                       einstein_a=None)   # same data, generic-metric flag

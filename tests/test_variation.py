@@ -245,6 +245,19 @@ def test_not_critical_gate():
         variation.einstein_constant = orig
 
 
+def test_diagonal_gate(monkeypatch):
+    # a Dirichlet matrix off by one part in 10^6 moves the assembled S^5
+    # Hessian off its closed-form diagonal past the gate's tolerance
+    def skewed(m, basis):
+        dir_, gram = sphere_pair_matrices(m, basis)
+        return (1.0 + 1e-6) * dir_, gram
+
+    m = RoundSphere(5, 1.0)
+    monkeypatch.setattr(variation, "sphere_pair_matrices", skewed)
+    with pytest.raises(NotCritical, match="exact diagonal"):
+        hessian_Fk(m, 1, sphere_basis(m, lmax=3))
+
+
 def test_product_hessian_at_default_resolution():
     # the Gauss-Jacobi sphere grid integrates the factor harmonics exactly,
     # so the assembled S^2 x S^2 Hessian meets the diagonal gate at once

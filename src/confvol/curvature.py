@@ -1,15 +1,23 @@
 """Pointwise curvature of model metrics.
 
 Two routes, chosen by model kind.  Flat tori, space forms, products of
-round spheres and warped products over a round sphere write their Riemann
-tensor in closed form as a sum of Kulkarni-Nomizu products, contract it in
-one tail, and take Bach as -P^{kl} W_{kijl}.  Every other kind propagates
-metric component jets through the Christoffel / Riemann / Schouten / Bach
-pipeline; all derivatives are exact Taylor coefficients, never finite
-differences.  The two routes must agree.  Order-4 jets, and so the Bach
-pipeline, serve only that chart route, and only when Bach is asked for:
-series.v_direct asks for it at k = 3 on kinds that are not conformally
-flat, since on conformally flat kinds Bach vanishes and v_k is sigma_k.
+round spheres and warped products over a round sphere are diagonal metrics
+whose Riemann tensor is a sum of Kulkarni-Nomizu products of their blocks.
+That route writes the metric without jets and contracts each product
+straight to Ricci, so it forms g, g^{-1}, Ricci, scalar and Schouten from
+(B, n) diagonals; Bach is -P^{kl} W_{kijl} there.  Every other kind
+propagates metric component jets through the Christoffel / Riemann /
+Schouten / Bach pipeline, whose raised Riemann jets Ricci is the trace of;
+all derivatives are exact Taylor coefficients, never finite differences.
+The two routes must agree.  Order-4 jets, and so the Bach pipeline, serve
+only that chart route, and only when Bach is asked for: series.v_direct
+asks for it at k = 3 on kinds that are not conformally flat, since on
+conformally flat kinds Bach vanishes and v_k is sigma_k.
+
+On both routes the lowered Riemann and Weyl tensors, (B, n, n, n, n), are
+formed on first read, from the stored Kulkarni-Nomizu terms or from the
+values of the raised Riemann jets and g.  v_k reads only g, g^{-1} and P,
+so it forms neither; Bach, the curvature command and tests do.
 
 Conventions: lowered Riemann tensor satisfies Rm[i,j,i,j] > 0 on round
 spheres (unit sphere sectional curvature +1), and the Laplacian is the
@@ -18,7 +26,9 @@ trace of the covariant Hessian (negative spectrum on compact manifolds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -32,27 +42,44 @@ from .models import (
     ProductOfSpheres,
     RoundSphere,
     WarpedRadial,
-    metric_values,
+    metric_diagonal,
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class CurvaturePack:
-    """Curvature tensors at a batch of chart points (batch axis first)."""
+    """Curvature tensors at a batch of chart points (batch axis first).
+
+    The lowered Riemann and Weyl tensors, (B, n, n, n, n) each, are formed
+    on first read: ``form_riemann`` builds Riemann, and Weyl subtracts
+    P KN g from it.  v_k reads neither, so only Bach, the ``curvature``
+    command and tests form them.
+    """
 
     points: np.ndarray          # (B, n)
     metric: np.ndarray          # (B, n, n)
     inverse: np.ndarray         # (B, n, n)
-    riemann: np.ndarray         # (B, n, n, n, n), fully lowered
     ricci: np.ndarray           # (B, n, n)
     scalar: np.ndarray          # (B,)
     schouten: np.ndarray        # (B, n, n)
-    weyl: np.ndarray            # (B, n, n, n, n)
-    bach: np.ndarray | None     # (B, n, n) when requested
+    form_riemann: Callable[[], np.ndarray] = field(repr=False)
+    bach: np.ndarray | None = None      # (B, n, n) when requested
 
     @property
     def n(self) -> int:
         return self.metric.shape[-1]
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        """Fully lowered Riemann tensor, (B, n, n, n, n)."""
+        return self.form_riemann()
+
+    @cached_property
+    def weyl(self) -> np.ndarray:
+        """Weyl tensor Rm - P KN g, (B, n, n, n, n); zero below n = 3."""
+        if self.n < 3:
+            return np.zeros(self.metric.shape[:1] + (self.n,) * 4)
+        return self.riemann - _kulkarni_nomizu(self.schouten, self.metric)
 
 
 def curvature_pack(m: ModelMetric, points, want_bach=None) -> CurvaturePack:
@@ -69,7 +96,7 @@ def curvature_pack(m: ModelMetric, points, want_bach=None) -> CurvaturePack:
     closed = _closed_form(m, points)
     if closed is None:
         return _chart_pack(m, points, want_bach)
-    pack = _pack(points, *closed)
+    pack = _closed_pack(points, *closed)
     if want_bach and m.n >= 3:
         pack.bach = -_p_dot_weyl(pack.inverse, pack.schouten, pack.weyl)
     return pack
@@ -110,8 +137,8 @@ def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
     space = jets.jet_space(n, 2)
     x = jets.coordinates(space, points.T)
     G = m.chart(x)
-    Ginv = _inverse_jets(G, np.moveaxis(G.value, -1, 0), 0)
-    gam = _christoffel(G, Ginv, 1).value                       # (k, i, j, B)
+    Ginv = _inverse_jets(G, np.moveaxis(G.value, -1, 0), 0)  # values only
+    gam = _christoffel(G, Ginv, 1)[..., 0]                    # (k, i, j, B)
     out = []
     for f in fields:
         w = f(x)
@@ -120,7 +147,7 @@ def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
         ])                                                    # (n, n, B)
         grad = w.gradient_value()                             # (n, B)
         cov = hess - np.einsum("kij...,k...->ij...", gam, grad)
-        out.append(np.einsum("ij...,ij...->...", Ginv.value, cov))
+        out.append(np.einsum("ij...,ij...->...", Ginv[..., 0], cov))
     return np.stack(out)
 
 
@@ -142,81 +169,72 @@ def _chart_pack(m: ModelMetric, points: np.ndarray, want_bach: bool) -> Curvatur
         raise NonPositiveDefinite("metric degenerate at a sampled point")
 
     Ginv = _inverse_jets(G, g0, order)
-    gam = _christoffel(G, Ginv, order)                        # trusted order-1
+    gam = _christoffel(G, Ginv, order)                        # to order - 1
 
-    # Riemann jets are trusted to order o2 = order - 2 and only the nc
-    # coefficients up to it are formed: the value at order 2, and at order 4
-    # the second order that the Bach pipeline reads of P
+    # Riemann jets are trusted to order o2 = order - 2, and every product
+    # returns only the coefficients up to it: the value at order 2, and at
+    # order 4 the second order that the Bach pipeline reads of P
     o2 = order - 2
-    nc = space.ncoef_at(o2)
-    dgam = np.stack([space.diff(gam.c, v, o2) for v in range(n)])
+    dgam = np.stack([space.diff(gam, v, o2) for v in range(n)])
     # Riem_up[rho, sig, mu, nu] = d_mu Gam^rho_{nu sig} - d_nu Gam^rho_{mu sig}
     #                             + Gam^rho_{mu lam} Gam^lam_{nu sig} - (mu<->nu)
     t1 = dgam.transpose(1, 3, 0, 2, *range(4, dgam.ndim))
     t2 = t1.swapaxes(2, 3)
-    gg = space.mul(gam.c, gam.c, o2, "rml...p,lsn...p->rsmn...")[..., :nc]
+    gg = space.mul(gam, gam, o2, "rml...p,lsn...p->rsmn...")
     riem_up = t1 - t2 + gg - gg.swapaxes(2, 3)
 
-    # mul at out_order o2 reads only the first nc coefficients of ric
     ric = np.einsum("msmn...->sn...", riem_up)
-    scal = space.mul(Ginv.c, ric, o2, "ij...p,ij...p->...")[..., :nc]
-    if n >= 3:
-        P = (ric - space.mul(scal[None, None], G.c, o2)[..., :nc]
-             / (2.0 * (n - 1))) / (n - 2)
-
-    # lowered Riemann (values suffice downstream)
-    rm_up0 = np.moveaxis(riem_up[..., 0], -1, 0)             # (B, n,n,n,n)
-    riemann = np.einsum("...rl,...lsmn->...rsmn", g0, rm_up0)
+    scal = space.mul(Ginv, ric, o2, "ij...p,ij...p->...")
     ricci = np.moveaxis(ric[..., 0], -1, 0)
-    scalar = scal[..., 0]                                     # (B,)
-    ginv0 = np.linalg.inv(g0)
-
     if n >= 3:
+        P = (ric - space.mul(scal[None, None], G.c, o2) / (2.0 * (n - 1))) / (n - 2)
         schout = np.moveaxis(P[..., 0], -1, 0)
-        weyl = riemann - _kulkarni_nomizu(schout, g0)
     else:
         schout = np.zeros_like(ricci)
-        weyl = np.zeros_like(riemann)
 
-    bach = None
+    # the lowered Riemann tensor needs only the values of Riem_up
+    rm_up0 = np.moveaxis(riem_up[..., 0], -1, 0)             # (B, n,n,n,n)
+    pack = CurvaturePack(
+        points, g0, np.linalg.inv(g0), ricci, scal[..., 0], schout,
+        lambda: np.einsum("...rl,...lsmn->...rsmn", g0, rm_up0))
     if want_bach and n >= 3:
-        P_full = np.zeros(P.shape[:-1] + (space.ncoef,))
-        P_full[..., :nc] = P
-        bach = _bach(space, gam, Jet(space, P_full), weyl, ginv0, n)
-
-    return CurvaturePack(points, g0, ginv0, riemann, ricci, scalar,
-                         schout, weyl, bach)
+        pack.bach = _bach(space, gam, P, pack.weyl, pack.inverse, n)
+    return pack
 
 
 # matrix product of matrix jets: [i, j] = sum_k A[i, k] B[k, j]
 _MATMUL = "ik...p,kj...p->ij..."
 
 
-def _inverse_jets(G: Jet, g0: np.ndarray, order: int) -> Jet:
+def _inverse_jets(G: Jet, g0: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients up to ``order`` of the inverse of the matrix jet G,
+    whose value is g0 (B, n, n)."""
     space = G.space
-    inv0 = np.moveaxis(np.linalg.inv(g0), 0, -1)              # (n, n, B)
-    inv0_c = Jet.constant(space, inv0).c
+    n, nc = G.c.shape[0], space.ncoef_at(order)
+    inv0_c = np.zeros((n, n, len(g0), nc))
+    inv0_c[..., 0] = np.moveaxis(np.linalg.inv(g0), 0, -1)
     delta = G.c.copy()
     delta[..., 0] = 0.0
     E = space.mul(inv0_c, delta, order, _MATMUL)              # zero constant term
-    eye = Jet.constant(space, np.broadcast_to(np.eye(G.c.shape[0])[:, :, None],
-                                              inv0.shape)).c
+    eye = np.zeros_like(inv0_c)
+    eye[..., 0] = np.eye(n)[:, :, None]
     acc = -E                                                  # Neumann series in -E
     total = eye + acc
     for _ in range(order - 1):
         acc = -space.mul(acc, E, order, _MATMUL)
         total = total + acc
-    return Jet(space, space.mul(total, inv0_c, order, _MATMUL))
+    return space.mul(total, inv0_c, order, _MATMUL)
 
 
-def _christoffel(G: Jet, Ginv: Jet, order: int) -> Jet:
+def _christoffel(G: Jet, Ginv: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients up to ``order - 1`` of Gam^k_ij, shape (k, i, j, B, nc)."""
     space = G.space
     n = G.c.shape[0]
     dG = np.stack([space.diff(G.c, v, order - 1) for v in range(n)])  # (v,a,b,B,nc)
     M1 = dG.transpose(2, 0, 1, *range(3, dG.ndim))            # [l,i,j] = d_i g_{jl}
     M2 = dG.transpose(2, 1, 0, *range(3, dG.ndim))            # [l,i,j] = d_j g_{il}
     T = M1 + M2 - dG
-    return Jet(space, 0.5 * space.mul(Ginv.c, T, order - 1, "kl...p,lij...p->kij..."))
+    return 0.5 * space.mul(Ginv, T, order - 1, "kl...p,lij...p->kij...")
 
 
 def _kulkarni_nomizu(P: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -228,21 +246,21 @@ def _kulkarni_nomizu(P: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _bach(space, gam, P, weyl, ginv0, n):
-    """B_ij = Lap P_ij - div div term - P^{kl} W_{kijl} (values)."""
-    dP = np.stack([P.diff(v).c for v in range(n)])            # (v,i,j,B,nc)
-    covP = (dP - space.mul(gam.c, P.c, 1, "lvi...p,lj...p->vij...")
-            - space.mul(gam.c, P.c, 1, "lvj...p,il...p->vij..."))
-    covP_j = Jet(space, covP)                                 # trusted order 1
+    """B_ij = Lap P_ij - div div term - P^{kl} W_{kijl} (values), from the
+    coefficients of gam to order 3 and of P to order 2."""
+    dP = np.stack([space.diff(P, v, 1) for v in range(n)])   # (v,i,j,B,nc)
+    covP = (dP - space.mul(gam, P, 1, "lvi...p,lj...p->vij...")
+            - space.mul(gam, P, 1, "lvj...p,il...p->vij..."))  # to order 1
 
-    dcov = np.stack([covP_j.diff(w).value for w in range(n)])  # (w,v,i,j,B)
-    cov0 = covP_j.value                                       # (v,i,j,B)
-    gam0 = gam.value                                          # (k,i,j,B)
+    dcov = np.stack([space.diff(covP, w, 0)[..., 0] for w in range(n)])  # (w,v,i,j,B)
+    cov0 = covP[..., 0]                                       # (v,i,j,B)
+    gam0 = gam[..., 0]                                        # (k,i,j,B)
     cov2 = (dcov
             - np.einsum("lwv...,lij...->wvij...", gam0, cov0)
             - np.einsum("lwi...,vlj...->wvij...", gam0, cov0)
             - np.einsum("lwj...,vil...->wvij...", gam0, cov0))
     cov2 = np.moveaxis(cov2, -1, 0)                           # (B,w,v,i,j)
-    P0 = np.moveaxis(P.value, -1, 0)
+    P0 = np.moveaxis(P[..., 0], -1, 0)
     lap_term = np.einsum("...wv,...wvij->...ij", ginv0, cov2)
     div_term = np.einsum("...wk,...wjik->...ij", ginv0, cov2)
     return lap_term - div_term - _p_dot_weyl(ginv0, P0, weyl)
@@ -258,59 +276,69 @@ def _p_dot_weyl(ginv0, P0, weyl):
 
 
 def _closed_form(m: ModelMetric, points: np.ndarray):
-    """(metric, lowered Riemann tensor) at the points for a kind with
-    closed-form curvature, or None for any other kind, decided before the
-    metric is evaluated.
+    """(metric diagonal, block dimensions, terms) at the points for a kind
+    with closed-form curvature, or None for any other kind, decided before
+    the metric is evaluated.
 
-    Each such metric is block diagonal, and its Riemann tensor is a sum of
-    c * h_a KN h_b Kulkarni-Nomizu products of its blocks h.  A factor of
-    sectional curvature kappa gives (kappa / 2) h KN h.  dr^2 + f(r)^2
-    g_{S^q(L)}, with blocks dr^2 and ghat, has radial and tangential
-    sectional curvatures -f''/f and (1/L^2 - f'^2)/f^2, and so gives
+    Each such metric is diagonal, with orthogonal blocks h_a of dimension
+    d_a, and its Riemann tensor is a sum of terms c * h_a KN h_b, listed as
+    (c, a, b).  A factor of sectional curvature kappa gives
+    (kappa / 2) h KN h.  dr^2 + f(r)^2 g_{S^q(L)}, with blocks dr^2 and
+    ghat, has radial and tangential sectional curvatures -f''/f and
+    (1/L^2 - f'^2)/f^2, and so gives
     (-f''/f) dr^2 KN ghat + (1/L^2 - f'^2)/(2 f^2) ghat KN ghat.
     """
     if isinstance(m, FlatTorus):
-        cuts, terms = (), ()
+        dims, terms = (m.n,), ()
     elif isinstance(m, RoundSphere):
-        cuts, terms = (0, m.n), ((0.5 / m.radius ** 2, 0, 0),)
+        dims, terms = (m.n,), ((0.5 / m.radius ** 2, 0, 0),)
     elif isinstance(m, HyperbolicSpace):
-        cuts, terms = (0, m.n), ((-0.5 / m.radius ** 2, 0, 0),)
+        dims, terms = (m.n,), ((-0.5 / m.radius ** 2, 0, 0),)
     elif isinstance(m, ProductOfSpheres):
-        cuts = (0, *np.cumsum([d for d, _ in m.factors]))
-        terms = [(0.5 / r ** 2, a, a) for a, (_, r) in enumerate(m.factors)]
+        dims = tuple(d for d, _ in m.factors)
+        terms = tuple((0.5 / r ** 2, a, a) for a, (_, r) in enumerate(m.factors))
     elif isinstance(m, WarpedRadial) and isinstance(m.fiber, RoundSphere):
         f = m.warp(Jet.variable(jets.jet_space(1, 2), 0, points[:, 0]))
         fp, fpp = f.diff(0).value, f.diff(0).diff(0).value
-        cuts = (0, 1, m.n)
+        dims = (1, m.fiber.n)
         terms = ((-fpp / f.value, 0, 1),
                  (0.5 * (1.0 / m.fiber.radius ** 2 - fp ** 2) / f.value ** 2, 1, 1))
     else:
         return None
-    g = metric_values(m, points)
-    blocks = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        h = np.zeros_like(g)
-        h[:, lo:hi, lo:hi] = g[:, lo:hi, lo:hi]
-        blocks.append(h)
-    riemann = np.zeros(g.shape[:1] + g.shape[1:] * 2)
+    return metric_diagonal(m, points), dims, terms
+
+
+def _closed_pack(points: np.ndarray, diag: np.ndarray, dims, terms) -> CurvaturePack:
+    """Pack of the diagonal metric diag (B, n) whose Riemann tensor is the
+    sum of the terms c * h_a KN h_b over its blocks.
+
+    With g^{-1} = sum_e h_e^{-1}, a term contracts to the Ricci tensor
+    c (d_a h_b + d_b h_a - 2 delta_ab h_a), so g^{-1}Ric and g^{-1}P are
+    diagonal and no (B, n, n, n, n) array is formed until Riemann is read.
+    """
+    n = diag.shape[-1]
+    block = np.repeat(np.arange(len(dims)), dims)             # block of each axis
+    ric = np.zeros_like(diag)                                 # eigenvalues of g^{-1}Ric
     for c, a, b in terms:
-        riemann += (np.reshape(c, (-1, 1, 1, 1, 1))
-                    * _kulkarni_nomizu(blocks[a], blocks[b]))
-    return g, riemann
-
-
-def _pack(points: np.ndarray, g0: np.ndarray, riemann: np.ndarray) -> CurvaturePack:
-    """Ricci, scalar, Schouten and Weyl by contraction of a lowered Riemann
-    tensor; no Bach tensor."""
-    n = g0.shape[-1]
-    ginv0 = np.linalg.inv(g0)
-    ricci = np.einsum("...ik,...ijkl->...jl", ginv0, riemann)
-    scalar = np.einsum("...jl,...jl->...", ginv0, ricci)
+        weight = (dims[a] * (block == b) + dims[b] * (block == a)
+                  - 2.0 * (a == b) * (block == a))
+        ric = ric + np.reshape(c, (-1, 1)) * weight
+    scalar = np.sum(ric, axis=-1)
     if n >= 3:
-        schout = (ricci - scalar[:, None, None] * g0 / (2 * (n - 1))) / (n - 2)
-        weyl = riemann - _kulkarni_nomizu(schout, g0)
+        sch = (ric - scalar[:, None] / (2.0 * (n - 1))) / (n - 2)
     else:
-        schout = np.zeros_like(g0)
-        weyl = np.zeros_like(riemann)
-    return CurvaturePack(points, g0, ginv0, riemann, ricci, scalar,
-                         schout, weyl, None)
+        sch = np.zeros_like(ric)
+
+    def embed(values):
+        return values[:, :, None] * np.eye(n)
+
+    def form_riemann():
+        blocks = [embed(np.where(block == a, diag, 0.0)) for a in range(len(dims))]
+        riemann = np.zeros(diag.shape[:1] + (n,) * 4)
+        for c, a, b in terms:
+            riemann += (np.reshape(c, (-1, 1, 1, 1, 1))
+                        * _kulkarni_nomizu(blocks[a], blocks[b]))
+        return riemann
+
+    return CurvaturePack(points, embed(diag), embed(1.0 / diag), embed(ric * diag),
+                         scalar, embed(sch * diag), form_riemann)

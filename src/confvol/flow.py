@@ -31,7 +31,7 @@ from .models import (
     zonal_field,
 )
 from .series import v_direct
-from .spectral import _gegenbauer_coeffs, field_values
+from .spectral import _gegenbauer_coeffs, field_values, gauss_legendre
 
 _VARIANCE_SLACK = 1e-14
 
@@ -87,11 +87,9 @@ class SphereZonal:
     """Zonal fields omega = f(y_axis) on a round sphere, 1D spectral grid."""
 
     def __init__(self, sphere: RoundSphere, nodes: int = 48, degree: int = 16):
-        from scipy.special import roots_legendre
-
         self.base = sphere
         n, L = sphere.n, sphere.radius
-        xs, ws = roots_legendre(nodes)
+        xs, ws = gauss_legendre(nodes)
         self.t = xs
         area = sphere_volume(n - 1)
         self.w = ws * (1.0 - xs ** 2) ** ((n - 2) / 2.0) * area * L ** n

@@ -15,8 +15,8 @@ for each group it gathers those pairs and combines them with one
 ``Jet`` arithmetic and tensor contractions of jets, such as the matrix
 products and Christoffel contractions of the curvature pipeline.
 The pair tables are built with array operations on monomial codes, and the
-pairs of each output coefficient are kept in row-major ``(i, j)`` order:
-that order is the einsum's summation order, so it fixes the output bits.
+pairs of each output coefficient are kept in row-major ``(i, j)`` order.
+That order and the operand layout fix the output bits (see ``JetSpace.mul``).
 
 Besides ring arithmetic and integer powers, jets compose with ``exp``,
 ``cos`` and ``reciprocal``, the functions the model charts and fields use.
@@ -73,7 +73,7 @@ class JetSpace:
             return by_code[np.searchsorted(code, codes, sorter=by_code)]
 
         # multiplication pairs grouped by output coefficient, each group in
-        # row-major (i, j) order (the einsum summation order)
+        # row-major (i, j) order
         left, right = np.nonzero(self.degree[:, None] + self.degree <= order)
         product = lookup(code[left] + code[right])
         grouped = np.argsort(product, kind="stable")
@@ -110,18 +110,25 @@ class JetSpace:
         ellipsis also carries the axis of the output coefficients of one
         group.  The default is the broadcast elementwise product; a tensor
         letter both operands share contracts, e.g. ``"ik...p,kj...p->ij..."``
-        multiplies matrix jets.  Output coefficients up to ``out_order`` read
-        only input coefficients of degree <= ``out_order``; those above it
-        are zero.
+        multiplies matrix jets.  The result holds the ``ncoef_at(out_order)``
+        coefficients up to ``out_order``, which read only input coefficients
+        of degree <= ``out_order``.
+
+        Each group's pairs are summed by one einsum call; on numpy 2.4 that
+        call adds a group of 3-7 pairs in two interleaved lanes and a larger
+        group in neither row-major nor lane order.  The pair order and the
+        operand layout therefore fix the output bits, and any change to this
+        kernel must be checked against the benchmark's task digests.
         """
-        top = self.order if out_order is None else out_order
+        top = self.order if out_order is None else min(out_order, self.order)
         out = None
         for deg, ks, idx_i, idx_j in self._groups:
             if deg > top:
                 break
             term = np.einsum(subscripts, a[..., idx_i], b[..., idx_j])
             if out is None:
-                out = np.zeros(term.shape[:-1] + (self.ncoef,), dtype=term.dtype)
+                # the groups up to degree top fill every coefficient below the cut
+                out = np.empty(term.shape[:-1] + (self._cut[top],), dtype=term.dtype)
             out[..., ks] = term
         return out
 
@@ -141,7 +148,7 @@ class JetSpace:
 def _as_inexact(a) -> np.ndarray:
     """Coerce to a float array, preserving complex inputs."""
     arr = np.asarray(a)
-    if not np.issubdtype(arr.dtype, np.inexact):
+    if arr.dtype.kind not in "fc":
         arr = arr.astype(float)
     return arr
 

@@ -51,8 +51,12 @@ class RoundSphere(ModelMetric):
     radius: float = 1.0
 
     def chart(self, x):
+        return _delta_matrix(x, scale=self.conformal_factor(x))
+
+    def conformal_factor(self, x):
+        """(2 L^2 (1 / (L^2 + |x|^2)))^2 at coordinate jets or arrays x."""
         _, inv = _stereographic(self.radius, x)
-        return _delta_matrix(x, scale=(2.0 * self.radius ** 2 * inv) ** 2)
+        return (2.0 * self.radius ** 2 * inv) ** 2
 
     def sample_points(self, count, rng):
         pts = rng.normal(size=(count, self.n)) * (0.4 * self.radius)
@@ -71,12 +75,12 @@ class HyperbolicSpace(ModelMetric):
     radius: float = 1.0
 
     def chart(self, x):
+        return _delta_matrix(x, scale=self.conformal_factor(x))
+
+    def conformal_factor(self, x):
+        """(1 / (L^2 - |x|^2) (2 L^2))^2 at coordinate jets or arrays x."""
         L2 = self.radius ** 2
-        s2 = x[0] * x[0]
-        for xi in x[1:]:
-            s2 = s2 + xi * xi
-        conf = (2.0 * L2 / (L2 - s2)) ** 2
-        return _delta_matrix(x, scale=conf)
+        return (1.0 / (L2 - _sum_of_squares(x)) * (2.0 * L2)) ** 2
 
     def sample_points(self, count, rng):
         pts = rng.normal(size=(count, self.n))
@@ -189,10 +193,39 @@ class ConformalDeformation(ModelMetric):
 
 
 def metric_values(m: ModelMetric, points) -> np.ndarray:
-    """Metric components of ``m`` at chart points (npts, n), shape (npts, n, n)."""
+    """Metric components of ``m`` at chart points (npts, n), shape (npts, n, n):
+    from ``metric_diagonal`` where it applies, else the chart on order-0 jets."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    x = jets.coordinates(jets.jet_space(m.n, 0), points.T)
-    return np.moveaxis(m.chart(x).value, -1, 0)
+    diag = metric_diagonal(m, points)
+    if diag is None:
+        x = jets.coordinates(jets.jet_space(m.n, 0), points.T)
+        return np.moveaxis(m.chart(x).value, -1, 0)
+    return diag[:, :, None] * np.eye(m.n)
+
+
+def metric_diagonal(m: ModelMetric, points: np.ndarray) -> np.ndarray | None:
+    """Diagonal (npts, n) of the chart metric of a flat torus, space form,
+    product of round spheres or warped product over a round sphere; None
+    for any other kind.  Each kind applies its chart's operations, in their
+    order, to coordinate arrays, so the two agree to the bit."""
+    x = points.T
+    if isinstance(m, FlatTorus):
+        return np.ones(points.shape)
+    if isinstance(m, (RoundSphere, HyperbolicSpace)):
+        return np.repeat(m.conformal_factor(x)[:, None], m.n, axis=1)
+    if isinstance(m, ProductOfSpheres):
+        cuts = np.cumsum([0] + [d for d, _ in m.factors])
+        return np.concatenate([metric_diagonal(RoundSphere(d, r), points[:, lo:hi])
+                               for (d, r), lo, hi in zip(m.factors, cuts, cuts[1:])],
+                              axis=1)
+    if isinstance(m, WarpedRadial) and isinstance(m.fiber, RoundSphere):
+        fiber = metric_diagonal(m.fiber, points[:, 1:])
+        # the warp on an order-0 jet: a jet power is a product chain, where
+        # an array power may round differently
+        f = m.warp(Jet.variable(jets.jet_space(1, 0), 0, x[0])).value
+        return np.concatenate([np.ones((len(points), 1)),
+                               (f * f)[:, None] * fiber], axis=1)
+    return None
 
 
 # -- Einstein bookkeeping -------------------------------------------------
@@ -245,13 +278,19 @@ def einstein_model(n: int, a: float) -> ModelMetric:
 # -- scalar fields ---------------------------------------------------------
 
 
+def _sum_of_squares(x):
+    """x_0^2 + x_1^2 + ..., added left to right, of jets or arrays."""
+    s2 = x[0] * x[0]
+    for xi in x[1:]:
+        s2 = s2 + xi * xi
+    return s2
+
+
 def _stereographic(radius: float, x: Sequence[Jet]):
     """(|x|^2, 1/(L^2 + |x|^2)) at radius L, once per list with a memo."""
     memo = getattr(x, "memo", {})
     if radius not in memo:
-        s2 = x[0] * x[0]
-        for xi in x[1:]:
-            s2 = s2 + xi * xi
+        s2 = _sum_of_squares(x)
         memo[radius] = (s2, 1.0 / (radius ** 2 + s2))
     return memo[radius]
 

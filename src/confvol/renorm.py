@@ -36,7 +36,7 @@ from .jets import Jet
 from .models import ConformalDeformation, ModelMetric, WarpedRadial
 from .quadrature import integrate
 from .series import v_direct
-from .spectral import field_values
+from .spectral import field_values, gauss_legendre
 
 # conditioning of the weighted monomial fit grows quickly with the number of
 # divergent terms; beyond this the analytic path is the only reliable route
@@ -205,10 +205,8 @@ def bulk_coefficient_integral(compact: WarpedRadial, k: int, omega=None) -> floa
     """Integral of v^(2k) over the compactification, reduced to the radial
     direction (the warped models are cohomogeneity one, so curvature
     depends on r alone; verified on a second fiber point)."""
-    from scipy.special import roots_legendre
-
     r0, rmax = compact.r_range
-    xs, ws = roots_legendre(_RADIAL_NODES)
+    xs, ws = gauss_legendre(_RADIAL_NODES)
     rs = 0.5 * (rmax - r0) * xs + 0.5 * (rmax + r0)
     wr = 0.5 * (rmax - r0) * ws
     q = compact.fiber.n

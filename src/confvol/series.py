@@ -38,7 +38,8 @@ from .models import ModelMetric, conformally_flat, einstein_constant, metric_val
 class MetricSeries:
     """Taylor coefficients g_0 + g_1 rho + ... + g_K rho^K at fixed points.
 
-    coeffs has shape (K+1, npts, n, n); coeffs[0] is the base metric.
+    coeffs has shape (K+1, npts, n, n); coeffs[0] is the base metric, and
+    g(rho) is quadratic in rho, so coeffs[l] is zero for l > 2.
     einstein_a is the Einstein constant a of an Einstein model, whose
     Schouten tensor is P = a g, so that the closed forms einstein_vk_exact
     and einstein_L_exact apply; it is None on every other kind.
@@ -56,6 +57,7 @@ class MetricSeries:
 
 
 _DEFAULT_POINT_COUNT = 6
+_TOP = 2        # degree of g(rho) in rho: g_l = 0 for l > _TOP
 
 
 def _series_points(m: ModelMetric, points, count: int) -> np.ndarray:
@@ -88,7 +90,7 @@ def metric_series(m: ModelMetric, K: int = 1, points=None,
         pack = curvature_pack(m, pts, want_bach=False)
         g0, P = pack.metric, pack.schouten
     coeffs = np.zeros((K + 1,) + g0.shape)
-    coeffs[:3] = np.stack([g0, 2.0 * P, P @ np.linalg.solve(g0, P)])[: K + 1]
+    coeffs[:_TOP + 1] = np.stack([g0, 2.0 * P, P @ np.linalg.solve(g0, P)])[: K + 1]
     return MetricSeries(n=m.n, points=pts, coeffs=coeffs, K=K, einstein_a=a)
 
 
@@ -104,14 +106,15 @@ def einstein_series(m: ModelMetric, K: int | None = None, points=None,
 def inverse_series(s: MetricSeries) -> np.ndarray:
     """Coefficients of g^{ij}(rho), shape (K+1, npts, n, n).
 
-    Neumann recurrence: Ginv_m = -Ginv_0 sum_{j=1}^m g_j Ginv_{m-j}.
+    Neumann recurrence: Ginv_m = -Ginv_0 sum_{j=1}^m g_j Ginv_{m-j}, where
+    only g_1 and g_2 can be nonzero.
     """
     inv0 = np.linalg.inv(s.coeffs[0])
     out = np.empty_like(s.coeffs)
     out[0] = inv0
     for m in range(1, s.K + 1):
         acc = np.zeros_like(inv0)
-        for j in range(1, m + 1):
+        for j in range(1, min(m, _TOP) + 1):
             acc += s.coeffs[j] @ out[m - j]
         out[m] = -inv0 @ acc
     return out
@@ -141,7 +144,8 @@ def _volume_values(s: MetricSeries, ginv: np.ndarray, kmax: int) -> np.ndarray:
     npts = s.points.shape[0]
     t = np.zeros((kmax + 1, npts))     # tr(g^{-1} g'), coefficients 0..kmax-1 used
     for mdeg in range(kmax):
-        for j in range(mdeg + 1):
+        # (l + 1) g_{l+1} is zero past l + 1 = _TOP
+        for j in range(max(0, mdeg + 1 - _TOP), mdeg + 1):
             l = mdeg - j
             t[mdeg] += (l + 1) * np.einsum(
                 "bij,bji->b", ginv[j], s.coeffs[l + 1])

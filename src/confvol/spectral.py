@@ -119,6 +119,19 @@ def _gegenbauer_coeffs(l: int, n: int) -> np.ndarray:
     return coeffs
 
 
+@lru_cache(maxsize=None)
+def gauss_legendre(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] (read-only: the arrays
+    are shared between callers).  Kept here, below ``quadrature``, so that
+    every module reaches it without an import cycle."""
+    from scipy.special import roots_legendre
+
+    xs, ws = roots_legendre(nodes)
+    for arr in (xs, ws):
+        arr.flags.writeable = False
+    return xs, ws
+
+
 # -- sphere basis -----------------------------------------------------------
 
 
@@ -184,10 +197,8 @@ def sphere_pair_matrices(m: RoundSphere, basis: SpectralBasis):
     """
     if basis.zonal_structure is None:
         raise InvalidRange("basis carries no zonal structure")
-    from scipy.special import roots_legendre
-
     n, L = m.n, m.radius
-    xs, ws = roots_legendre(_PAIR_NODES)
+    xs, ws = gauss_legendre(_PAIR_NODES)
     psi = 0.25 * np.pi * (xs + 1.0)
     wpsi = 0.25 * np.pi * ws * np.sin(psi) * np.cos(psi) ** (n - 2)
     phi = 2.0 * np.pi * (np.arange(2 * _PAIR_NODES) + 0.5) / (2 * _PAIR_NODES)

@@ -288,7 +288,7 @@ def test_inverse_jets_bitwise_unchanged():
         G = G + 0.1 * Jet(G.space, np.stack([np.stack([(xi * xj).c for xj in x])
                                              for xi in x]))
         g0 = np.moveaxis(G.value, -1, 0)
-        assert np.array_equal(_inverse_jets(G, g0, order).c,
+        assert np.array_equal(_inverse_jets(G, g0, order),
                               _ref_inverse(G, g0, order)), order
 
 
@@ -368,3 +368,82 @@ def test_chart_pack_rejects_degenerate_and_asymmetric_metrics():
 
     with pytest.raises(NonPositiveDefinite, match="not symmetric"):
         curvature_pack(_ChartOnly(3, asymmetric), pts)
+
+
+# -- closed-form metrics and on-demand Riemann and Weyl -----------------------
+
+_CLOSED_KINDS = (
+    FlatTorus((1.0, 2.0, 3.0)),
+    RoundSphere(5, 1.3),
+    HyperbolicSpace(4, 0.8),
+    ProductOfSpheres(((2, 1.0), (3, 1.7))),
+    WarpedRadial(lambda r: 1.0 + 0.3 * r * r - 0.2 * r ** 4, RoundSphere(3, 1.3),
+                 (0.0, 1.0)),
+)
+
+
+def test_direct_metric_matches_chart_bitwise():
+    # closed-form kinds write their metric without jets, in the chart's
+    # order of operations, so both agree to the bit, signed zeros included
+    for m in _CLOSED_KINDS + (WarpedRadial(lambda r: jets.exp(0.3 * r),
+                                           RoundSphere(2, 0.7), (0.0, 1.0)),):
+        pts = _random_points(m, 16)
+        x = jets.coordinates(jets.jet_space(m.n, 0), pts.T)
+        chart = np.moveaxis(m.chart(x).value, -1, 0)
+        direct = models.metric_values(m, pts)
+        assert np.array_equal(direct, chart), m
+        assert np.array_equal(np.signbit(direct), np.signbit(chart)), m
+    for m in (ConformalDeformation(RoundSphere(3), lambda x: x[0]),
+              WarpedRadial(lambda r: 1.0 + r * r, FlatTorus((1.0, 1.0)), (0.0, 1.0))):
+        assert models.metric_diagonal(m, _random_points(m, 2)) is None
+
+
+def test_v_k_path_forms_no_riemann_or_weyl(monkeypatch):
+    # v_k reads g, g^{-1} and P only: the packs of v_direct, of rv's bulk
+    # integral and of the criticality values form Riemann and Weyl on
+    # neither route, unless they hold Bach
+    from confvol import renorm, series, variation
+
+    packs = []
+
+    def recording(m, points, want_bach=None):
+        packs.append(curvature_pack(m, points, want_bach))
+        return packs[-1]
+
+    for module in (series, variation):
+        monkeypatch.setattr(module, "curvature_pack", recording)
+    bump = lambda x: 0.1 * x[0] * x[1] + 0.05 * x[2]
+    for m in _CLOSED_KINDS + (ConformalDeformation(RoundSphere(5, 1.0), bump),):
+        for k in range(1, 3 + (m.n >= 5)):
+            v_direct(m, k, count=3)
+    compact = renorm.geodesic_compactification(
+        renorm.hyperbolic_normal_form(RoundSphere(5)))
+    renorm.renorm_volume_geodcomp(compact, 5)
+    variation._critical_values.__wrapped__(RoundSphere(5, 0.9))
+    plain = [pack for pack in packs if pack.bach is None]
+    assert len(plain) == len(packs) - 1       # v_3 on the product takes Bach
+    for pack in plain:
+        assert "riemann" not in vars(pack) and "weyl" not in vars(pack)
+    # Bach reads Weyl, which reads Riemann, once
+    pack = curvature_pack(ProductOfSpheres(((2, 1.0), (3, 1.0))),
+                          _random_points(RoundSphere(5), 2))
+    assert "riemann" in vars(pack) and "weyl" in vars(pack)
+
+
+def test_closed_form_v_k_allocates_no_n4_array():
+    # at n = 12 and batch 48 one (B, n, n, n, n) array takes 8 MB; the
+    # closed-form v_k path must stay far below that
+    import tracemalloc
+
+    for m in (RoundSphere(12, 1.0), ProductOfSpheres(((5, 1.0), (7, 1.4))),
+              WarpedRadial(lambda r: 1.0 - r * r / 4.0, RoundSphere(11, 1.0),
+                           (0.0, 2.0))):
+        pts = _random_points(m, 48)
+        v_direct(m, 2, points=pts)            # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            v_direct(m, 2, points=pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 12 ** 4 * 8 / 10, (m, peak)

@@ -92,23 +92,35 @@ def test_batched_coefficients():
 
 
 def test_mul_order_cut():
-    sp = _space(2, 3)
-    x, y = jets.coordinates(sp, np.array([1.0, 1.0]))
-    full = (x * y).c
-    cut = sp.mul(x.c, y.c, 1)
-    assert np.all(cut[..., sp.ncoef_at(1):] == 0.0)
-    assert np.allclose(cut[..., : sp.ncoef_at(1)], full[..., : sp.ncoef_at(1)])
+    # a product cut at order o holds exactly the ncoef_at(o) leading
+    # coefficients of the full product, to the bit, elementwise or contracted
+    rng = np.random.default_rng(5)
+    for nvars, order in ((2, 3), (5, 2), (3, 4)):
+        sp = jets.jet_space(nvars, order)
+        cases = [
+            ("...p,...p->...", (3, 1, 2), (4, 1)),
+            ("ik...p,kj...p->ij...", (2, 4, 3), (4, 3, 3)),
+            ("rml...p,lsn...p->rsmn...", (nvars,) * 3 + (2,), (nvars,) * 3 + (2,)),
+        ]
+        for subscripts, sa, sb in cases:
+            a = rng.standard_normal(sa + (sp.ncoef,))
+            b = rng.standard_normal(sb + (sp.ncoef,))
+            full = sp.mul(a, b, None, subscripts)
+            assert full.shape[-1] == sp.ncoef
+            for o in range(order + 1):
+                cut = sp.mul(a, b, o, subscripts)
+                assert cut.shape == full.shape[:-1] + (sp.ncoef_at(o),)
+                assert np.array_equal(cut, full[..., :sp.ncoef_at(o)]), (
+                    nvars, order, subscripts, o)
 
 
 def _mul_per_coefficient(sp, a, b, out_order, subscripts):
-    # one einsum per output coefficient over its pairs, the plain definition
+    # one einsum per output coefficient over its pairs, the plain definition;
+    # like mul, it returns the coefficients up to out_order only
     nout = sp.ncoef_at(sp.order if out_order is None else out_order)
     terms = [np.einsum(subscripts, a[..., i], b[..., j])
              for i, j in sp._pairs[:nout]]
-    out = np.zeros(terms[0].shape + (sp.ncoef,), dtype=terms[0].dtype)
-    for k, term in enumerate(terms):
-        out[..., k] = term
-    return out
+    return np.stack(terms, axis=-1)
 
 
 def test_grouped_mul_matches_per_coefficient_loop():

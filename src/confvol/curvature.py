@@ -137,8 +137,9 @@ def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
     space = jets.jet_space(n, 2)
     x = jets.coordinates(space, points.T)
     G = m.chart(x)
-    Ginv = _inverse_jets(G, np.moveaxis(G.value, -1, 0), 0)  # values only
-    gam = _christoffel(G, Ginv, 1)[..., 0]                    # (k, i, j, B)
+    ginv = np.linalg.inv(np.moveaxis(G.value, -1, 0))        # (B, n, n)
+    ginv = np.ascontiguousarray(np.moveaxis(ginv, 0, -1))     # (n, n, B)
+    gam = _christoffel(G, ginv[..., None], 1)[..., 0]         # (k, i, j, B)
     out = []
     for f in fields:
         w = f(x)
@@ -147,7 +148,7 @@ def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
         ])                                                    # (n, n, B)
         grad = w.gradient_value()                             # (n, B)
         cov = hess - np.einsum("kij...,k...->ij...", gam, grad)
-        out.append(np.einsum("ij...,ij...->...", Ginv[..., 0], cov))
+        out.append(np.einsum("ij...,ij...->...", ginv, cov))
     return np.stack(out)
 
 
@@ -168,7 +169,8 @@ def _chart_pack(m: ModelMetric, points: np.ndarray, want_bach: bool) -> Curvatur
     if np.min(eig) <= 1e-12 * np.max(eig):
         raise NonPositiveDefinite("metric degenerate at a sampled point")
 
-    Ginv = _inverse_jets(G, g0, order)
+    inv0 = np.linalg.inv(g0)
+    Ginv = _inverse_jets(G, np.ascontiguousarray(np.moveaxis(inv0, 0, -1)), order)
     gam = _christoffel(G, Ginv, order)                        # to order - 1
 
     # Riemann jets are trusted to order o2 = order - 2, and every product
@@ -195,7 +197,7 @@ def _chart_pack(m: ModelMetric, points: np.ndarray, want_bach: bool) -> Curvatur
     # the lowered Riemann tensor needs only the values of Riem_up
     rm_up0 = np.moveaxis(riem_up[..., 0], -1, 0)             # (B, n,n,n,n)
     pack = CurvaturePack(
-        points, g0, np.linalg.inv(g0), ricci, scal[..., 0], schout,
+        points, g0, inv0, ricci, scal[..., 0], schout,
         lambda: np.einsum("...rl,...lsmn->...rsmn", g0, rm_up0))
     if want_bach and n >= 3:
         pack.bach = _bach(space, gam, P, pack.weyl, pack.inverse, n)
@@ -204,26 +206,28 @@ def _chart_pack(m: ModelMetric, points: np.ndarray, want_bach: bool) -> Curvatur
 
 # matrix product of matrix jets: [i, j] = sum_k A[i, k] B[k, j]
 _MATMUL = "ik...p,kj...p->ij..."
+# the same product when A, or B, is a constant matrix given by its values:
+# one contraction of coefficient arrays, no coefficient pairs
+_CONST_MATMUL = "ik...,kj...q->ij...q"
+_MATMUL_CONST = "ik...q,kj...->ij...q"
 
 
-def _inverse_jets(G: Jet, g0: np.ndarray, order: int) -> np.ndarray:
+def _inverse_jets(G: Jet, inv0: np.ndarray, order: int) -> np.ndarray:
     """Coefficients up to ``order`` of the inverse of the matrix jet G,
-    whose value is g0 (B, n, n)."""
+    given the inverse inv0 (n, n, B), C-contiguous, of its value."""
     space = G.space
-    n, nc = G.c.shape[0], space.ncoef_at(order)
-    inv0_c = np.zeros((n, n, len(g0), nc))
-    inv0_c[..., 0] = np.moveaxis(np.linalg.inv(g0), 0, -1)
-    delta = G.c.copy()
+    nc = space.ncoef_at(order)
+    delta = G.c[..., :nc].copy()
     delta[..., 0] = 0.0
-    E = space.mul(inv0_c, delta, order, _MATMUL)              # zero constant term
-    eye = np.zeros_like(inv0_c)
-    eye[..., 0] = np.eye(n)[:, :, None]
+    E = np.einsum(_CONST_MATMUL, inv0, delta)                 # zero constant term
+    eye = np.zeros_like(E)
+    eye[..., 0] = np.eye(len(inv0))[:, :, None]
     acc = -E                                                  # Neumann series in -E
     total = eye + acc
     for _ in range(order - 1):
         acc = -space.mul(acc, E, order, _MATMUL)
         total = total + acc
-    return space.mul(total, inv0_c, order, _MATMUL)
+    return np.einsum(_MATMUL_CONST, total, inv0)
 
 
 def _christoffel(G: Jet, Ginv: np.ndarray, order: int) -> np.ndarray:

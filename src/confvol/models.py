@@ -311,7 +311,8 @@ def zonal_field(m: RoundSphere, poly_coeffs: np.ndarray, axis: int):
 
     def field(x):
         t = _embedding_component(m, x, axis)
-        out = coeffs[-1] * (t * 0.0 + 1.0) if isinstance(t, Jet) else coeffs[-1]
+        # Horner from the float c_last: its product with t is a plain scale
+        out = coeffs[-1] if len(coeffs) > 1 else coeffs[-1] + 0.0 * t
         for c in coeffs[-2::-1]:
             out = out * t + c
         return out

@@ -42,7 +42,10 @@ class MetricSeries:
     g(rho) is quadratic in rho, so coeffs[l] is zero for l > 2.
     einstein_a is the Einstein constant a of an Einstein model, whose
     Schouten tensor is P = a g, so that the closed forms einstein_vk_exact
-    and einstein_L_exact apply; it is None on every other kind.
+    and einstein_L_exact apply; it is None on every other kind.  exact
+    says that the series is g(rho) itself at every order, as it is on
+    Einstein and conformally flat kinds, so that v_k is defined for every
+    k, also past n/2 in even n.
     """
 
     n: int
@@ -50,6 +53,7 @@ class MetricSeries:
     coeffs: np.ndarray
     K: int
     einstein_a: float | None = None
+    exact: bool = False
 
     @property
     def g0(self) -> np.ndarray:
@@ -78,7 +82,8 @@ def metric_series(m: ModelMetric, K: int = 1, points=None,
     if K < 0:
         raise InvalidRange(f"truncation order K = {K} must be nonnegative")
     a = einstein_constant(m)
-    if K > 1 and a is None and not conformally_flat(m):
+    exact = a is not None or conformally_flat(m)
+    if K > 1 and not exact:
         raise GeneralFGUnavailable(
             "general-metric series coefficients beyond order 1 are not constructed")
     pts = _series_points(m, points, count)
@@ -91,7 +96,8 @@ def metric_series(m: ModelMetric, K: int = 1, points=None,
         g0, P = pack.metric, pack.schouten
     coeffs = np.zeros((K + 1,) + g0.shape)
     coeffs[:_TOP + 1] = np.stack([g0, 2.0 * P, P @ np.linalg.solve(g0, P)])[: K + 1]
-    return MetricSeries(n=m.n, points=pts, coeffs=coeffs, K=K, einstein_a=a)
+    return MetricSeries(n=m.n, points=pts, coeffs=coeffs, K=K, einstein_a=a,
+                        exact=exact)
 
 
 def einstein_series(m: ModelMetric, K: int | None = None, points=None,
@@ -121,7 +127,7 @@ def inverse_series(s: MetricSeries) -> np.ndarray:
 
 
 def _check_order(s: MetricSeries):
-    if s.einstein_a is None and s.n % 2 == 0 and s.K > s.n // 2:
+    if not s.exact and s.n % 2 == 0 and s.K > s.n // 2:
         raise InvalidRange(
             f"v_k for k > n/2 = {s.n // 2} undefined for general metrics in even dimension")
 

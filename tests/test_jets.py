@@ -193,3 +193,64 @@ def test_diff_out_order_keeps_the_leading_coefficients(nvars, order):
             assert np.array_equal(full[..., k], np.broadcast_to(want, (2, 3)))
         for o in range(order + 1):
             assert np.array_equal(sp.diff(c, v, o), full[..., :sp.ncoef_at(o)])
+
+
+def _constant(sp, values):
+    return Jet.constant(sp, values).c
+
+
+def _ref_compose(u, derivs):
+    # Horner from the constant jet f^(order)(u0)/order!, every step a product
+    sp = u.space
+    h = u.c.copy()
+    h[..., 0] = 0.0
+    res = _constant(sp, derivs[sp.order] / math.factorial(sp.order))
+    for m in range(sp.order - 1, -1, -1):
+        res = sp.mul(res, h)
+        res[..., 0] += derivs[m] / math.factorial(m)
+    return res
+
+
+@pytest.mark.parametrize("n", (3, 5, 7))
+@pytest.mark.parametrize("order", (0, 2, 4))
+def test_constant_factor_routes_match_the_pair_kernel(n, order):
+    # a product with a constant factor is a scale or a contraction of
+    # coefficient arrays; it must give the pair kernel's values, with the
+    # constant written as a jet, on either side.  Only the sign of a zero
+    # may differ, which np.array_equal ignores.  The constant matrix is not
+    # symmetric, so swapped subscripts fail.
+    from confvol.curvature import _CONST_MATMUL, _MATMUL, _MATMUL_CONST
+
+    sp = jets.jet_space(n, order)
+    rng = np.random.default_rng(100 * n + order)
+    for batch in (1, 2, 48):
+        C = rng.standard_normal((n, n, batch))
+        c = rng.standard_normal(batch)
+        for zero_constant in (False, True):
+            A = rng.standard_normal((n, n, batch, sp.ncoef))
+            if zero_constant:
+                A[..., 0] = 0.0
+            a = A[0, 0]
+            scaled = (Jet(sp, a) * c).c
+            assert np.array_equal(scaled, sp.mul(a, _constant(sp, c)))
+            assert np.array_equal(scaled, sp.mul(_constant(sp, c), a))
+            assert np.array_equal((c[0] * Jet(sp, a)).c,
+                                  sp.mul(_constant(sp, np.full(batch, c[0])), a))
+            assert np.array_equal(np.einsum(_CONST_MATMUL, C, A),
+                                  sp.mul(_constant(sp, C), A, order, _MATMUL))
+            assert np.array_equal(np.einsum(_MATMUL_CONST, A, C),
+                                  sp.mul(A, _constant(sp, C), order, _MATMUL))
+        # compositions and powers start from the scale
+        u = Jet(sp, rng.uniform(0.5, 1.5, (batch, sp.ncoef)))
+        u0 = u.value
+        e0, s0, c0 = np.exp(u0), np.sin(u0), np.cos(u0)
+        for got, derivs in (
+                (jets.exp(u), [e0] * (order + 1)),
+                (jets.cos(u), [[c0, -s0, -c0, s0][m % 4] for m in range(order + 1)]),
+                (jets.reciprocal(u), [(-1.0) ** m * math.factorial(m) / u0 ** (m + 1)
+                                      for m in range(order + 1)])):
+            assert np.array_equal(got.c, _ref_compose(u, derivs))
+        ref = _constant(sp, np.ones(batch))
+        for p in range(4):
+            assert np.array_equal((u ** p).c, ref), p
+            ref = sp.mul(ref, u.c)

@@ -136,8 +136,8 @@ def test_first_order_series_general_metric():
 _bump = lambda x: 0.1 * x[0] * x[1] + 0.05 * x[2]
 _warped = WarpedRadial(lambda r: 1.0 + 0.3 * r * r, RoundSphere(4, 1.0), (0.0, 1.0))
 
-# conformally flat kinds that are not Einstein, with the largest k their
-# series reaches: every k <= n in odd n, k <= n/2 in even n
+# conformally flat kinds that are not Einstein, with the largest k checked:
+# their series is exact, so every k <= n, in odd and even n
 CONFORMALLY_FLAT_CASES = [
     (ConformalDeformation(RoundSphere(5, 1.0), _bump), 5),
     (ConformalDeformation(RoundSphere(7, 1.3), _bump), 7),
@@ -146,7 +146,7 @@ CONFORMALLY_FLAT_CASES = [
     (ConformalDeformation(FlatTorus((1.0,) * 5), _bump), 5),
     (_warped, 5),
     (ConformalDeformation(_warped, _bump), 5),
-    (ConformalDeformation(RoundSphere(6, 1.0), _bump), 3),
+    (ConformalDeformation(RoundSphere(6, 1.0), _bump), 6),
 ]
 
 
@@ -213,7 +213,7 @@ def test_error_conditions():
         metric_series(ProductOfSpheres(((2, 1.0), (2, 2.0))), K=2)
     se = einstein_series(RoundSphere(4, 1.0), K=4)
     s4 = MetricSeries(n=4, points=se.points, coeffs=se.coeffs, K=4,
-                      einstein_a=None)   # same data, generic-metric flag
+                      einstein_a=None)   # same data, flagged as not exact
     with pytest.raises(InvalidRange):
         vk_from_series(s4)   # k > n/2 = 2, general metric, even n
     with pytest.raises(InvalidRange):

@@ -13,6 +13,14 @@ curvature); round spheres restricted to zonal (single-axis) conformal
 factors, where fields live on a 1D Gauss-Legendre grid.  The deformed
 sphere is conformally flat, so every k <= n is available there through
 v_k = sigma_k(g^{-1}P).
+
+A torus field that is constant along x_2..x_n, as the flow keeps a start
+on a Fourier mode (m, 0, ..., 0), is differentiated on its x_1 line when
+each of those axes has a power-of-two length; the result is bit for bit
+the n-dimensional transform's (see TorusGrid).  The torus flow's
+convergence rests on those exact zeros off the x_1 axis: dt_cap is 5x past
+the explicit Euler bound, so rounding noise in the other modes would grow
+(ROADMAP item 8, a linearly implicit step, removes the cap).
 """
 
 from __future__ import annotations
@@ -37,7 +45,16 @@ _VARIANCE_SLACK = 1e-14
 
 
 class TorusGrid:
-    """Uniform periodic grid with spectral differentiation; k = 1 only."""
+    """Uniform periodic grid with spectral differentiation; k = 1 only.
+
+    A field constant along every axis but the first takes a complex FFT of
+    its x_1 line, when x_2..x_n all have power-of-two lengths.  pocketfft
+    transforms a constant line of length 2^m by doubling sums and
+    differences that are exactly 0, and every 1/N scale is a power of two,
+    so rfftn/irfftn return the line's c2c result times exact powers of two
+    (the first axis is c2c in rfftn too), with d_2, d_3, ... = +-0.  Other
+    lengths leave rounding off the axis, so such grids keep the n-D path.
+    """
 
     def __init__(self, torus: FlatTorus, shape=None):
         self.base = torus
@@ -58,8 +75,17 @@ class TorusGrid:
         dk = np.meshgrid(*dfreqs, indexing="ij")
         half = self.shape[-1] // 2 + 1
         self._mult = np.stack([-self.k2] + [1j * d for d in dk])[..., :half]
+        # the -k_1^2 and i k_1 rows on the x_1 axis, where the rest of k is 0
+        pow2 = all(N & (N - 1) == 0 for N in self.shape[1:])
+        self._line_mult = (self._mult[:2].reshape(2, self.shape[0], -1)[..., 0]
+                           if n > 1 and pow2 else None)
 
     def _spectral(self, omega):
+        w = omega.reshape(self.shape[0], -1)
+        if self._line_mult is not None and np.all(w == w[:, :1]):
+            line = np.fft.ifft(self._line_mult * np.fft.fft(w[:, 0])).real
+            return (np.repeat(line[0], w.shape[1]),
+                    np.repeat(line[1] ** 2, w.shape[1]))
         hat = np.fft.rfftn(omega.reshape(self.shape))
         axes = tuple(range(1, len(self.shape) + 1))
         out = np.fft.irfftn(self._mult * hat, s=self.shape, axes=axes)

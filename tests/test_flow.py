@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from confvol.errors import InvalidRange, KOutOfRange, NoConvergence, StepRejected
-from confvol.flow import discretize, flow_step, make_state, run_flow
+from confvol.flow import (
+    TorusGrid, discretize, flow_step, make_state, run_flow)
 from confvol.models import FlatTorus, RoundSphere, fourier_field
 
 
@@ -25,10 +26,17 @@ def test_torus_flow_converges():
 
 def test_torus_spectral_matches_full_fft():
     # Laplacian and |grad|^2 on the half spectrum against the real parts of
-    # full-spectrum inverse transforms, on a rough field with Nyquist content
-    for periods, shape in (((1.0, 2.0, 0.5), (8, 7, 6)), ((1.5, 1.0), (6, 6))):
+    # full-spectrum inverse transforms, on rough fields with Nyquist content;
+    # the x_1-only field takes the first-axis line transform
+    def rough(shape):
+        return np.random.default_rng(3).standard_normal(shape)
+
+    x1_only = np.broadcast_to(rough((16, 1, 1)), (16, 8, 4))
+    for periods, om in (((1.0, 2.0, 0.5), rough((8, 7, 6))),
+                        ((1.5, 1.0), rough((6, 6))),
+                        ((1.0, 2.0, 0.5), x1_only)):
+        shape = om.shape
         disc = discretize(FlatTorus(periods), shape=shape)
-        om = np.random.default_rng(3).standard_normal(shape)
         hat = np.fft.fftn(om)
         ks = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(N, d=p / N)
                            for N, p in zip(shape, periods)], indexing="ij")
@@ -37,6 +45,46 @@ def test_torus_spectral_matches_full_fft():
         got_lap, got_grad2 = disc._spectral(om.ravel())
         assert np.max(np.abs(got_lap - lap.ravel())) <= 1e-13 * np.max(np.abs(lap))
         assert np.max(np.abs(got_grad2 - grad2.ravel())) <= 1e-13 * np.max(grad2)
+
+
+def test_torus_line_transform_is_bitwise_the_3d_transform(monkeypatch):
+    # along CLI-start flows, fields constant off the x_1 axis differentiate
+    # on the x_1 line only when every other axis has a power-of-two length;
+    # (16, 12, 16) must keep the 3-D transform, which the line misses there
+    calls = []
+    line_spectral = TorusGrid._spectral
+
+    def checked(disc, omega):
+        lap, grad2 = line_spectral(disc, omega)
+        axes = tuple(range(1, len(disc.shape) + 1))
+        hat = np.fft.rfftn(omega.reshape(disc.shape))
+        out = np.fft.irfftn(disc._mult * hat, s=disc.shape, axes=axes)
+        assert lap.tobytes() == out[0].ravel().tobytes()
+        assert grad2.tobytes() == np.sum(out[1:] ** 2, axis=0).ravel().tobytes()
+        calls.append(disc._line_mult is not None)
+        return lap, grad2
+
+    monkeypatch.setattr(TorusGrid, "_spectral", checked)
+    for periods, shape, max_steps in (
+            ((1.0, 1.0, 1.0), (8, 8, 8), 10000),
+            ((1.0, 1.0, 1.0), (12, 16, 16), 10000),
+            ((1.0, 1.0, 1.0), (10, 16, 16), 10000),
+            ((1.0, 1.0, 1.0, 1.0), (8, 8, 8, 8), 10000),
+            ((1.0, 1.0, 1.0), (16, 16, 16), 150),
+            ((2.0, 1.0, 1.5), (16, 16, 16), 150),
+            ((1.0, 1.0, 1.0), (24, 8, 4), 150),
+            ((1.0, 1.0, 1.0), (32, 32, 32), 20),
+            ((1.0, 1.0, 1.0), (16, 12, 16), 50)):
+        torus = FlatTorus(periods)
+        omega0 = fourier_field(torus, (1,) + (0,) * (torus.n - 1),
+                               amplitude=0.05)
+        calls.clear()
+        try:
+            run_flow(torus, 1, omega0, max_steps=max_steps, shape=shape)
+        except NoConvergence:
+            assert max_steps < 10000
+        assert len(calls) > min(max_steps, 100)
+        assert set(calls) == {shape != (16, 12, 16)}
 
 
 def test_zero_start_is_stationary():

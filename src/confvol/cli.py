@@ -167,7 +167,7 @@ def cmd_curvature(config: dict) -> dict:
     _check_size("points * n^4", config["points"] * m.n ** 4)
     pts = m.sample_points(config["points"],
                           np.random.default_rng(config["seed"]))
-    pack = curvature_pack(m, pts)
+    pack = curvature_pack(m, pts, want_bach=True)
     out = {
         "scalar_min": np.min(pack.scalar),
         "scalar_max": np.max(pack.scalar),

@@ -5,14 +5,13 @@ round spheres and warped products over a round sphere are diagonal metrics
 whose Riemann tensor is a sum of Kulkarni-Nomizu products of their blocks.
 That route writes the metric without jets and contracts each product
 straight to Ricci, so it forms g, g^{-1}, Ricci, scalar and Schouten from
-(B, n) diagonals; Bach is -P^{kl} W_{kijl} there.  Every other kind
-propagates metric component jets through the Christoffel / Riemann /
-Schouten / Bach pipeline, whose raised Riemann jets Ricci is the trace of;
-all derivatives are exact Taylor coefficients, never finite differences.
-The two routes must agree.  Order-4 jets, and so the Bach pipeline, serve
-only that chart route, and only when Bach is asked for: series.v_direct
-asks for it at k = 3 on kinds that are not conformally flat, since on
-conformally flat kinds Bach vanishes and v_k is sigma_k.
+(B, n) diagonals.  Every other kind propagates order-2 metric component
+jets through the Christoffel / Riemann / Schouten pipeline, whose raised
+Riemann jets Ricci is the trace of; all derivatives are exact Taylor
+coefficients, never finite differences.  The two routes must agree.
+Bach comes from one conformal transformation law on both routes (see
+``_bach``); series.v_direct asks for it only at k = 3 on kinds that are
+not conformally flat, where Bach does not vanish.
 
 On both routes the lowered Riemann and Weyl tensors, (B, n, n, n, n), are
 formed on first read, from the stored Kulkarni-Nomizu terms or from the
@@ -33,9 +32,10 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .errors import KOutOfRange, NonPositiveDefinite
+from .errors import GeneralFGUnavailable, KOutOfRange, NonPositiveDefinite
 from .jets import Jet
 from .models import (
+    ConformalDeformation,
     FlatTorus,
     HyperbolicSpace,
     ModelMetric,
@@ -82,23 +82,14 @@ class CurvaturePack:
         return self.riemann - _kulkarni_nomizu(self.schouten, self.metric)
 
 
-def curvature_pack(m: ModelMetric, points, want_bach=None) -> CurvaturePack:
-    """Curvature tensors of ``m`` at the given chart points.
-
-    Flat tori, space forms, products of round spheres and warped products
-    over a round sphere take the closed form.  The first three have a
-    parallel Schouten tensor and the last is conformally flat, so on all
-    of them Bach is -P^{kl} W_{kijl}.  Every other kind runs the chart jets.
-    """
+def curvature_pack(m: ModelMetric, points, want_bach: bool = False) -> CurvaturePack:
+    """Curvature of ``m`` at chart points, in closed form or from order-2 chart
+    jets by kind, with Bach from ``_bach`` when ``want_bach`` and n >= 3."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if want_bach is None:
-        want_bach = m.n >= 3
     closed = _closed_form(m, points)
-    if closed is None:
-        return _chart_pack(m, points, want_bach)
-    pack = _closed_pack(points, *closed)
+    pack = _chart_pack(m, points) if closed is None else _closed_pack(points, *closed)
     if want_bach and m.n >= 3:
-        pack.bach = -_p_dot_weyl(pack.inverse, pack.schouten, pack.weyl)
+        pack.bach = _bach(m, points, None if closed is None else pack)
     return pack
 
 
@@ -155,10 +146,9 @@ def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
 # -- chart pipeline --------------------------------------------------------
 
 
-def _chart_pack(m: ModelMetric, points: np.ndarray, want_bach: bool) -> CurvaturePack:
+def _chart_pack(m: ModelMetric, points: np.ndarray) -> CurvaturePack:
     n = m.n
-    order = 4 if want_bach else 2
-    space = jets.jet_space(n, order)
+    space = jets.jet_space(n, 2)
     x = jets.coordinates(space, points.T)
     G = m.chart(x)                                            # (n, n, B, nc)
 
@@ -170,38 +160,32 @@ def _chart_pack(m: ModelMetric, points: np.ndarray, want_bach: bool) -> Curvatur
         raise NonPositiveDefinite("metric degenerate at a sampled point")
 
     inv0 = np.linalg.inv(g0)
-    Ginv = _inverse_jets(G, np.ascontiguousarray(np.moveaxis(inv0, 0, -1)), order)
-    gam = _christoffel(G, Ginv, order)                        # to order - 1
+    Ginv = _inverse_jets(G, np.ascontiguousarray(np.moveaxis(inv0, 0, -1)), 2)
+    gam = _christoffel(G, Ginv, 2)                            # to order 1
 
-    # Riemann jets are trusted to order o2 = order - 2, and every product
-    # returns only the coefficients up to it: the value at order 2, and at
-    # order 4 the second order that the Bach pipeline reads of P
-    o2 = order - 2
-    dgam = np.stack([space.diff(gam, v, o2) for v in range(n)])
+    # Riemann jets are trusted to order 0: every product returns the value only
+    dgam = np.stack([space.diff(gam, v, 0) for v in range(n)])
     # Riem_up[rho, sig, mu, nu] = d_mu Gam^rho_{nu sig} - d_nu Gam^rho_{mu sig}
     #                             + Gam^rho_{mu lam} Gam^lam_{nu sig} - (mu<->nu)
     t1 = dgam.transpose(1, 3, 0, 2, *range(4, dgam.ndim))
     t2 = t1.swapaxes(2, 3)
-    gg = space.mul(gam, gam, o2, "rml...p,lsn...p->rsmn...")
+    gg = space.mul(gam, gam, 0, "rml...p,lsn...p->rsmn...")
     riem_up = t1 - t2 + gg - gg.swapaxes(2, 3)
 
     ric = np.einsum("msmn...->sn...", riem_up)
-    scal = space.mul(Ginv, ric, o2, "ij...p,ij...p->...")
+    scal = space.mul(Ginv, ric, 0, "ij...p,ij...p->...")
     ricci = np.moveaxis(ric[..., 0], -1, 0)
     if n >= 3:
-        P = (ric - space.mul(scal[None, None], G.c, o2) / (2.0 * (n - 1))) / (n - 2)
+        P = (ric - space.mul(scal[None, None], G.c, 0) / (2.0 * (n - 1))) / (n - 2)
         schout = np.moveaxis(P[..., 0], -1, 0)
     else:
         schout = np.zeros_like(ricci)
 
     # the lowered Riemann tensor needs only the values of Riem_up
     rm_up0 = np.moveaxis(riem_up[..., 0], -1, 0)             # (B, n,n,n,n)
-    pack = CurvaturePack(
+    return CurvaturePack(
         points, g0, inv0, ricci, scal[..., 0], schout,
         lambda: np.einsum("...rl,...lsmn->...rsmn", g0, rm_up0))
-    if want_bach and n >= 3:
-        pack.bach = _bach(space, gam, P, pack.weyl, pack.inverse, n)
-    return pack
 
 
 # matrix product of matrix jets: [i, j] = sum_k A[i, k] B[k, j]
@@ -249,31 +233,44 @@ def _kulkarni_nomizu(P: np.ndarray, g: np.ndarray) -> np.ndarray:
             - np.einsum("...iljk->...ijkl", O) - np.einsum("...jkil->...ijkl", O))
 
 
-def _bach(space, gam, P, weyl, ginv0, n):
-    """B_ij = Lap P_ij - div div term - P^{kl} W_{kijl} (values), from the
-    coefficients of gam to order 3 and of P to order 2."""
-    dP = np.stack([space.diff(P, v, 1) for v in range(n)])   # (v,i,j,B,nc)
-    covP = (dP - space.mul(gam, P, 1, "lvi...p,lj...p->vij...")
-            - space.mul(gam, P, 1, "lvj...p,il...p->vij..."))  # to order 1
-
-    dcov = np.stack([space.diff(covP, w, 0)[..., 0] for w in range(n)])  # (w,v,i,j,B)
-    cov0 = covP[..., 0]                                       # (v,i,j,B)
-    gam0 = gam[..., 0]                                        # (k,i,j,B)
-    cov2 = (dcov
-            - np.einsum("lwv...,lij...->wvij...", gam0, cov0)
-            - np.einsum("lwi...,vlj...->wvij...", gam0, cov0)
-            - np.einsum("lwj...,vil...->wvij...", gam0, cov0))
-    cov2 = np.moveaxis(cov2, -1, 0)                           # (B,w,v,i,j)
-    P0 = np.moveaxis(P[..., 0], -1, 0)
-    lap_term = np.einsum("...wv,...wvij->...ij", ginv0, cov2)
-    div_term = np.einsum("...wk,...wjik->...ij", ginv0, cov2)
-    return lap_term - div_term - _p_dot_weyl(ginv0, P0, weyl)
+def _bach(m: ModelMetric, points: np.ndarray, pack: CurvaturePack | None) -> np.ndarray:
+    """Bach tensor (B, n, n) of m = e^{2w} b, b of zero Cotton tensor, by the
+    conformal transformation law (Gover and Nurowski, J. Geom. Phys. 56, 2006):
+    B = -e^{-2w} (P_b^{kl} + (n - 4) U^k U^l) W_{b,kijl} with U = b^{-1} dw.
+    ``pack`` is m's own when m has closed-form curvature; then b = m, w = 0."""
+    w, dw = np.zeros(len(points)), np.zeros(points.shape)
+    if pack is None:
+        w, dw, closed = _conformal_base(m, points)
+        pack = _closed_pack(points, *closed)
+    U = np.einsum("...kl,...l->...k", pack.inverse, dw)
+    Pup = np.einsum("...ka,...ab,...lb->...kl", pack.inverse, pack.schouten, pack.inverse)
+    Pup = Pup + (m.n - 4) * U[:, :, None] * U[:, None, :]
+    bach = np.einsum("...kl,...kijl->...ij", Pup, pack.weyl)
+    return -np.exp(-2.0 * w)[:, None, None] * bach
 
 
-def _p_dot_weyl(ginv0, P0, weyl):
-    """P^{kl} W_{kijl}, the whole Bach tensor (up to sign) when P is parallel."""
-    Pup = np.einsum("...ka,...ab,...lb->...kl", ginv0, P0, ginv0)
-    return np.einsum("...kl,...kijl->...ij", Pup, weyl)
+def _conformal_base(m: ModelMetric, points: np.ndarray):
+    """(w, dw, closed form of b) with m = e^{2w} b at the points: nested
+    deformations add their omega, and dr^2 + f^2 h over a parallel-P kind h
+    is f^2 (dr^2 / f^2 + h).  Any other kind is refused."""
+    w, dw = np.zeros(len(points)), np.zeros(points.shape)
+    x = jets.coordinates(jets.jet_space(m.n, 1), points.T)
+    while isinstance(m, ConformalDeformation):
+        om = 0.0 * x[0] + m.omega(x)          # a jet also where omega is a number
+        w, dw = w + om.value, dw + om.gradient_value().T
+        m = m.base
+    closed = _closed_form(m, points)
+    if closed is not None:
+        return w, dw, closed
+    if not (isinstance(m, WarpedRadial) and isinstance(
+            m.fiber, (FlatTorus, RoundSphere, HyperbolicSpace, ProductOfSpheres))):
+        raise GeneralFGUnavailable(f"no zero-Cotton conformal base for {type(m).__name__}")
+    diag, dims, terms = _closed_form(m.fiber, points[:, 1:])
+    f = m.warp(Jet.variable(jets.jet_space(1, 1), 0, points[:, 0]))
+    dw[:, 0] += f.diff(0).value / f.value
+    diag = np.concatenate([1.0 / f.value[:, None] ** 2, diag], axis=1)
+    return (w + np.log(f.value), dw,
+            (diag, (1,) + dims, tuple((c, a + 1, b + 1) for c, a, b in terms)))
 
 
 # -- closed forms -----------------------------------------------------------

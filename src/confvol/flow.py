@@ -208,6 +208,8 @@ def _state(disc, omega, k: int, step: int) -> FlowState:
 
 def make_state(disc, omega0, k: int) -> FlowState:
     n = disc.base.n
+    if n < 2:
+        raise InvalidRange(f"n = {n} must be at least 2: v_1 = R / (2(n - 1))")
     if n == 2 * k:
         raise InvalidRange(
             f"F_{k} is conformally invariant in dimension {n}; no flow")

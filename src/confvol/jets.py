@@ -35,9 +35,8 @@ Besides ring arithmetic and integer powers, jets compose with ``exp``,
 ``coordinates`` returns the seed jets in a list whose ``memo`` keeps jets
 formed from the whole list, such as |x|^2; its slices are plain lists.
 
-Curvature needs exact metric derivatives to fourth order (the Bach tensor
-consumes four), which is why charts are evaluated on jets instead of being
-finite-differenced.
+Curvature needs exact metric derivatives to second order, which is why
+charts are evaluated on jets instead of being finite-differenced.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ dr^2 + g_r.  Over a space-form boundary the compactification is
 conformally flat, before and after a conformal change, so v^(n+1) is
 (-1/2)^k sigma_k(g^{-1}P) with k = (n+1)/2 for every odd n; over a round
 sphere its curvature takes the closed form.  Over any other boundary
-v^(n+1) exists only for n <= 5, with Bach from order-4 chart jets at
-n = 5.  Dimension four additionally ties V to the Euler characteristic
-through the Gauss-Bonnet identities.
+v^(n+1) exists only for n <= 5, and at n = 5 only over a parallel-P
+boundary, whose compactification has Bach by the conformal law.  Dimension
+four also ties V to the Euler characteristic through Gauss-Bonnet.
 """
 
 from __future__ import annotations

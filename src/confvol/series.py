@@ -92,7 +92,7 @@ def metric_series(m: ModelMetric, K: int = 1, points=None,
         g0 = metric_values(m, pts)
         P = a * g0
     else:
-        pack = curvature_pack(m, pts, want_bach=False)
+        pack = curvature_pack(m, pts)
         g0, P = pack.metric, pack.schouten
     coeffs = np.zeros((K + 1,) + g0.shape)
     coeffs[:_TOP + 1] = np.stack([g0, 2.0 * P, P @ np.linalg.solve(g0, P)])[: K + 1]
@@ -211,16 +211,16 @@ def v_direct(m: ModelMetric, k: int, points=None,
     if want_bach and n == 4:
         raise DimensionFour("the sixth-order coefficient formula is singular at n = 4")
     pts = _series_points(m, points, count)
-    return _vk_from_pack(curvature_pack(m, pts, want_bach=want_bach), k, want_bach)
+    return _vk_from_pack(curvature_pack(m, pts, want_bach=want_bach), k)
 
 
-def _vk_from_pack(pack, k: int, want_bach: bool) -> np.ndarray:
-    """v^(2k) of v_direct from a curvature pack that holds Bach if want_bach."""
+def _vk_from_pack(pack, k: int) -> np.ndarray:
+    """v^(2k) of v_direct from a curvature pack; Bach enters at k = 3 if held."""
     n = pack.n
     if k == 1:
         return -pack.scalar / (4.0 * (n - 1))
     vk = sigma_k(pack.schouten, pack.metric, k)
-    if want_bach:
+    if k == 3 and pack.bach is not None:
         p_up = np.einsum("bik,bjl,bkl->bij", pack.inverse, pack.inverse, pack.schouten)
         vk = vk + np.einsum("bij,bij->b", p_up, pack.bach) / (3.0 * (n - 4))
     return (-0.5) ** k * vk

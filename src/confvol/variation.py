@@ -196,6 +196,8 @@ def hessian_Fk(background: ModelMetric, k: int, basis: SpectralBasis) -> Hessian
     (n-2k) a^{k-1} binom(n-1, k-1) (lambda_l - 2na).
     """
     n = background.n
+    if n < 2:
+        raise InvalidRange(f"n = {n} must be at least 2: v_1 = R / (2(n - 1))")
     if not 1 <= k <= n:
         raise KOutOfRange(f"k = {k} outside 1..{n}")
     if n % 2 == 0 and k == n // 2:
@@ -237,7 +239,7 @@ def _critical_values(background: ModelMetric) -> dict:
     pack = curvature_pack(background, pts, want_bach=want_bach)
     out = {}
     for k in ks:
-        out[k] = (-2.0) ** k * _vk_from_pack(pack, k, want_bach and k == 3)
+        out[k] = (-2.0) ** k * _vk_from_pack(pack, k)
         out[k].flags.writeable = False
     return out
 

@@ -106,6 +106,9 @@ def test_exit_code_out_of_range_model_keys(capsys):
         ("curvature", "--model", "torus", "--periods", "1,-1,1"),
         ("curvature", "--points", "0"),
         ("flow", "--model", "torus", "--grid", "1"),
+        # v_1 = R / (2(n - 1)) is undefined on a 1-torus
+        ("flow", "--model", "torus", "--periods", "1", "--k", "1"),
+        ("hessian", "--model", "torus", "--periods", "1", "--k", "1", "--lmax", "2"),
         ("variation", "--member", "999"),
         ("signtable", "--nmin", "9", "--nmax", "3"),
         ("signtable", "--nmin", "1", "--nmax", "2"),

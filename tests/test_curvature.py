@@ -6,7 +6,6 @@ import pytest
 from confvol import jets, models
 from confvol.curvature import (
     _MATMUL,
-    _chart_pack,
     _closed_form,
     _inverse_jets,
     _kulkarni_nomizu,
@@ -14,7 +13,7 @@ from confvol.curvature import (
     laplacian,
     sigma_k,
 )
-from confvol.errors import KOutOfRange, NonPositiveDefinite
+from confvol.errors import GeneralFGUnavailable, KOutOfRange, NonPositiveDefinite
 from confvol.models import (
     ConformalDeformation,
     FlatTorus,
@@ -26,6 +25,7 @@ from confvol.models import (
 )
 from confvol.jets import Jet
 from confvol.series import v_direct
+from order4_chart import chart_pack_order4
 
 RNG = np.random.default_rng(42)
 
@@ -36,7 +36,7 @@ def _random_points(m, count):
 
 def test_sphere_closed_forms():
     m = RoundSphere(4, 1.0)
-    pack = _chart_pack(m, _random_points(m, 6), want_bach=True)
+    pack = chart_pack_order4(m, _random_points(m, 6), want_bach=True)
     assert np.max(np.abs(pack.scalar - 12.0)) < 1e-10
     assert np.max(np.abs(pack.ricci - 3.0 * pack.metric)) < 1e-10
     assert np.max(np.abs(pack.schouten - 0.5 * pack.metric)) < 1e-10
@@ -46,13 +46,13 @@ def test_sphere_closed_forms():
 
 def test_hyperbolic_scalar():
     m = HyperbolicSpace(3, 1.0)
-    pack = _chart_pack(m, _random_points(m, 6), want_bach=True)
+    pack = chart_pack_order4(m, _random_points(m, 6), want_bach=True)
     assert np.max(np.abs(pack.scalar + 6.0)) < 1e-9
 
 
 def test_flat_torus_vanishing():
     m = FlatTorus((1.0, 2.0, 3.0))
-    pack = _chart_pack(m, _random_points(m, 4), want_bach=True)
+    pack = chart_pack_order4(m, _random_points(m, 4), want_bach=True)
     assert np.max(np.abs(pack.riemann)) < 1e-12
     assert np.max(np.abs(pack.bach)) < 1e-12
 
@@ -97,7 +97,7 @@ def test_fast_paths_match_chart():
         pts = _random_points(m, 5)
         assert _closed_form(m, pts) is not None, type(m).__name__
         fast = curvature_pack(m, pts, want_bach=want_bach)
-        chart = _chart_pack(m, pts, want_bach)
+        chart = chart_pack_order4(m, pts, want_bach)
         for name in names + (("bach",) if want_bach else ()):
             a, b = getattr(fast, name), getattr(chart, name)
             scale = max(1.0, np.max(np.abs(b)))
@@ -112,8 +112,8 @@ def test_fast_paths_match_chart():
 def test_product_bach_matches_chart():
     m = ProductOfSpheres(((2, 1.0), (3, 1.0)))
     pts = _random_points(m, 3)
-    fast = curvature_pack(m, pts)
-    chart = _chart_pack(m, pts, True)
+    fast = curvature_pack(m, pts, want_bach=True)
+    chart = chart_pack_order4(m, pts, True)
     assert np.max(np.abs(fast.bach - chart.bach)) < 1e-9
 
 
@@ -134,12 +134,79 @@ def test_conformally_flat_kinds_have_no_bach():
     flat += warped + [ConformalDeformation(warped[0], bump)]
     for m in flat:
         assert models.conformally_flat(m), m
-        pb = _p_dot_bach(_chart_pack(m, _random_points(m, 2), True))
+        pb = _p_dot_bach(chart_pack_order4(m, _random_points(m, 2), True))
         assert np.max(np.abs(pb)) < 1e-12, m
     # a deformed product is not conformally flat, and its Bach term is not small
     m = ConformalDeformation(ProductOfSpheres(((2, 1.0), (3, 1.0))), bump)
     assert not models.conformally_flat(m)
-    assert np.min(np.abs(_p_dot_bach(_chart_pack(m, _random_points(m, 2), True)))) > 1e-2
+    assert np.min(np.abs(_p_dot_bach(chart_pack_order4(m, _random_points(m, 2), True)))) > 1e-2
+
+
+_WARP = lambda r: 1.0 + 0.3 * r * r - 0.2 * r ** 4
+_BUMP = lambda x: 0.1 * x[0] * x[1] + 0.05 * x[2] - 0.07 * x[3] * x[3] + 0.04 * x[-1]
+
+
+def _spheres(*factors):
+    return ProductOfSpheres(factors)
+
+
+# every route of the conformal Bach law: deformed products (n = 5..7), a
+# second deformation whose omega is a plain number, a warped product over a
+# product (w = log f), the same under a deformation, and a closed-form pack
+_BACH_KINDS = (
+    ConformalDeformation(_spheres((2, 1.0), (4, 1.3)), _BUMP),
+    ConformalDeformation(_spheres((3, 1.0), (3, 1.0)), _BUMP),
+    ConformalDeformation(_spheres((2, 1.0), (5, 1.0)), _BUMP),
+    ConformalDeformation(_spheres((3, 1.2), (4, 1.0)), _BUMP),
+    ConformalDeformation(ConformalDeformation(_spheres((2, 1.0), (3, 1.0)), _BUMP),
+                         lambda x: 0.3),
+    WarpedRadial(_WARP, _spheres((2, 1.0), (3, 1.3)), (0.0, 1.0)),
+    ConformalDeformation(WarpedRadial(_WARP, _spheres((2, 1.0), (2, 1.5)), (0.0, 1.0)),
+                         _BUMP),
+    _spheres((2, 1.0), (3, 1.0)),
+)
+
+
+def test_bach_law_matches_order4_chart():
+    # the law reads omega to first order; the reference runs order-4 chart
+    # jets through covariant derivatives of P and shares no Bach formula
+    for m in _BACH_KINDS:
+        pts = _random_points(m, 6)
+        law = curvature_pack(m, pts, want_bach=True).bach
+        chart = chart_pack_order4(m, pts, True).bach
+        bound = 1e-12 * max(1.0, np.max(np.abs(chart)))
+        assert np.max(np.abs(law - chart)) <= bound, m
+
+
+def test_bach_refuses_a_base_with_cotton():
+    # over a warped fiber, dr^2 / f^2 + h has a Cotton tensor and the law
+    # misses the chart; such a kind is refused, exit code 1
+    m = WarpedRadial(_WARP, WarpedRadial(_WARP, RoundSphere(3), (0.0, 1.0)), (0.0, 1.0))
+    with pytest.raises(GeneralFGUnavailable) as err:
+        v_direct(m, 3, count=2)
+    assert err.value.exit_code == 1
+
+
+def test_bach_builds_no_jets_above_order_2(monkeypatch):
+    from confvol import renorm
+
+    orders = []
+    build = jets.jet_space
+
+    def recording(nvars, order):
+        orders.append(order)
+        return build(nvars, order)
+
+    monkeypatch.setattr(jets, "jet_space", recording)
+    field = zonal_field(RoundSphere(2), np.array([0.0, 0.1, 0.05]), 0)
+    m = ConformalDeformation(_spheres((2, 1.0), (4, 1.3)), lambda x: field(x[:2]))
+    v_direct(m, 3, count=24)
+    boundary = _spheres((2, 1.0), (3, 1.0))
+    V = renorm.renorm_volume_geodcomp(
+        renorm.geodesic_compactification(renorm.hyperbolic_normal_form(boundary)), 5)
+    assert orders and max(orders) <= 2
+    # the order-4 chart gave -32.494027913941245
+    assert abs(V + 32.494027913941245) <= 1e-13 * 32.5
 
 
 def test_scaling_covariance():
@@ -409,7 +476,7 @@ def test_v_k_path_forms_no_riemann_or_weyl(monkeypatch):
 
     packs = []
 
-    def recording(m, points, want_bach=None):
+    def recording(m, points, want_bach=False):
         packs.append(curvature_pack(m, points, want_bach))
         return packs[-1]
 
@@ -429,7 +496,7 @@ def test_v_k_path_forms_no_riemann_or_weyl(monkeypatch):
         assert "riemann" not in vars(pack) and "weyl" not in vars(pack)
     # Bach reads Weyl, which reads Riemann, once
     pack = curvature_pack(ProductOfSpheres(((2, 1.0), (3, 1.0))),
-                          _random_points(RoundSphere(5), 2))
+                          _random_points(RoundSphere(5), 2), want_bach=True)
     assert "riemann" in vars(pack) and "weyl" in vars(pack)
 
 

@@ -18,6 +18,8 @@ from confvol.models import (
     ProductOfSpheres,
     RoundSphere,
     WarpedRadial,
+    sphere_volume,
+    zonal_field,
 )
 from confvol.series import (
     L_tensors,
@@ -30,6 +32,7 @@ from confvol.series import (
     v_direct,
     vk_from_series,
 )
+from confvol.spectral import gauss_legendre
 
 
 EINSTEIN_CASES = [
@@ -91,7 +94,8 @@ def test_v_direct_matches_series():
 def test_v_direct_sigma3_on_conformally_flat_kinds():
     # v_direct reads sigma_3 from an order-2 pack on these kinds; the order-4
     # chart with the Bach term, the formula for every other kind, must agree
-    from confvol.curvature import _chart_pack, sigma_k
+    from confvol.curvature import sigma_k
+    from order4_chart import chart_pack_order4
 
     bump = lambda x: 0.1 * x[0] * x[1] + 0.05 * x[2]
     warped = WarpedRadial(lambda r: 1.0 + 0.3 * r * r, RoundSphere(4, 1.0),
@@ -101,7 +105,7 @@ def test_v_direct_sigma3_on_conformally_flat_kinds():
               ConformalDeformation(warped, bump)):
         pts = m.sample_points(2, np.random.default_rng(4))
         got = v_direct(m, 3, points=pts)
-        pack = _chart_pack(m, pts, True)
+        pack = chart_pack_order4(m, pts, True)
         s3 = sigma_k(pack.schouten, pack.metric, 3)
         pb = np.einsum("bik,bjl,bkl,bij->b", pack.inverse, pack.inverse,
                        pack.schouten, pack.bach)
@@ -109,6 +113,34 @@ def test_v_direct_sigma3_on_conformally_flat_kinds():
         scale = np.max(np.abs(chart))
         assert np.max(np.abs(got + s3 / 8.0)) <= 1e-13 * scale, m
         assert np.max(np.abs(got - chart)) <= 1e-13 * scale, m
+
+
+def _zonal_on_s2(a):
+    """omega = a t + (a/2) t^2 with t the first embedding coordinate of the
+    S^2 factor, read from that factor's two chart coordinates only."""
+    field = zonal_field(RoundSphere(2), np.array([0.0, a, a / 2.0]), 0)
+    return lambda x: field(x[:2])
+
+
+def test_v6_integral_is_conformally_invariant():
+    # in even n the integral of v^(n) over a closed manifold is a conformal
+    # invariant (Graham, Rend. Circ. Mat. Palermo Suppl. 63, 2000).  S^2 x S^4
+    # is not conformally flat, so v^(6) carries P^{ij}B_{ij} / (3(n - 4)), and
+    # the invariance pins that coefficient: 1/(2(n - 4)) moves the integral
+    # by 1e-2, and dropping Bach by 3e-2
+    t, wt = gauss_legendre(24)
+    pts = np.zeros((len(t), 6))
+    pts[:, 0] = t / (1.0 + np.sqrt(1.0 - t * t))   # stereographic x_0 at t
+    for radius in (1.3, 1.0):
+        base = ProductOfSpheres(((2, 1.0), (4, radius)))
+        totals = []
+        for a in (0.0, 0.1, 0.2):
+            m = ConformalDeformation(base, _zonal_on_s2(a))
+            density = np.exp(6.0 * a * (t + t * t / 2.0))
+            # dt dphi on the unit S^2 (Archimedes), times vol(S^4)
+            total = -8.0 * np.sum(wt * density * v_direct(m, 3, points=pts))
+            totals.append(2.0 * np.pi * sphere_volume(4, radius) * total)
+        assert np.ptp(totals) <= 1e-12 * abs(totals[0]), (radius, totals)
 
 
 def test_v_direct_nonhomogeneous():

@@ -316,7 +316,7 @@ def test_one_dir_gram_assembly_per_basis(monkeypatch, capsys):
 def test_one_criticality_pack_per_background(monkeypatch, capsys):
     calls = []
 
-    def counted(m, points, want_bach=None):
+    def counted(m, points, want_bach=False):
         calls.append(m)
         return curvature_pack(m, points, want_bach=want_bach)
 

@@ -1,8 +1,9 @@
 """Pointwise curvature of model metrics.
 
 Two routes, chosen by model kind.  Flat tori, space forms, products of
-round spheres and warped products over a round sphere are diagonal metrics
-whose Riemann tensor is a sum of Kulkarni-Nomizu products of their blocks.
+round spheres and warped products dr^2 + f^2 h over any of these, warped
+products included, are diagonal metrics whose Riemann tensor is a sum of
+Kulkarni-Nomizu products of their blocks (``models.closed_form``).
 That route writes the metric without jets and contracts each product
 straight to Ricci, so it forms g, g^{-1}, Ricci, scalar and Schouten from
 (B, n) diagonals.  Every other kind propagates order-2 metric component
@@ -34,16 +35,7 @@ import numpy as np
 from . import jets
 from .errors import GeneralFGUnavailable, KOutOfRange, NonPositiveDefinite
 from .jets import Jet
-from .models import (
-    ConformalDeformation,
-    FlatTorus,
-    HyperbolicSpace,
-    ModelMetric,
-    ProductOfSpheres,
-    RoundSphere,
-    WarpedRadial,
-    metric_diagonal,
-)
+from .models import ConformalDeformation, ModelMetric, WarpedRadial, closed_form
 
 
 @dataclass(eq=False)
@@ -86,10 +78,13 @@ def curvature_pack(m: ModelMetric, points, want_bach: bool = False) -> Curvature
     """Curvature of ``m`` at chart points, in closed form or from order-2 chart
     jets by kind, with Bach from ``_bach`` when ``want_bach`` and n >= 3."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    closed = _closed_form(m, points)
+    closed = closed_form(m, points)
     pack = _chart_pack(m, points) if closed is None else _closed_pack(points, *closed)
     if want_bach and m.n >= 3:
-        pack.bach = _bach(m, points, None if closed is None else pack)
+        # a warped product over a product or a warped fiber has a Cotton
+        # tensor, so no warped kind is its own base
+        own = closed is not None and not isinstance(m, WarpedRadial)
+        pack.bach = _bach(m, points, pack if own else None)
     return pack
 
 
@@ -237,7 +232,7 @@ def _bach(m: ModelMetric, points: np.ndarray, pack: CurvaturePack | None) -> np.
     """Bach tensor (B, n, n) of m = e^{2w} b, b of zero Cotton tensor, by the
     conformal transformation law (Gover and Nurowski, J. Geom. Phys. 56, 2006):
     B = -e^{-2w} (P_b^{kl} + (n - 4) U^k U^l) W_{b,kijl} with U = b^{-1} dw.
-    ``pack`` is m's own when m has closed-form curvature; then b = m, w = 0."""
+    ``pack`` is m's own when m is its own base b; then w = 0."""
     w, dw = np.zeros(len(points)), np.zeros(points.shape)
     if pack is None:
         w, dw, closed = _conformal_base(m, points)
@@ -251,21 +246,23 @@ def _bach(m: ModelMetric, points: np.ndarray, pack: CurvaturePack | None) -> np.
 
 def _conformal_base(m: ModelMetric, points: np.ndarray):
     """(w, dw, closed form of b) with m = e^{2w} b at the points: nested
-    deformations add their omega, and dr^2 + f^2 h over a parallel-P kind h
-    is f^2 (dr^2 / f^2 + h).  Any other kind is refused."""
+    deformations add their omega, and dr^2 + f^2 h over a closed-form fiber
+    h that is not itself warped is f^2 (dr^2 / f^2 + h), with h's Schouten
+    tensor parallel.  Any other kind is refused."""
     w, dw = np.zeros(len(points)), np.zeros(points.shape)
     x = jets.coordinates(jets.jet_space(m.n, 1), points.T)
     while isinstance(m, ConformalDeformation):
         om = 0.0 * x[0] + m.omega(x)          # a jet also where omega is a number
         w, dw = w + om.value, dw + om.gradient_value().T
         m = m.base
-    closed = _closed_form(m, points)
-    if closed is not None:
-        return w, dw, closed
-    if not (isinstance(m, WarpedRadial) and isinstance(
-            m.fiber, (FlatTorus, RoundSphere, HyperbolicSpace, ProductOfSpheres))):
+    warped = isinstance(m, WarpedRadial)
+    base, at = (m.fiber, points[:, 1:]) if warped else (m, points)
+    closed = None if isinstance(base, WarpedRadial) else closed_form(base, at)
+    if closed is None:
         raise GeneralFGUnavailable(f"no zero-Cotton conformal base for {type(m).__name__}")
-    diag, dims, terms = _closed_form(m.fiber, points[:, 1:])
+    if not warped:
+        return w, dw, closed
+    diag, dims, terms = closed
     f = m.warp(Jet.variable(jets.jet_space(1, 1), 0, points[:, 0]))
     dw[:, 0] += f.diff(0).value / f.value
     diag = np.concatenate([1.0 / f.value[:, None] ** 2, diag], axis=1)
@@ -276,39 +273,6 @@ def _conformal_base(m: ModelMetric, points: np.ndarray):
 # -- closed forms -----------------------------------------------------------
 
 
-def _closed_form(m: ModelMetric, points: np.ndarray):
-    """(metric diagonal, block dimensions, terms) at the points for a kind
-    with closed-form curvature, or None for any other kind, decided before
-    the metric is evaluated.
-
-    Each such metric is diagonal, with orthogonal blocks h_a of dimension
-    d_a, and its Riemann tensor is a sum of terms c * h_a KN h_b, listed as
-    (c, a, b).  A factor of sectional curvature kappa gives
-    (kappa / 2) h KN h.  dr^2 + f(r)^2 g_{S^q(L)}, with blocks dr^2 and
-    ghat, has radial and tangential sectional curvatures -f''/f and
-    (1/L^2 - f'^2)/f^2, and so gives
-    (-f''/f) dr^2 KN ghat + (1/L^2 - f'^2)/(2 f^2) ghat KN ghat.
-    """
-    if isinstance(m, FlatTorus):
-        dims, terms = (m.n,), ()
-    elif isinstance(m, RoundSphere):
-        dims, terms = (m.n,), ((0.5 / m.radius ** 2, 0, 0),)
-    elif isinstance(m, HyperbolicSpace):
-        dims, terms = (m.n,), ((-0.5 / m.radius ** 2, 0, 0),)
-    elif isinstance(m, ProductOfSpheres):
-        dims = tuple(d for d, _ in m.factors)
-        terms = tuple((0.5 / r ** 2, a, a) for a, (_, r) in enumerate(m.factors))
-    elif isinstance(m, WarpedRadial) and isinstance(m.fiber, RoundSphere):
-        f = m.warp(Jet.variable(jets.jet_space(1, 2), 0, points[:, 0]))
-        fp, fpp = f.diff(0).value, f.diff(0).diff(0).value
-        dims = (1, m.fiber.n)
-        terms = ((-fpp / f.value, 0, 1),
-                 (0.5 * (1.0 / m.fiber.radius ** 2 - fp ** 2) / f.value ** 2, 1, 1))
-    else:
-        return None
-    return metric_diagonal(m, points), dims, terms
-
-
 def _closed_pack(points: np.ndarray, diag: np.ndarray, dims, terms) -> CurvaturePack:
     """Pack of the diagonal metric diag (B, n) whose Riemann tensor is the
     sum of the terms c * h_a KN h_b over its blocks.
@@ -317,6 +281,8 @@ def _closed_pack(points: np.ndarray, diag: np.ndarray, dims, terms) -> Curvature
     c (d_a h_b + d_b h_a - 2 delta_ab h_a), so g^{-1}Ric and g^{-1}P are
     diagonal and no (B, n, n, n, n) array is formed until Riemann is read.
     """
+    if np.min(diag) <= 1e-12 * np.max(diag):
+        raise NonPositiveDefinite("metric degenerate at a sampled point")
     n = diag.shape[-1]
     block = np.repeat(np.arange(len(dims)), dims)             # block of each axis
     ric = np.zeros_like(diag)                                 # eigenvalues of g^{-1}Ric

@@ -2,9 +2,9 @@
 
 Every model exposes its dimension ``n`` and a ``chart`` method mapping a
 list of coordinate jets to the (n, n) matrix of metric components as a
-single Jet with leading tensor axes.  Structured kinds (spheres, flat
-tori, products, warped radial metrics) additionally carry closed-form
-data used by fast curvature paths and exact quadrature measures.
+single Jet with leading tensor axes.  ``closed_form`` gives the metric
+and curvature of the kinds that need no jets: flat tori, space forms,
+products of round spheres and warped products over these, recursively.
 Coordinate lists from ``jets.coordinates`` carry a memo, so a sphere chart
 and its zonal fields on one list form |x|^2 and 1/(L^2 + |x|^2) once per
 radius; slices, such as a product factor's block, carry none.
@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets
+from .errors import InvalidRange
 from .jets import Jet
 
 
@@ -193,39 +194,58 @@ class ConformalDeformation(ModelMetric):
 
 
 def metric_values(m: ModelMetric, points) -> np.ndarray:
-    """Metric components of ``m`` at chart points (npts, n), shape (npts, n, n):
-    from ``metric_diagonal`` where it applies, else the chart on order-0 jets."""
+    """Metric components (npts, n, n) of a closed-form kind at chart points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    diag = metric_diagonal(m, points)
-    if diag is None:
-        x = jets.coordinates(jets.jet_space(m.n, 0), points.T)
-        return np.moveaxis(m.chart(x).value, -1, 0)
-    return diag[:, :, None] * np.eye(m.n)
+    return closed_form(m, points)[0][:, :, None] * np.eye(m.n)
 
 
-def metric_diagonal(m: ModelMetric, points: np.ndarray) -> np.ndarray | None:
-    """Diagonal (npts, n) of the chart metric of a flat torus, space form,
-    product of round spheres or warped product over a round sphere; None
-    for any other kind.  Each kind applies its chart's operations, in their
-    order, to coordinate arrays, so the two agree to the bit."""
+def closed_form(m: ModelMetric, points: np.ndarray):
+    """(metric diagonal (npts, n), block dimensions, terms) at chart points
+    for a kind with closed-form curvature, or None for any other kind,
+    decided before the metric is evaluated.  The diagonal applies the
+    chart's operations, in their order, to arrays, so the two agree to the bit.
+
+    Such a metric has orthogonal blocks h_a of dimension d_a, and its Riemann
+    tensor is a sum of terms c * h_a KN h_b, listed as (c, a, b) with a <= b.
+    The leaves are flat tori, space forms and products of round spheres; a
+    factor of sectional curvature kappa gives (kappa / 2) h KN h.
+    dr^2 + f(r)^2 h over any kind h with a closed form composes by O'Neill's
+    formulas (Semi-Riemannian Geometry, 1983, ch. 7), with blocks dr^2 and
+    f^2 h_a: a term (c, a, b) of h becomes c / f^2, the fiber curvature
+    -f'^2 / f^2 adds -f'^2 / (2 f^2) to each pair (a, a) and -f'^2 / f^2 to
+    each pair a < b, and the radial curvature -f''/f adds (-f''/f, 0, a).
+    """
     x = points.T
     if isinstance(m, FlatTorus):
-        return np.ones(points.shape)
+        return np.ones(points.shape), (m.n,), ()
     if isinstance(m, (RoundSphere, HyperbolicSpace)):
-        return np.repeat(m.conformal_factor(x)[:, None], m.n, axis=1)
+        half_kappa = 0.5 if isinstance(m, RoundSphere) else -0.5
+        return (np.repeat(m.conformal_factor(x)[:, None], m.n, axis=1), (m.n,),
+                ((half_kappa / m.radius ** 2, 0, 0),))
     if isinstance(m, ProductOfSpheres):
         cuts = np.cumsum([0] + [d for d, _ in m.factors])
-        return np.concatenate([metric_diagonal(RoundSphere(d, r), points[:, lo:hi])
+        diag = np.concatenate([closed_form(RoundSphere(d, r), points[:, lo:hi])[0]
                                for (d, r), lo, hi in zip(m.factors, cuts, cuts[1:])],
                               axis=1)
-    if isinstance(m, WarpedRadial) and isinstance(m.fiber, RoundSphere):
-        fiber = metric_diagonal(m.fiber, points[:, 1:])
-        # the warp on an order-0 jet: a jet power is a product chain, where
-        # an array power may round differently
-        f = m.warp(Jet.variable(jets.jet_space(1, 0), 0, x[0])).value
-        return np.concatenate([np.ones((len(points), 1)),
-                               (f * f)[:, None] * fiber], axis=1)
-    return None
+        return (diag, tuple(d for d, _ in m.factors),
+                tuple((0.5 / r ** 2, a, a) for a, (_, r) in enumerate(m.factors)))
+    if not isinstance(m, WarpedRadial):
+        return None
+    fiber = closed_form(m.fiber, points[:, 1:])
+    if fiber is None:
+        return None
+    diag, dims, terms = fiber
+    f = m.warp(Jet.variable(jets.jet_space(1, 2), 0, x[0]))
+    f, fp, fpp = f.value, f.diff(0).value, f.diff(0).diff(0).value
+    coeff = {(a, b): c for c, a, b in terms}          # one term per pair
+    pairs = [(a, b) for b in range(len(dims)) for a in range(b + 1)]
+    # 0.5 (2c - f'^2) / f^2 is the pair's sum to the bit when c is a round
+    # sphere's 1 / (2 L^2)
+    terms = ([(-fpp / f, 0, a + 1) for a in range(len(dims))]
+             + [(0.5 * (2.0 * coeff.get((a, b), 0.0) - (1 + (a < b)) * fp ** 2) / f ** 2,
+                 a + 1, b + 1) for a, b in pairs])
+    return (np.concatenate([np.ones((len(points), 1)), (f * f)[:, None] * diag], axis=1),
+            (1,) + dims, tuple(terms))
 
 
 # -- Einstein bookkeeping -------------------------------------------------
@@ -306,10 +326,12 @@ def _embedding_component(m: RoundSphere, x: Sequence[Jet], axis: int):
 
 def zonal_field(m: RoundSphere, poly_coeffs: np.ndarray, axis: int):
     """Field sum_p c_p * yhat_axis^p on the sphere (yhat the unit embedding,
-    axis in 0..n)."""
+    axis in 0..n), of the sphere's n chart coordinates."""
     coeffs = np.asarray(poly_coeffs, dtype=float)
 
     def field(x):
+        if len(x) != m.n:
+            raise InvalidRange(f"a zonal field of S^{m.n} given {len(x)} coordinates")
         t = _embedding_component(m, x, axis)
         # Horner from the float c_last: its product with t is a plain scale
         out = coeffs[-1] if len(coeffs) > 1 else coeffs[-1] + 0.0 * t

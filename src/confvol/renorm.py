@@ -9,10 +9,11 @@ the expansion monomials, and from the bulk integral
 C_{n+1} * integral of v^(n+1) over the geodesic compactification
 dr^2 + g_r.  Over a space-form boundary the compactification is
 conformally flat, before and after a conformal change, so v^(n+1) is
-(-1/2)^k sigma_k(g^{-1}P) with k = (n+1)/2 for every odd n; over a round
-sphere its curvature takes the closed form.  Over any other boundary
-v^(n+1) exists only for n <= 5, and at n = 5 only over a parallel-P
-boundary, whose compactification has Bach by the conformal law.  Dimension
+(-1/2)^k sigma_k(g^{-1}P) with k = (n+1)/2 for every odd n.  Over any
+other boundary v^(n+1) exists only for n <= 5, and at n = 5 only over a
+parallel-P boundary, whose compactification has Bach by the conformal law.
+Over a boundary with a closed form (models.closed_form) the
+compactification has one too, so its curvature takes no jets.  Dimension
 four also ties V to the Euler characteristic through Gauss-Bonnet.
 """
 

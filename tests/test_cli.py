@@ -257,6 +257,32 @@ def test_rv_command(capsys):
     assert p["log_coefficient"] == 0.0
 
 
+def test_rv_cross_check_gap_is_a_numerical_failure(capsys, monkeypatch):
+    # the README contract: a failed internal cross-check exits 2
+    from confvol import renorm
+
+    bulk = renorm.renorm_volume_geodcomp
+    monkeypatch.setattr(renorm, "renorm_volume_geodcomp",
+                        lambda *args: bulk(*args) + 1e-6)
+    code, _, err = _run(capsys, "rv", "--model", "hyperbolic4")
+    assert code == 2
+    assert err.startswith("numerical failure: rv cross-check")
+    assert "Traceback" not in err
+
+
+def test_payload_keeps_14_significant_digits(capsys):
+    # v_k = C(20, k) 0.01^k falls to 1e-40 at k = 20; rounding to 14
+    # decimal places printed every row from k = 10 on as 0
+    code, out, _ = _run(capsys, "vk", "--model", "einstein", "--n", "20",
+                        "--a", "0.01")
+    assert code == 0
+    rows = json.loads(out)["payload"]["rows"]
+    assert len(rows) == 21
+    for row in rows:
+        assert row["vk"] != 0.0, row
+        assert abs(row["vk"] - row["exact"]) <= 1e-8 * row["exact"], row
+
+
 def test_report_command(capsys, tmp_path):
     j = tmp_path / "vk.json"
     code, *_ = _run(capsys, "vk", "--n", "3", "--json", str(j))

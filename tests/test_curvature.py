@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from confvol import jets, models
+from confvol import curvature, jets, models
 from confvol.curvature import (
     _MATMUL,
-    _closed_form,
     _inverse_jets,
     _kulkarni_nomizu,
     curvature_pack,
@@ -75,7 +74,25 @@ def test_riemann_symmetries_random_points():
     assert np.max(np.abs(tr)) < 1e-10
 
 
-def test_fast_paths_match_chart():
+_WARP = lambda r: 1.0 + 0.3 * r * r - 0.2 * r ** 4
+
+
+def _warped(fiber, warp=_WARP, r_range=(0.0, 1.0)):
+    return WarpedRadial(warp, fiber, r_range)
+
+
+# warped products over every closed-form fiber: a flat torus, a space form,
+# a product of spheres, and warped products over a sphere and a product
+_WARPED_KINDS = (
+    _warped(FlatTorus((1.0, 2.0))),
+    _warped(HyperbolicSpace(4, 0.8)),
+    _warped(ProductOfSpheres(((2, 1.0), (3, 1.3)))),
+    _warped(_warped(RoundSphere(3, 1.0), lambda r: 1.0 - r * r / 4.0, (0.0, 2.0))),
+    _warped(_warped(ProductOfSpheres(((2, 1.0), (2, 1.5))))),
+)
+
+
+def test_fast_paths_match_chart(monkeypatch):
     # space forms and flat tori take their Bach tensor from -P^{kl} W_{kijl}
     cases = [
         (RoundSphere(3, 2.0), True),
@@ -86,27 +103,45 @@ def test_fast_paths_match_chart():
                       (0.0, 2.0)), False),
     ]
     # warped products over a round sphere are conformally flat, so their
-    # Bach tensor -P^{kl} W_{kijl} vanishes; the chart computes it in full
+    # Bach tensor vanishes; the chart computes it in full
     for q in (2, 3, 5):
         cases.append((WarpedRadial(lambda r: 1.0 - r * r / 4.0,
                                    RoundSphere(q, 1.0), (0.0, 2.0)), True))
         cases.append((WarpedRadial(lambda r: 1.0 + 0.3 * r * r - 0.2 * r ** 4,
                                    RoundSphere(q, 1.3), (0.0, 1.0)), True))
+    # Bach over a warped fiber is refused (test_bach_refuses_a_base_with_cotton)
+    cases += [(m, not isinstance(m.fiber, WarpedRadial)) for m in _WARPED_KINDS]
+
+    def no_chart(m, points):
+        raise AssertionError(f"{type(m).__name__} ran the chart jets")
+
     names = ("riemann", "ricci", "scalar", "schouten", "weyl")
     for m, want_bach in cases:
         pts = _random_points(m, 5)
-        assert _closed_form(m, pts) is not None, type(m).__name__
-        fast = curvature_pack(m, pts, want_bach=want_bach)
+        assert models.closed_form(m, pts) is not None, type(m).__name__
+        with monkeypatch.context() as patch:
+            patch.setattr(curvature, "_chart_pack", no_chart)
+            fast = curvature_pack(m, pts, want_bach=want_bach)
         chart = chart_pack_order4(m, pts, want_bach)
         for name in names + (("bach",) if want_bach else ()):
             a, b = getattr(fast, name), getattr(chart, name)
             scale = max(1.0, np.max(np.abs(b)))
-            assert np.max(np.abs(a - b)) < 1e-9 * scale, (type(m).__name__, m.n, name)
+            assert np.max(np.abs(a - b)) < 1e-9 * scale, (m, name)
     # every other kind runs the chart jets
     for m in (ConformalDeformation(RoundSphere(3, 1.0), lambda x: 0.1 * x[0]),
-              WarpedRadial(lambda r: 1.0 + r * r, FlatTorus((1.0, 1.0)),
-                           (0.0, 1.0))):
-        assert _closed_form(m, _random_points(m, 2)) is None
+              _warped(ConformalDeformation(FlatTorus((1.0, 1.0)),
+                                           lambda x: 0.1 * x[0]))):
+        assert models.closed_form(m, _random_points(m, 2)) is None
+
+
+def test_closed_form_refuses_a_vanishing_warp():
+    # as the chart route does: dr^2 + f^2 h is degenerate where f = 0
+    m = _warped(FlatTorus((1.0, 1.0)), lambda r: r - 0.5)
+    pts = np.array([[0.5, 0.1, 0.2], [0.7, 0.3, 0.4]])
+    # the terms divide by f^2 before the pack looks at the metric
+    with pytest.raises(NonPositiveDefinite, match="degenerate"), \
+            np.errstate(divide="ignore", invalid="ignore"):
+        curvature_pack(m, pts)
 
 
 def test_product_bach_matches_chart():
@@ -142,7 +177,6 @@ def test_conformally_flat_kinds_have_no_bach():
     assert np.min(np.abs(_p_dot_bach(chart_pack_order4(m, _random_points(m, 2), True)))) > 1e-2
 
 
-_WARP = lambda r: 1.0 + 0.3 * r * r - 0.2 * r ** 4
 _BUMP = lambda x: 0.1 * x[0] * x[1] + 0.05 * x[2] - 0.07 * x[3] * x[3] + 0.04 * x[-1]
 
 
@@ -376,6 +410,22 @@ def test_stereographic_memo_scope():
     assert hasattr(shared, "memo") and not hasattr(shared[1:], "memo")
 
 
+def test_zonal_field_refuses_a_product_coordinate_list():
+    # on the six coordinates of S^2 x S^4 the S^2 field would form |x|^2
+    # over all six, so it is refused: a validation error, exit code 1
+    from confvol.errors import InvalidRange
+
+    field = zonal_field(RoundSphere(2), np.array([0.0, 0.1, 0.05]), 0)
+    product = _spheres((2, 1.0), (4, 1.3))
+    pts = _random_points(product, 3)
+    with pytest.raises(InvalidRange) as err:
+        field(_coords(product, 2, pts))
+    assert err.value.exit_code == 1
+    # the S^2 block of the same list is accepted
+    block = _coords(product, 2, pts)[:2]
+    assert np.array_equal(field(block).value, field(pts[:, :2].T))
+
+
 def test_deformed_sphere_product_count(monkeypatch):
     # one order-2 chart pack of e^{2 omega} g_{S^5}, omega a 3-axis zonal
     # mix of degree 2: |x|^2 (5) and its reciprocal (1) once; per field
@@ -455,8 +505,8 @@ _CLOSED_KINDS = (
 def test_direct_metric_matches_chart_bitwise():
     # closed-form kinds write their metric without jets, in the chart's
     # order of operations, so both agree to the bit, signed zeros included
-    for m in _CLOSED_KINDS + (WarpedRadial(lambda r: jets.exp(0.3 * r),
-                                           RoundSphere(2, 0.7), (0.0, 1.0)),):
+    for m in _CLOSED_KINDS + _WARPED_KINDS + (
+            _warped(RoundSphere(2, 0.7), lambda r: jets.exp(0.3 * r)),):
         pts = _random_points(m, 16)
         x = jets.coordinates(jets.jet_space(m.n, 0), pts.T)
         chart = np.moveaxis(m.chart(x).value, -1, 0)
@@ -464,8 +514,8 @@ def test_direct_metric_matches_chart_bitwise():
         assert np.array_equal(direct, chart), m
         assert np.array_equal(np.signbit(direct), np.signbit(chart)), m
     for m in (ConformalDeformation(RoundSphere(3), lambda x: x[0]),
-              WarpedRadial(lambda r: 1.0 + r * r, FlatTorus((1.0, 1.0)), (0.0, 1.0))):
-        assert models.metric_diagonal(m, _random_points(m, 2)) is None
+              _warped(ConformalDeformation(FlatTorus((1.0, 1.0)), lambda x: x[0]))):
+        assert models.closed_form(m, _random_points(m, 2)) is None
 
 
 def test_v_k_path_forms_no_riemann_or_weyl(monkeypatch):
@@ -507,7 +557,8 @@ def test_closed_form_v_k_allocates_no_n4_array():
 
     for m in (RoundSphere(12, 1.0), ProductOfSpheres(((5, 1.0), (7, 1.4))),
               WarpedRadial(lambda r: 1.0 - r * r / 4.0, RoundSphere(11, 1.0),
-                           (0.0, 2.0))):
+                           (0.0, 2.0)),
+              _warped(ProductOfSpheres(((5, 1.0), (6, 1.4))))):
         pts = _random_points(m, 48)
         v_direct(m, 2, points=pts)            # warm caches outside the trace
         tracemalloc.start()

@@ -43,22 +43,24 @@ _RV_GAP_TOL = 1e-9
 
 
 def _periods(text: str) -> tuple:
-    """Torus periods "p1,p2,..."; empty unless all are finite and positive."""
+    """Torus periods "p1,p2,..."; empty unless all lie in [1e-6, 1e6]."""
     try:
         periods = tuple(float(p) for p in text.split(","))
     except ValueError:
         return ()
-    return periods if all(isfinite(p) and p > 0 for p in periods) else ()
+    return periods if all(1e-6 <= p <= 1e6 for p in periods) else ()
 
 
 # value rules, checked for every key a command's schema has; each rule
 # sees the key's value and the whole config
 _RULES = {
     "n": (lambda v, c: v >= 1, "at least 1"),
-    "radius": (lambda v, c: isfinite(v) and v > 0, "finite and positive"),
-    "a": (lambda v, c: isfinite(v), "finite"),
+    # past these scales (|a| = 1 / (2 radius^2)) the charts overflow or divide by 0
+    "radius": (lambda v, c: 1e-6 <= v <= 1e6, "in [1e-6, 1e6]"),
+    "a": (lambda v, c: v == 0 or 5e-13 <= abs(v) <= 5e11,
+          "0 or of magnitude in [5e-13, 5e11]"),
     "periods": (lambda v, c: _periods(v),
-                "a comma-separated list of finite positive numbers"),
+                "a comma-separated list of numbers in [1e-6, 1e6]"),
     "points": (lambda v, c: v >= 1, "at least 1"),
     "grid": (lambda v, c: v >= 2, "at least 2"),
     "nmin": (lambda v, c: v >= 3, "at least 3"),

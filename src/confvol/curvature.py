@@ -6,9 +6,10 @@ products included, are diagonal metrics whose Riemann tensor is a sum of
 Kulkarni-Nomizu products of their blocks (``models.closed_form``).
 That route writes the metric without jets and contracts each product
 straight to Ricci, so it forms g, g^{-1}, Ricci, scalar and Schouten from
-(B, n) diagonals.  Every other kind propagates order-2 metric component
-jets through the Christoffel / Riemann / Schouten pipeline, whose raised
-Riemann jets Ricci is the trace of; all derivatives are exact Taylor
+(B, n) diagonals.  Every other kind runs the chart front end that
+``laplacian`` shares, ``_chart_jets`` (order-2 chart jets, inverse and
+Christoffel jets to order 1), and contracts to the values of the raised
+Riemann tensor, whose trace is Ricci; all derivatives are exact Taylor
 coefficients, never finite differences.  The two routes must agree.
 Bach comes from one conformal transformation law on both routes (see
 ``_bach``); series.v_direct asks for it only at k = 3 on kinds that are
@@ -120,12 +121,8 @@ def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
     """Laplace-Beltrami of a list of scalar fields at chart points, shape (F, B)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = m.n
-    space = jets.jet_space(n, 2)
-    x = jets.coordinates(space, points.T)
-    G = m.chart(x)
-    ginv = np.linalg.inv(np.moveaxis(G.value, -1, 0))        # (B, n, n)
-    ginv = np.ascontiguousarray(np.moveaxis(ginv, 0, -1))     # (n, n, B)
-    gam = _christoffel(G, ginv[..., None], 1)[..., 0]         # (k, i, j, B)
+    x, _, _, inv0, _, gam = _chart_jets(m, points)
+    ginv = np.ascontiguousarray(np.moveaxis(inv0, 0, -1))     # (n, n, B)
     out = []
     for f in fields:
         w = f(x)
@@ -133,7 +130,7 @@ def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
             np.stack([w.diff(i).diff(j).value for j in range(n)]) for i in range(n)
         ])                                                    # (n, n, B)
         grad = w.gradient_value()                             # (n, B)
-        cov = hess - np.einsum("kij...,k...->ij...", gam, grad)
+        cov = hess - np.einsum("kij...,k...->ij...", gam[..., 0], grad)
         out.append(np.einsum("ij...,ij...->...", ginv, cov))
     return np.stack(out)
 
@@ -141,10 +138,10 @@ def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
 # -- chart pipeline --------------------------------------------------------
 
 
-def _chart_pack(m: ModelMetric, points: np.ndarray) -> CurvaturePack:
-    n = m.n
-    space = jets.jet_space(n, 2)
-    x = jets.coordinates(space, points.T)
+def _chart_jets(m: ModelMetric, points: np.ndarray):
+    """(x, G = m.chart(x), g0, g0^{-1}, inverse and Christoffel jets to order 1)
+    on order-2 coordinates x; refuses a metric not symmetric or degenerate."""
+    x = jets.coordinates(jets.jet_space(m.n, 2), points.T)
     G = m.chart(x)                                            # (n, n, B, nc)
 
     g0 = np.ascontiguousarray(np.moveaxis(G.value, -1, 0))    # (B, n, n)
@@ -155,8 +152,14 @@ def _chart_pack(m: ModelMetric, points: np.ndarray) -> CurvaturePack:
         raise NonPositiveDefinite("metric degenerate at a sampled point")
 
     inv0 = np.linalg.inv(g0)
-    Ginv = _inverse_jets(G, np.ascontiguousarray(np.moveaxis(inv0, 0, -1)), 2)
-    gam = _christoffel(G, Ginv, 2)                            # to order 1
+    Ginv = _inverse_jets(G, np.ascontiguousarray(np.moveaxis(inv0, 0, -1)))
+    return x, G, g0, inv0, Ginv, _christoffel(G, Ginv)
+
+
+def _chart_pack(m: ModelMetric, points: np.ndarray) -> CurvaturePack:
+    n = m.n
+    _, G, g0, inv0, Ginv, gam = _chart_jets(m, points)
+    space = G.space
 
     # Riemann jets are trusted to order 0: every product returns the value only
     dgam = np.stack([space.diff(gam, v, 0) for v in range(n)])
@@ -183,41 +186,30 @@ def _chart_pack(m: ModelMetric, points: np.ndarray) -> CurvaturePack:
         lambda: np.einsum("...rl,...lsmn->...rsmn", g0, rm_up0))
 
 
-# matrix product of matrix jets: [i, j] = sum_k A[i, k] B[k, j]
-_MATMUL = "ik...p,kj...p->ij..."
-# the same product when A, or B, is a constant matrix given by its values:
-# one contraction of coefficient arrays, no coefficient pairs
+# the matrix product [i, j] = sum_k A[i, k] B[k, j] when A, or B, is a
+# constant matrix given by its values: one contraction of coefficient
+# arrays, no coefficient pairs
 _CONST_MATMUL = "ik...,kj...q->ij...q"
 _MATMUL_CONST = "ik...q,kj...->ij...q"
 
 
-def _inverse_jets(G: Jet, inv0: np.ndarray, order: int) -> np.ndarray:
-    """Coefficients up to ``order`` of the inverse of the matrix jet G,
-    given the inverse inv0 (n, n, B), C-contiguous, of its value."""
-    space = G.space
-    nc = space.ncoef_at(order)
-    delta = G.c[..., :nc].copy()
+def _inverse_jets(G: Jet, inv0: np.ndarray) -> np.ndarray:
+    """Coefficients up to order 1 of G^{-1} = inv0 - inv0 dG inv0, given the
+    inverse inv0 (n, n, B), C-contiguous, of the value of the matrix jet G."""
+    delta = G.c[..., :G.space.ncoef_at(1)].copy()
     delta[..., 0] = 0.0
     E = np.einsum(_CONST_MATMUL, inv0, delta)                 # zero constant term
     eye = np.zeros_like(E)
     eye[..., 0] = np.eye(len(inv0))[:, :, None]
-    acc = -E                                                  # Neumann series in -E
-    total = eye + acc
-    for _ in range(order - 1):
-        acc = -space.mul(acc, E, order, _MATMUL)
-        total = total + acc
-    return np.einsum(_MATMUL_CONST, total, inv0)
+    return np.einsum(_MATMUL_CONST, eye - E, inv0)
 
 
-def _christoffel(G: Jet, Ginv: np.ndarray, order: int) -> np.ndarray:
-    """Coefficients up to ``order - 1`` of Gam^k_ij, shape (k, i, j, B, nc)."""
-    space = G.space
-    n = G.c.shape[0]
-    dG = np.stack([space.diff(G.c, v, order - 1) for v in range(n)])  # (v,a,b,B,nc)
+def _christoffel(G: Jet, Ginv: np.ndarray) -> np.ndarray:
+    """Coefficients up to order 1 of Gam^k_ij, shape (k, i, j, B, n + 1)."""
+    dG = np.stack([G.space.diff(G.c, v, 1) for v in range(len(G.c))])  # (v,a,b,B,n+1)
     M1 = dG.transpose(2, 0, 1, *range(3, dG.ndim))            # [l,i,j] = d_i g_{jl}
     M2 = dG.transpose(2, 1, 0, *range(3, dG.ndim))            # [l,i,j] = d_j g_{il}
-    T = M1 + M2 - dG
-    return 0.5 * space.mul(Ginv, T, order - 1, "kl...p,lij...p->kij...")
+    return 0.5 * G.space.mul(Ginv, M1 + M2 - dG, 1, "kl...p,lij...p->kij...")
 
 
 def _kulkarni_nomizu(P: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -21,14 +21,14 @@ That order and the operand layout fix the output bits (see ``JetSpace.mul``).
 A product with a constant factor does not call the kernel: multiplying a
 jet by a number or an array scales its coefficients, ``_compose`` starts
 Horner with the scale ``h f^(order)(u0)/order!``, a power starts from the
-jet itself, not from the constant 1, and ``curvature._inverse_jets``
-multiplies by the constant matrix g0^{-1} with one contraction of
-coefficient arrays.  These give the kernel's values bit for bit: of the
-kernel's pairs for one output coefficient only the one with the constant
-coefficient is nonzero, the others add exact zeros, and numpy's einsum
-adds the terms of a matrix index in the same order on both routes (tested
-on orders 0-4, n = 3-7, batches 1-48).  Only the sign of a zero
-coefficient can differ.
+jet itself, not from the constant 1, and the order-1 inverse
+``curvature._inverse_jets`` multiplies by the constant matrix g0^{-1}
+with one contraction of coefficient arrays.  These give the kernel's
+values bit for bit: of the kernel's pairs for one output coefficient only
+the one with the constant coefficient is nonzero, the others add exact
+zeros, and numpy's einsum adds the terms of a matrix index in the same
+order on both routes (tested on orders 0-4, n = 3-7, batches 1-48).  Only
+the sign of a zero coefficient can differ.
 
 Besides ring arithmetic and integer powers, jets compose with ``exp``,
 ``cos`` and ``reciprocal``, the functions the model charts and fields use.

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets
-from .errors import InvalidRange
+from .errors import InvalidRange, NonPositiveDefinite
 from .jets import Jet
 
 
@@ -237,6 +237,8 @@ def closed_form(m: ModelMetric, points: np.ndarray):
     diag, dims, terms = fiber
     f = m.warp(Jet.variable(jets.jet_space(1, 2), 0, x[0]))
     f, fp, fpp = f.value, f.diff(0).value, f.diff(0).diff(0).value
+    if not np.all(f):              # refused before the terms divide by f^2
+        raise NonPositiveDefinite("metric degenerate at a sampled point")
     coeff = {(a, b): c for c, a, b in terms}          # one term per pair
     pairs = [(a, b) for b in range(len(dims)) for a in range(b + 1)]
     # 0.5 (2c - f'^2) / f^2 is the pair's sum to the bit when c is a round

@@ -3,15 +3,17 @@
 ``chart_pack_order4`` is the chart pack as it was before Bach moved to the
 conformal transformation law: with ``want_bach`` it propagates order-4
 metric jets and forms Bach as Lap P - div div P - P^{kl} W_{kijl} from
-covariant derivatives of the Schouten jets.  It shares only the jet
-kernel, the inverse and Christoffel jets and the pack type with the
-library, never the law itself.
+covariant derivatives of the Schouten jets.  It evaluates the chart and
+refuses a degenerate metric itself, and has its own inverse jets (a
+Neumann series of any order) and its own Christoffel step, so it shares
+only the jet arithmetic (``Jet``/``JetSpace``), the model charts and the
+pack type with the library, never the law itself.
 """
 
 import numpy as np
 
 from confvol import jets
-from confvol.curvature import CurvaturePack, _christoffel, _inverse_jets
+from confvol.curvature import CurvaturePack
 from confvol.errors import NonPositiveDefinite
 from confvol.models import ModelMetric
 
@@ -63,6 +65,43 @@ def chart_pack_order4(m: ModelMetric, points: np.ndarray, want_bach: bool) -> Cu
     if want_bach and n >= 3:
         pack.bach = _bach(space, gam, P, pack.weyl, pack.inverse, n)
     return pack
+
+
+# matrix product of matrix jets: [i, j] = sum_k A[i, k] B[k, j]
+_MATMUL = "ik...p,kj...p->ij..."
+# the same product when A, or B, is a constant matrix given by its values
+_CONST_MATMUL = "ik...,kj...q->ij...q"
+_MATMUL_CONST = "ik...q,kj...->ij...q"
+
+
+def _inverse_jets(G, inv0, order):
+    """Coefficients up to ``order`` of the inverse of the matrix jet G, by
+    the Neumann series in E = g0^{-1} (G - g0), given the inverse inv0
+    (n, n, B), C-contiguous, of its value."""
+    space = G.space
+    nc = space.ncoef_at(order)
+    delta = G.c[..., :nc].copy()
+    delta[..., 0] = 0.0
+    E = np.einsum(_CONST_MATMUL, inv0, delta)                 # zero constant term
+    eye = np.zeros_like(E)
+    eye[..., 0] = np.eye(len(inv0))[:, :, None]
+    acc = -E
+    total = eye + acc
+    for _ in range(order - 1):
+        acc = -space.mul(acc, E, order, _MATMUL)
+        total = total + acc
+    return np.einsum(_MATMUL_CONST, total, inv0)
+
+
+def _christoffel(G, Ginv, order):
+    """Coefficients up to ``order - 1`` of Gam^k_ij, shape (k, i, j, B, nc)."""
+    space = G.space
+    n = G.c.shape[0]
+    dG = np.stack([space.diff(G.c, v, order - 1) for v in range(n)])  # (v,a,b,B,nc)
+    M1 = dG.transpose(2, 0, 1, *range(3, dG.ndim))            # [l,i,j] = d_i g_{jl}
+    M2 = dG.transpose(2, 1, 0, *range(3, dG.ndim))            # [l,i,j] = d_j g_{il}
+    T = M1 + M2 - dG
+    return 0.5 * space.mul(Ginv, T, order - 1, "kl...p,lij...p->kij...")
 
 
 def _bach(space, gam, P, weyl, ginv0, n):

@@ -148,6 +148,17 @@ def test_exit_code_out_of_range_model_keys(capsys):
         ("flow", "--model", "sphere", "--n", "7", "--k", "2"),
         ("flow", "--model", "sphere", "--n", "7", "--k", "3"),
         ("flow", "--model", "sphere", "--n", "9", "--k", "3"),
+        # radii and torus periods outside [1e-6, 1e6] overflow or divide by
+        # zero; for einstein that is |a| outside [5e-13, 5e11]
+        ("vk", "--radius", "1e300", "--n", "3"),
+        ("vk", "--radius", "1e-100", "--n", "3"),
+        ("curvature", "--model", "hyperbolic", "--n", "3", "--radius", "1e-300"),
+        ("flow", "--model", "sphere", "--n", "3", "--radius", "1e-200"),
+        ("hessian", "--model", "torus", "--periods", "1e-300,1", "--functional", "V",
+         "--lmax", "1"),
+        ("hessian", "--model", "einstein", "--a", "1e-300", "--n", "3"),
+        ("hessian", "--model", "einstein", "--a", "1e300", "--n", "3"),
+        ("variation", "--model", "einstein", "--a", "1e300", "--n", "3"),
     ]
     for argv in table:
         code, out, err = _run(capsys, *argv)

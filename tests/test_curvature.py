@@ -5,7 +5,7 @@ import pytest
 
 from confvol import curvature, jets, models
 from confvol.curvature import (
-    _MATMUL,
+    _christoffel,
     _inverse_jets,
     _kulkarni_nomizu,
     curvature_pack,
@@ -24,7 +24,8 @@ from confvol.models import (
 )
 from confvol.jets import Jet
 from confvol.series import v_direct
-from order4_chart import chart_pack_order4
+import order4_chart
+from order4_chart import _MATMUL, chart_pack_order4
 
 RNG = np.random.default_rng(42)
 
@@ -138,9 +139,7 @@ def test_closed_form_refuses_a_vanishing_warp():
     # as the chart route does: dr^2 + f^2 h is degenerate where f = 0
     m = _warped(FlatTorus((1.0, 1.0)), lambda r: r - 0.5)
     pts = np.array([[0.5, 0.1, 0.2], [0.7, 0.3, 0.4]])
-    # the terms divide by f^2 before the pack looks at the metric
-    with pytest.raises(NonPositiveDefinite, match="degenerate"), \
-            np.errstate(divide="ignore", invalid="ignore"):
+    with pytest.raises(NonPositiveDefinite, match="degenerate"):
         curvature_pack(m, pts)
 
 
@@ -379,19 +378,39 @@ def test_shared_stereographic_jets_are_bitwise_unchanged():
         assert np.array_equal(G.c, ref.c), order
 
 
+def _assert_bitwise(got, ref):
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 def test_inverse_jets_bitwise_unchanged():
+    # the library's order-1 inverse and Christoffel jets are the oracle's
+    # Neumann series and order-2 Christoffel step truncated to order 1, bit
+    # for bit with signed zeros; the oracle's series is the pair kernel's
+    # (to the sign of a zero) at every order it runs
     m = RoundSphere(5, 1.3)
     pts = _random_points(m, 4)
-    for order, space_order in ((0, 2), (2, 2), (4, 4)):
-        x = _coords(m, space_order, pts)
+    for order in (2, 4):
+        x = _coords(m, order, pts)
         G = ConformalDeformation(m, _mix(m, zonal_field)).chart(x)
         # off-diagonal terms exercise every entry of the matrix products
         G = G + 0.1 * Jet(G.space, np.stack([np.stack([(xi * xj).c for xj in x])
                                              for xi in x]))
         g0 = np.moveaxis(G.value, -1, 0)
         inv0 = np.ascontiguousarray(np.moveaxis(np.linalg.inv(g0), 0, -1))
-        assert np.array_equal(_inverse_jets(G, inv0, order),
-                              _ref_inverse(G, g0, order)), order
+        ref = order4_chart._inverse_jets(G, inv0, order)
+        assert np.array_equal(ref, _ref_inverse(G, g0, order)), order
+        Ginv = _inverse_jets(G, inv0)
+        _assert_bitwise(Ginv, ref[..., :m.n + 1])
+        _assert_bitwise(_christoffel(G, Ginv), order4_chart._christoffel(G, ref, 2))
+
+
+def test_order4_oracle_shares_only_the_pack_type_with_curvature():
+    # a fault in the library's inverse or Christoffel jets must not reach
+    # both sides of a law-against-chart check
+    shared = [name for name, obj in vars(order4_chart).items()
+              if obj is curvature or getattr(obj, "__module__", None) == curvature.__name__]
+    assert shared == ["CurvaturePack"]
 
 
 def test_stereographic_memo_scope():
@@ -430,11 +449,11 @@ def test_deformed_sphere_product_count(monkeypatch):
     # one order-2 chart pack of e^{2 omega} g_{S^5}, omega a 3-axis zonal
     # mix of degree 2: |x|^2 (5) and its reciprocal (1) once; per field
     # one embedding component (1) and Horner (1); exp (1); the squared
-    # conformal factor (1) and its product with exp (1); the inverse (its
-    # one series term: 1); Christoffel (1); Riemann, scalar and Schouten
-    # (3).  Products with a constant factor (the first Horner step of a
-    # composition or a field, the first factor of a power, and both
-    # products by g0^{-1} in the inverse) are scales, not kernel calls
+    # conformal factor (1) and its product with exp (1); Christoffel (1);
+    # Riemann, scalar and Schouten (3).  Products with a constant factor
+    # (the first Horner step of a composition or a field, the first factor
+    # of a power, and both products by g0^{-1} in the order-1 inverse) are
+    # scales, not kernel calls
     m = RoundSphere(5)
     omega = _mix(m, zonal_field)
     counted = jets.JetSpace.mul
@@ -446,7 +465,7 @@ def test_deformed_sphere_product_count(monkeypatch):
 
     monkeypatch.setattr(jets.JetSpace, "mul", mul)
     v_direct(ConformalDeformation(m, omega), 2, _random_points(m, 3))
-    assert len(calls) == 6 + 3 * 2 + 1 + 1 + 1 + 1 + 1 + 3
+    assert len(calls) == 6 + 3 * 2 + 1 + 1 + 1 + 1 + 3
 
 
 def test_kulkarni_nomizu_bitwise_unchanged():

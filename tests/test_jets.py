@@ -219,7 +219,8 @@ def test_constant_factor_routes_match_the_pair_kernel(n, order):
     # constant written as a jet, on either side.  Only the sign of a zero
     # may differ, which np.array_equal ignores.  The constant matrix is not
     # symmetric, so swapped subscripts fail.
-    from confvol.curvature import _CONST_MATMUL, _MATMUL, _MATMUL_CONST
+    from confvol.curvature import _CONST_MATMUL, _MATMUL_CONST
+    from order4_chart import _MATMUL
 
     sp = jets.jet_space(n, order)
     rng = np.random.default_rng(100 * n + order)

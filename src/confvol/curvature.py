@@ -34,7 +34,8 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .errors import GeneralFGUnavailable, KOutOfRange, NonPositiveDefinite
+from .errors import (
+    GeneralFGUnavailable, KOutOfRange, NonFiniteResult, NonPositiveDefinite)
 from .jets import Jet
 from .models import ConformalDeformation, ModelMetric, WarpedRadial, closed_form
 
@@ -140,11 +141,14 @@ def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
 
 def _chart_jets(m: ModelMetric, points: np.ndarray):
     """(x, G = m.chart(x), g0, g0^{-1}, inverse and Christoffel jets to order 1)
-    on order-2 coordinates x; refuses a metric not symmetric or degenerate."""
+    on order-2 coordinates x; refuses a metric not finite, not symmetric or
+    degenerate."""
     x = jets.coordinates(jets.jet_space(m.n, 2), points.T)
     G = m.chart(x)                                            # (n, n, B, nc)
 
     g0 = np.ascontiguousarray(np.moveaxis(G.value, -1, 0))    # (B, n, n)
+    if not np.all(np.isfinite(g0)):
+        raise NonFiniteResult("metric overflows at a sampled point")
     if np.max(np.abs(g0 - np.swapaxes(g0, -1, -2))) > 1e-12 * np.max(np.abs(g0)):
         raise NonPositiveDefinite("metric components not symmetric")
     eig = np.linalg.eigvalsh(g0)

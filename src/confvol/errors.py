@@ -106,4 +106,5 @@ class ConfigInvalid(ConfvolError):
 
 
 class NonFiniteResult(NumericalFailure):
-    """A result record holds a NaN or an infinity."""
+    """A result record, a flow start or a chart metric holds a NaN or an
+    infinity."""

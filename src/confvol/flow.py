@@ -4,8 +4,9 @@ Explicit Euler with step rejection on the conformal factor omega of
 e^{2 omega} g: each step moves omega by -(v_k - mean v_k), the sigma_k
 flow of Guan and Wang (J. Reine Angew. Math. 557, 2003), for every k, and
 then renormalizes the volume exactly by subtracting a constant.  The
-variance of v_k must not increase on accepted steps; the caller's step
-controller halves dt on rejection and grows it slowly on acceptance.
+variance of v_k must stay finite and not increase on accepted steps; the
+caller's step controller halves dt on rejection and grows it slowly on
+acceptance.  A start whose variance overflows is refused (NonFiniteResult).
 
 Discretizations: flat tori on uniform grids with Fourier differentiation
 (k = 1, where v_1 follows from the conformal transformation law of scalar
@@ -14,22 +15,26 @@ factors, where fields live on a 1D Gauss-Legendre grid.  The deformed
 sphere is conformally flat, so every k <= n is available there through
 v_k = sigma_k(g^{-1}P).
 
-A torus field that is constant along x_2..x_n, as the flow keeps a start
-on a Fourier mode (m, 0, ..., 0), is differentiated on its x_1 line when
-each of those axes has a power-of-two length; the result is bit for bit
-the n-dimensional transform's (see TorusGrid).  The torus flow's
-convergence rests on those exact zeros off the x_1 axis: dt_cap is 5x past
-the explicit Euler bound, so rounding noise in the other modes would grow
-(ROADMAP item 8, a linearly implicit step, removes the cap).
+A torus start that is constant along x_2..x_n, as a start on a Fourier
+mode (m, 0, ..., 0) is and as the flow keeps it, is carried on its x_1 line
+when each of those axes has a power-of-two length: make_state decides this
+once, and the state then holds one value per x_1 point.  Its sums add the
+full grid's values in grid order, so every output is bit for bit the
+n-dimensional flow's (see TorusGrid).  The torus flow's convergence rests
+on those exact zeros off the x_1 axis: dt_cap is 5x past the explicit Euler
+bound, so rounding noise in the other modes would grow (ROADMAP item 2, a
+linearly implicit step, removes the cap).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRange, KOutOfRange, NoConvergence, StepRejected
+from .errors import (
+    InvalidRange, KOutOfRange, NoConvergence, NonFiniteResult, StepRejected)
 from .models import (
     ConformalDeformation,
     FlatTorus,
@@ -47,13 +52,18 @@ _VARIANCE_SLACK = 1e-14
 class TorusGrid:
     """Uniform periodic grid with spectral differentiation; k = 1 only.
 
-    A field constant along every axis but the first takes a complex FFT of
-    its x_1 line, when x_2..x_n all have power-of-two lengths.  pocketfft
+    on_line carries a field constant along every axis but the first on its
+    x_1 line when x_2..x_n all have power-of-two lengths: the line grid's
+    points are the N_1 points of the x_1 axis, each standing for `copies`
+    grid points, and it takes a complex FFT of the line.  pocketfft
     transforms a constant line of length 2^m by doubling sums and
     differences that are exactly 0, and every 1/N scale is a power of two,
     so rfftn/irfftn return the line's c2c result times exact powers of two
     (the first axis is c2c in rfftn too), with d_2, d_3, ... = +-0.  Other
     lengths leave rounding off the axis, so such grids keep the n-D path.
+    `total` sums the grid's own array, each line value repeated `copies`
+    times in grid order, so volume, mean and variance keep the grid's bits;
+    max_eigenvalue, and with it dt, stays the grid's.
     """
 
     def __init__(self, torus: FlatTorus, shape=None):
@@ -75,17 +85,27 @@ class TorusGrid:
         dk = np.meshgrid(*dfreqs, indexing="ij")
         half = self.shape[-1] // 2 + 1
         self._mult = np.stack([-self.k2] + [1j * d for d in dk])[..., :half]
+        self._line_mult = None
+        self.copies = 1
+
+    def on_line(self, omega):
+        """(grid, omega) carried on the x_1 line when omega is constant off
+        the x_1 axis and x_2..x_n have power-of-two lengths, else unchanged."""
+        if self._line_mult is not None:
+            return self, omega
+        w = omega.reshape(self.shape[0], -1)
+        if any(N & (N - 1) for N in self.shape[1:]) or not np.all(w == w[:, :1]):
+            return self, omega
+        line = copy.copy(self)
+        line.points, line.copies = self.points[:: w.shape[1]], w.shape[1]
         # the -k_1^2 and i k_1 rows on the x_1 axis, where the rest of k is 0
-        pow2 = all(N & (N - 1) == 0 for N in self.shape[1:])
-        self._line_mult = (self._mult[:2].reshape(2, self.shape[0], -1)[..., 0]
-                           if n > 1 and pow2 else None)
+        line._line_mult = self._mult[:2].reshape(2, self.shape[0], -1)[..., 0]
+        return line, w[:, 0]
 
     def _spectral(self, omega):
-        w = omega.reshape(self.shape[0], -1)
-        if self._line_mult is not None and np.all(w == w[:, :1]):
-            line = np.fft.ifft(self._line_mult * np.fft.fft(w[:, 0])).real
-            return (np.repeat(line[0], w.shape[1]),
-                    np.repeat(line[1] ** 2, w.shape[1]))
+        if self._line_mult is not None:
+            line = np.fft.ifft(self._line_mult * np.fft.fft(omega)).real
+            return line[0], line[1] ** 2
         hat = np.fft.rfftn(omega.reshape(self.shape))
         axes = tuple(range(1, len(self.shape) + 1))
         out = np.fft.irfftn(self._mult * hat, s=self.shape, axes=axes)
@@ -102,8 +122,12 @@ class TorusGrid:
     def density(self, omega):
         return np.exp(self.base.n * omega)
 
+    def total(self, values):
+        return np.sum(values if self.copies == 1
+                      else np.repeat(values, self.copies))
+
     def volume(self, total):
-        return self.base_volume * float(total / len(self.points))
+        return self.base_volume * float(total / (len(self.points) * self.copies))
 
     def project(self, omega):
         return omega
@@ -167,6 +191,9 @@ class SphereZonal:
     def density(self, omega):
         return self.w * np.exp(self.base.n * omega)
 
+    def total(self, values):
+        return np.sum(values)
+
     def volume(self, total):
         return float(total)
 
@@ -176,6 +203,8 @@ class SphereZonal:
 
 @dataclass(frozen=True)
 class FlowState:
+    """omega and vk hold one value per disc.points: N_1 on a torus line."""
+
     disc: object
     omega: np.ndarray
     k: int
@@ -194,13 +223,13 @@ def _state(disc, omega, k: int, step: int) -> FlowState:
     """Project omega, fix the gauge by exact volume renormalization, and
     evaluate v_k with its mean and variance under one volume density."""
     omega = disc.project(omega)
-    ratio = disc.volume(np.sum(disc.density(omega))) / disc.base_volume
+    ratio = disc.volume(disc.total(disc.density(omega))) / disc.base_volume
     omega = omega - np.log(ratio) / disc.base.n
     vk = disc.vk(omega, k)
     density = disc.density(omega)
-    total = np.sum(density)
-    mean = float(np.sum(vk * density) / total)
-    var = float(np.sum((vk - mean) ** 2 * density) / total)
+    total = disc.total(density)
+    mean = float(disc.total(vk * density) / total)
+    var = float(disc.total((vk - mean) ** 2 * density) / total)
     return FlowState(disc=disc, omega=omega, k=k, step=step,
                      volume=disc.volume(total), vk=vk, variance=var,
                      mean_vk=mean)
@@ -215,14 +244,24 @@ def make_state(disc, omega0, k: int) -> FlowState:
             f"F_{k} is conformally invariant in dimension {n}; no flow")
     omega = field_values(omega0, disc.points) if callable(omega0) \
         else np.asarray(omega0, dtype=float)
-    return _state(disc, omega, k, 0)
+    if isinstance(disc, TorusGrid):
+        disc, omega = disc.on_line(omega)
+    with np.errstate(all="ignore"):
+        state = _state(disc, omega, k, 0)
+    if not np.isfinite(state.variance):
+        raise NonFiniteResult(
+            f"flow start overflows: the v_{k} variance is {state.variance}")
+    return state
 
 
 def flow_step(state: FlowState, dt: float) -> FlowState:
-    """One explicit Euler step; raises StepRejected if the v_k variance grew."""
-    nxt = _state(state.disc, state.omega - dt * (state.vk - state.mean_vk),
-                 state.k, state.step + 1)
-    if nxt.variance > state.variance * (1.0 + _VARIANCE_SLACK) + _VARIANCE_SLACK:
+    """One explicit Euler step; raises StepRejected if the v_k variance grew
+    or is not finite."""
+    with np.errstate(all="ignore"):
+        nxt = _state(state.disc, state.omega - dt * (state.vk - state.mean_vk),
+                     state.k, state.step + 1)
+    # a NaN variance fails this test too, so an overflowing trial is rejected
+    if not nxt.variance <= state.variance * (1.0 + _VARIANCE_SLACK) + _VARIANCE_SLACK:
         raise StepRejected(f"variance grew {state.variance:.6e} -> "
                            f"{nxt.variance:.6e} at dt = {dt:.3e}")
     return nxt

@@ -218,6 +218,20 @@ def test_exit_code_numerical_failure(capsys):
                         "--max-steps", "3")
     assert code == 2
     assert "numerical failure" in err
+    # a start that overflows is refused; at amplitude 50 every trial step
+    # overflows and is rejected, so the flow stalls at a finite deviation
+    for argv, message in (
+            (("--model", "sphere", "--n", "3", "--radius", "1e-6"),
+             "flow start overflows"),
+            (("--model", "torus", "--periods", "1,1,1", "--amplitude", "1e300"),
+             "flow start overflows"),
+            (("--model", "sphere", "--n", "5", "--k", "2", "--amplitude", "1e300"),
+             "metric overflows at a sampled point"),
+            (("--model", "torus", "--periods", "1,1,1", "--amplitude", "50"),
+             "flow stalled at sup deviation 2.246e+89")):
+        code, _, err = _run(capsys, "flow", *argv)
+        assert code == 2, argv
+        assert message in err and "Traceback" not in err, argv
 
 
 def test_hessian_command(capsys):

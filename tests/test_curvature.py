@@ -12,7 +12,8 @@ from confvol.curvature import (
     laplacian,
     sigma_k,
 )
-from confvol.errors import GeneralFGUnavailable, KOutOfRange, NonPositiveDefinite
+from confvol.errors import (
+    GeneralFGUnavailable, KOutOfRange, NonFiniteResult, NonPositiveDefinite)
 from confvol.models import (
     ConformalDeformation,
     FlatTorus,
@@ -507,6 +508,15 @@ def test_chart_pack_rejects_degenerate_and_asymmetric_metrics():
 
     with pytest.raises(NonPositiveDefinite, match="not symmetric"):
         curvature_pack(_ChartOnly(3, asymmetric), pts)
+
+    def overflowing(x):
+        G = models._delta_matrix(x)
+        G.c[1, 1, ..., 0] = np.inf
+        return G
+
+    # inf - inf makes both tests above compare NaN, which neither refuses
+    with pytest.raises(NonFiniteResult, match="overflows"):
+        curvature_pack(_ChartOnly(3, overflowing), pts)
 
 
 # -- closed-form metrics and on-demand Riemann and Weyl -----------------------

@@ -5,6 +5,8 @@ from math import comb
 import numpy as np
 import pytest
 
+from confvol import flow
+from confvol.cli import cli_dispatch
 from confvol.errors import InvalidRange, KOutOfRange, NoConvergence, StepRejected
 from confvol.flow import (
     TorusGrid, discretize, flow_step, make_state, run_flow)
@@ -27,7 +29,7 @@ def test_torus_flow_converges():
 def test_torus_spectral_matches_full_fft():
     # Laplacian and |grad|^2 on the half spectrum against the real parts of
     # full-spectrum inverse transforms, on rough fields with Nyquist content;
-    # the x_1-only field takes the first-axis line transform
+    # the x_1-only field is carried on its line and takes the line transform
     def rough(shape):
         return np.random.default_rng(3).standard_normal(shape)
 
@@ -42,49 +44,104 @@ def test_torus_spectral_matches_full_fft():
                            for N, p in zip(shape, periods)], indexing="ij")
         lap = np.real(np.fft.ifftn(-sum(k ** 2 for k in ks) * hat))
         grad2 = sum(np.real(np.fft.ifftn(1j * k * hat)) ** 2 for k in ks)
-        got_lap, got_grad2 = disc._spectral(om.ravel())
+        line, w = disc.on_line(om.ravel())
+        got_lap, got_grad2 = (np.repeat(x, line.copies)
+                              for x in line._spectral(w))
         assert np.max(np.abs(got_lap - lap.ravel())) <= 1e-13 * np.max(np.abs(lap))
         assert np.max(np.abs(got_grad2 - grad2.ravel())) <= 1e-13 * np.max(grad2)
 
 
-def test_torus_line_transform_is_bitwise_the_3d_transform(monkeypatch):
-    # along CLI-start flows, fields constant off the x_1 axis differentiate
-    # on the x_1 line only when every other axis has a power-of-two length;
-    # (16, 12, 16) must keep the 3-D transform, which the line misses there
-    calls = []
-    line_spectral = TorusGrid._spectral
+# grids of the line-against-grid test: (periods, shape, max_steps); the
+# 16^3 and larger flows stop early, (16, 12, 16) keeps the n-D path
+LINE_GRIDS = (
+    ((1.0, 1.0, 1.0), (8, 8, 8), 10000),
+    ((1.0, 1.0, 1.0), (12, 16, 16), 10000),
+    ((1.0, 1.0, 1.0), (10, 16, 16), 10000),
+    ((1.0, 1.0, 1.0, 1.0), (8, 8, 8, 8), 10000),
+    ((1.0, 1.0, 1.0), (16, 16, 16), 150),
+    ((2.0, 1.0, 1.5), (16, 16, 16), 150),
+    ((1.0, 1.0, 1.0), (24, 8, 4), 150),
+    ((1.0, 1.0, 1.0), (32, 32, 32), 20),
+    ((1.0, 1.0, 1.0), (16, 12, 16), 50),
+)
 
-    def checked(disc, omega):
-        lap, grad2 = line_spectral(disc, omega)
-        axes = tuple(range(1, len(disc.shape) + 1))
-        hat = np.fft.rfftn(omega.reshape(disc.shape))
-        out = np.fft.irfftn(disc._mult * hat, s=disc.shape, axes=axes)
-        assert lap.tobytes() == out[0].ravel().tobytes()
-        assert grad2.tobytes() == np.sum(out[1:] ** 2, axis=0).ravel().tobytes()
-        calls.append(disc._line_mult is not None)
-        return lap, grad2
 
-    monkeypatch.setattr(TorusGrid, "_spectral", checked)
-    for periods, shape, max_steps in (
-            ((1.0, 1.0, 1.0), (8, 8, 8), 10000),
-            ((1.0, 1.0, 1.0), (12, 16, 16), 10000),
-            ((1.0, 1.0, 1.0), (10, 16, 16), 10000),
-            ((1.0, 1.0, 1.0, 1.0), (8, 8, 8, 8), 10000),
-            ((1.0, 1.0, 1.0), (16, 16, 16), 150),
-            ((2.0, 1.0, 1.5), (16, 16, 16), 150),
-            ((1.0, 1.0, 1.0), (24, 8, 4), 150),
-            ((1.0, 1.0, 1.0), (32, 32, 32), 20),
-            ((1.0, 1.0, 1.0), (16, 12, 16), 50)):
-        torus = FlatTorus(periods)
-        omega0 = fourier_field(torus, (1,) + (0,) * (torus.n - 1),
-                               amplitude=0.05)
-        calls.clear()
+def _recorded_flow(monkeypatch, torus, shape, max_steps):
+    """run_flow's report and (volume, mean_vk, variance) of every state."""
+    measures = []
+
+    def recorded(*args):
+        state = real_state(*args)
+        measures.append((state.volume, state.mean_vk, state.variance))
+        return state
+
+    real_state = flow._state
+    omega0 = fourier_field(torus, (1,) + (0,) * (torus.n - 1), amplitude=0.05)
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "_state", recorded)
         try:
-            run_flow(torus, 1, omega0, max_steps=max_steps, shape=shape)
-        except NoConvergence:
+            report = run_flow(torus, 1, omega0, max_steps=max_steps, shape=shape)
+        except NoConvergence as exc:
             assert max_steps < 10000
-        assert len(calls) > min(max_steps, 100)
-        assert set(calls) == {shape != (16, 12, 16)}
+            report = exc.report
+    return report, measures
+
+
+def test_torus_line_state_is_bitwise_the_grid_flow(monkeypatch):
+    # a CLI start on the mode (1, 0, ..., 0) is carried on its x_1 line when
+    # x_2..x_n have power-of-two lengths; every count, variance, volume and
+    # final field must be the full grid's flow's, bit for bit
+    for periods, shape, max_steps in LINE_GRIDS:
+        torus = FlatTorus(periods)
+        line, line_measures = _recorded_flow(monkeypatch, torus, shape,
+                                             max_steps)
+        with monkeypatch.context() as patch:
+            patch.setattr(TorusGrid, "on_line", lambda disc, omega: (disc, omega))
+            grid, grid_measures = _recorded_flow(monkeypatch, torus, shape,
+                                                 max_steps)
+        copies = int(np.prod(shape[1:]))
+        on_line = shape != (16, 12, 16)
+        assert len(line.final.omega) == (shape[0] if on_line else copies * shape[0])
+        assert len(grid.final.omega) == copies * shape[0]
+        assert (line.steps, line.accepted, line.rejected) == \
+            (grid.steps, grid.accepted, grid.rejected), shape
+        assert line.steps >= min(max_steps, 100)
+        assert line.variance_history.tobytes() == grid.variance_history.tobytes()
+        assert line_measures == grid_measures
+        for field in ("omega", "vk"):
+            got = getattr(line.final, field)
+            if on_line:
+                got = np.repeat(got, copies)
+            assert got.tobytes() == getattr(grid.final, field).tobytes()
+        assert (line.final_constant, line.volume_drift) == \
+            (grid.final_constant, grid.volume_drift)
+
+
+def test_cli_torus_start_takes_the_line_state(capsys, monkeypatch):
+    # the CLI's Fourier start is carried on the x_1 line on power-of-two
+    # grids only; a (1, 1, 0) start or a 12-point axis keeps the full grid
+    lengths = []
+    real_make_state = flow.make_state
+
+    def spied(*args):
+        state = real_make_state(*args)
+        lengths.append(len(state.omega))
+        return state
+
+    monkeypatch.setattr(flow, "make_state", spied)
+    for periods, grid, length in (("1,1,1", 8, 8), ("1,1,1", 16, 16),
+                                  ("1,1,1,1", 8, 8), ("1,1,1", 12, 12 ** 3)):
+        lengths.clear()
+        code = cli_dispatch(["flow", "--model", "torus", "--periods", periods,
+                             "--grid", str(grid), "--max-steps", "2"])
+        capsys.readouterr()
+        assert code == 2 and lengths == [length], (periods, grid)
+    torus = FlatTorus((1.0, 1.0, 1.0))
+    for shape, mode, length in (((16, 12, 16), (1, 0, 0), 16 * 12 * 16),
+                                ((16, 16, 16), (1, 1, 0), 16 ** 3)):
+        state = make_state(discretize(torus, shape=shape),
+                           fourier_field(torus, mode, amplitude=0.05), 1)
+        assert len(state.omega) == length, (shape, mode)
 
 
 def test_zero_start_is_stationary():
@@ -143,6 +200,11 @@ def test_oversized_step_rejected():
     state = make_state(disc, fourier_field(torus, (1, 0, 0), amplitude=0.1), 1)
     with pytest.raises(StepRejected):
         flow_step(state, dt=1.0)
+    # at amplitude 50 the trial overflows: its NaN variance must be rejected,
+    # not pass the growth test, and numpy must stay quiet
+    state = make_state(disc, fourier_field(torus, (1, 0, 0), amplitude=50.0), 1)
+    with pytest.raises(StepRejected, match="nan"):
+        flow_step(state, dt=1e-3)
 
 
 def test_no_convergence_carries_report():
@@ -179,14 +241,22 @@ def test_guards():
 def test_state_measure_bitwise_unchanged():
     # one density per state gives the volume, mean and variance that
     # per-quantity exponentials gave, bit for bit
+    # on the grid; a field constant off the x_1 axis is carried on its line,
+    # whose sums must still be the grid's
     torus, sphere = FlatTorus((1.0, 2.0, 1.0)), RoundSphere(5, 1.0)
-    for disc, k in ((discretize(torus, shape=(8, 6, 4)), 1),
-                    (discretize(sphere), 1), (discretize(sphere), 2)):
+    x1_only = np.repeat(np.random.default_rng(5).standard_normal(8), 32)
+    for disc, k, omega in ((discretize(torus, shape=(8, 6, 4)), 1, None),
+                           (discretize(torus, shape=(8, 8, 4)), 1, x1_only),
+                           (discretize(sphere), 1, None),
+                           (discretize(sphere), 2, None)):
         n = disc.base.n
         rng = np.random.default_rng(11)
-        omega = 0.05 * disc.project(rng.standard_normal(len(disc.points)))
-        state = make_state(disc, omega, k)
-        om, vk = state.omega, state.vk
+        if omega is None:
+            omega = disc.project(rng.standard_normal(len(disc.points)))
+        state = make_state(disc, 0.05 * omega, k)
+        assert len(state.omega) == (8 if omega is x1_only else len(omega))
+        om, vk = (np.repeat(x, len(omega) // len(state.omega))
+                  for x in (state.omega, state.vk))
         if isinstance(disc.base, FlatTorus):
             w = np.exp(n * om)
             volume = disc.base_volume * float(np.mean(np.exp(n * om)))

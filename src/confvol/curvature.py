@@ -142,7 +142,7 @@ def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
 def _chart_jets(m: ModelMetric, points: np.ndarray):
     """(x, G = m.chart(x), g0, g0^{-1}, inverse and Christoffel jets to order 1)
     on order-2 coordinates x; refuses a metric not finite, not symmetric or
-    degenerate."""
+    degenerate at some point (its eigenvalues compared within the point)."""
     x = jets.coordinates(jets.jet_space(m.n, 2), points.T)
     G = m.chart(x)                                            # (n, n, B, nc)
 
@@ -151,8 +151,8 @@ def _chart_jets(m: ModelMetric, points: np.ndarray):
         raise NonFiniteResult("metric overflows at a sampled point")
     if np.max(np.abs(g0 - np.swapaxes(g0, -1, -2))) > 1e-12 * np.max(np.abs(g0)):
         raise NonPositiveDefinite("metric components not symmetric")
-    eig = np.linalg.eigvalsh(g0)
-    if np.min(eig) <= 1e-12 * np.max(eig):
+    eig = np.linalg.eigvalsh(g0)                              # ascending
+    if np.any(eig[:, 0] <= 1e-12 * eig[:, -1]):
         raise NonPositiveDefinite("metric degenerate at a sampled point")
 
     inv0 = np.linalg.inv(g0)
@@ -277,7 +277,7 @@ def _closed_pack(points: np.ndarray, diag: np.ndarray, dims, terms) -> Curvature
     c (d_a h_b + d_b h_a - 2 delta_ab h_a), so g^{-1}Ric and g^{-1}P are
     diagonal and no (B, n, n, n, n) array is formed until Riemann is read.
     """
-    if np.min(diag) <= 1e-12 * np.max(diag):
+    if np.any(np.min(diag, axis=-1) <= 1e-12 * np.max(diag, axis=-1)):
         raise NonPositiveDefinite("metric degenerate at a sampled point")
     n = diag.shape[-1]
     block = np.repeat(np.arange(len(dims)), dims)             # block of each axis

@@ -6,7 +6,8 @@ flow of Guan and Wang (J. Reine Angew. Math. 557, 2003), for every k, and
 then renormalizes the volume exactly by subtracting a constant.  The
 variance of v_k must stay finite and not increase on accepted steps; the
 caller's step controller halves dt on rejection and grows it slowly on
-acceptance.  A start whose variance overflows is refused (NonFiniteResult).
+acceptance.  A start whose variance overflows is refused (NonFiniteResult);
+a trial step that overflows is rejected.
 
 Discretizations: flat tori on uniform grids with Fourier differentiation
 (k = 1, where v_1 follows from the conformal transformation law of scalar
@@ -256,10 +257,13 @@ def make_state(disc, omega0, k: int) -> FlowState:
 
 def flow_step(state: FlowState, dt: float) -> FlowState:
     """One explicit Euler step; raises StepRejected if the v_k variance grew
-    or is not finite."""
+    or is not finite, or the trial metric overflows."""
     with np.errstate(all="ignore"):
-        nxt = _state(state.disc, state.omega - dt * (state.vk - state.mean_vk),
-                     state.k, state.step + 1)
+        try:
+            nxt = _state(state.disc, state.omega - dt * (state.vk - state.mean_vk),
+                         state.k, state.step + 1)
+        except NonFiniteResult as exc:      # the trial's metric overflows
+            raise StepRejected(f"{exc} at dt = {dt:.3e}") from exc
     # a NaN variance fails this test too, so an overflowing trial is rejected
     if not nxt.variance <= state.variance * (1.0 + _VARIANCE_SLACK) + _VARIANCE_SLACK:
         raise StepRejected(f"variance grew {state.variance:.6e} -> "

@@ -1,18 +1,21 @@
-"""Formal power series in the expansion parameter rho for metric families.
+"""Volume coefficients v_k and tensors L_(k) of the rho-family of metrics.
 
-A MetricSeries stores the Taylor coefficients of a one-parameter family of
-metrics g(rho) pointwise on a batch of chart points.  Volume coefficients
-v_k come from the log-determinant expansion of (det g(rho)/det g)^{1/2};
-the associated contravariant tensors L_(k), all computed in one pass, are
-the Taylor coefficients of -v(rho) int_0^rho g^{ij}(u) du.
+Every series here is one family, g(rho) = (g + rho P) g^{-1} (g + rho P)
+with P the Schouten tensor.  It is exact at every order on Einstein and on
+locally conformally flat metrics, where the expansion terminates
+(Fefferman and Graham, The Ambient Metric, ch. 7).  A MetricSeries holds
+g and P at a batch of chart points.
 
-Every series is one family, g(rho) = (g + rho P) g^{-1} (g + rho P) with P
-the Schouten tensor.  It is exact at every order on Einstein and on locally
-conformally flat metrics, where the expansion terminates (Fefferman and
-Graham, The Ambient Metric, ch. 7), and v_k is then sigma_k(g^{-1}P).
-Einstein backgrounds (Ric = 2a(n-1)g) have P = a g, so the family is
-(1 + a rho)^2 g, every quantity here has a closed form, and that closed
-form is the primary oracle.
+With lam_i the eigenvalues of A = g^{-1}P and e_i its g-orthonormal
+eigenvectors, g(rho) = sum_i (1 + rho lam_i)^2 g e_i (g e_i)^T, so
+(det g(rho)/det g)^{1/2} = prod_i (1 + rho lam_i) and v_k = sigma_k(lam).
+L_(k), the rho^k coefficient of -v(rho) int_0^rho g^{ij}(u) du, is
+-sum_i sigma_{k-1}(lam without lam_i) e_i e_i^T, the Newton tensor
+-T_{k-1}(A) g^{-1}.  One kernel serves both: Cholesky g = C C^T, eigh of
+C^{-1} P C^{-T}, and the truncated product of the factors (1 + rho lam_i).
+Einstein backgrounds (Ric = 2a(n-1)g) have P = a g, so every lam_i is a,
+every quantity here has a closed form, and that closed form is the primary
+oracle.
 """
 
 from __future__ import annotations
@@ -36,32 +39,27 @@ from .models import ModelMetric, conformally_flat, einstein_constant, metric_val
 
 @dataclass(frozen=True)
 class MetricSeries:
-    """Taylor coefficients g_0 + g_1 rho + ... + g_K rho^K at fixed points.
+    """g(rho) = (g + rho P) g^{-1} (g + rho P) to order K at fixed points.
 
-    coeffs has shape (K+1, npts, n, n); coeffs[0] is the base metric, and
-    g(rho) is quadratic in rho, so coeffs[l] is zero for l > 2.
-    einstein_a is the Einstein constant a of an Einstein model, whose
-    Schouten tensor is P = a g, so that the closed forms einstein_vk_exact
-    and einstein_L_exact apply; it is None on every other kind.  exact
-    says that the series is g(rho) itself at every order, as it is on
-    Einstein and conformally flat kinds, so that v_k is defined for every
-    k, also past n/2 in even n.
+    g0 and P, shape (npts, n, n), are the base metric and its Schouten
+    tensor.  einstein_a is the Einstein constant a of an Einstein model,
+    whose Schouten tensor is P = a g, so that the closed forms
+    einstein_vk_exact and einstein_L_exact apply; it is None on every other
+    kind.  exact says that the family is the expansion itself at every
+    order, as it is on Einstein and conformally flat kinds, so that v_k is
+    defined for every k, also past n/2 in even n.
     """
 
     n: int
     points: np.ndarray
-    coeffs: np.ndarray
+    g0: np.ndarray
+    P: np.ndarray
     K: int
     einstein_a: float | None = None
     exact: bool = False
 
-    @property
-    def g0(self) -> np.ndarray:
-        return self.coeffs[0]
-
 
 _DEFAULT_POINT_COUNT = 6
-_TOP = 2        # degree of g(rho) in rho: g_l = 0 for l > _TOP
 
 
 def _series_points(m: ModelMetric, points, count: int) -> np.ndarray:
@@ -73,11 +71,10 @@ def _series_points(m: ModelMetric, points, count: int) -> np.ndarray:
 
 def metric_series(m: ModelMetric, K: int = 1, points=None,
                   count: int = _DEFAULT_POINT_COUNT) -> MetricSeries:
-    """Series of g(rho) = (g + rho P) g^{-1} (g + rho P) to order K:
-    g_0 = g, g_1 = 2P, g_2 = P g^{-1} P and zero beyond.
+    """The family g(rho) = (g + rho P) g^{-1} (g + rho P) to order K.
 
     Exact at every order on Einstein and conformally flat kinds.  On other
-    kinds only g_1 = 2P holds, so K > 1 is refused there.
+    kinds only its order-1 term 2P holds, so K > 1 is refused there.
     """
     if K < 0:
         raise InvalidRange(f"truncation order K = {K} must be nonnegative")
@@ -94,9 +91,7 @@ def metric_series(m: ModelMetric, K: int = 1, points=None,
     else:
         pack = curvature_pack(m, pts)
         g0, P = pack.metric, pack.schouten
-    coeffs = np.zeros((K + 1,) + g0.shape)
-    coeffs[:_TOP + 1] = np.stack([g0, 2.0 * P, P @ np.linalg.solve(g0, P)])[: K + 1]
-    return MetricSeries(n=m.n, points=pts, coeffs=coeffs, K=K, einstein_a=a,
+    return MetricSeries(n=m.n, points=pts, g0=g0, P=P, K=K, einstein_a=a,
                         exact=exact)
 
 
@@ -109,82 +104,58 @@ def einstein_series(m: ModelMetric, K: int | None = None, points=None,
     return metric_series(m, 2 * m.n + 2 if K is None else K, points, count)
 
 
-def inverse_series(s: MetricSeries) -> np.ndarray:
-    """Coefficients of g^{ij}(rho), shape (K+1, npts, n, n).
-
-    Neumann recurrence: Ginv_m = -Ginv_0 sum_{j=1}^m g_j Ginv_{m-j}, where
-    only g_1 and g_2 can be nonzero.
-    """
-    inv0 = np.linalg.inv(s.coeffs[0])
-    out = np.empty_like(s.coeffs)
-    out[0] = inv0
-    for m in range(1, s.K + 1):
-        acc = np.zeros_like(inv0)
-        for j in range(1, min(m, _TOP) + 1):
-            acc += s.coeffs[j] @ out[m - j]
-        out[m] = -inv0 @ acc
-    return out
-
-
 def _check_order(s: MetricSeries):
     if not s.exact and s.n % 2 == 0 and s.K > s.n // 2:
         raise InvalidRange(
             f"v_k for k > n/2 = {s.n // 2} undefined for general metrics in even dimension")
 
 
+def _eigen(s: MetricSeries):
+    """Eigenvalues lam (npts, n) of A = g^{-1}P and g-orthonormal
+    eigenvectors E (npts, n, n), column i of E the eigenvector e_i:
+    with g = C C^T, A e = lam e is the symmetric problem
+    (C^{-1} P C^{-T}) q = lam q with e = C^{-T} q."""
+    CinvT = np.swapaxes(np.linalg.inv(np.linalg.cholesky(s.g0)), -1, -2)
+    lam, q = np.linalg.eigh(np.swapaxes(CinvT, -1, -2) @ s.P @ CinvT)
+    return lam, CinvT @ q
+
+
+def _elementary(lam: np.ndarray, K: int) -> np.ndarray:
+    """sigma_0..sigma_K of the last axis of lam, shape (K+1,) + lam.shape[:-1]:
+    the coefficients of prod_i (1 + rho lam_i), multiplied in one factor
+    at a time and truncated at rho^K."""
+    out = np.zeros((K + 1,) + lam.shape[:-1])
+    out[0] = 1.0
+    for i in range(lam.shape[-1]):
+        out[1:] = out[1:] + lam[..., i] * out[:-1]
+    return out
+
+
 def vk_from_series(s: MetricSeries) -> np.ndarray:
     """Volume coefficients of (det g(rho)/det g)^{1/2} up to the series
-    order K, shape (K+1, npts); row k holds v_k = (-2)^k v^(2k) and reads
-    only the coefficients g_0..g_k, so a row does not depend on K.
-
-    Uses d/drho log det g = tr(g^{-1} g') termwise, then the exponential of
-    half the log series.
-    """
+    order K, shape (K+1, npts); row k holds v_k = (-2)^k v^(2k) =
+    sigma_k(g^{-1}P), zero past k = n, and does not depend on K."""
     _check_order(s)
-    return _volume_values(s, inverse_series(s), s.K)
-
-
-def _volume_values(s: MetricSeries, ginv: np.ndarray, kmax: int) -> np.ndarray:
-    """v_0..v_kmax, shape (kmax+1, npts), from the inverse series ginv."""
-    # derivative series g'(rho): coefficient l is (l+1) g_{l+1}
-    npts = s.points.shape[0]
-    t = np.zeros((kmax + 1, npts))     # tr(g^{-1} g'), coefficients 0..kmax-1 used
-    for mdeg in range(kmax):
-        # (l + 1) g_{l+1} is zero past l + 1 = _TOP
-        for j in range(max(0, mdeg + 1 - _TOP), mdeg + 1):
-            l = mdeg - j
-            t[mdeg] += (l + 1) * np.einsum(
-                "bij,bji->b", ginv[j], s.coeffs[l + 1])
-    # v = (det g(rho) / det g)^{1/2} solves v' = (t / 2) v
-    v = np.zeros((kmax + 1, npts))
-    v[0] = 1.0
-    for mdeg in range(1, kmax + 1):
-        acc = np.zeros(npts)
-        for j in range(1, mdeg + 1):
-            acc += 0.5 * t[j - 1] * v[mdeg - j]
-        v[mdeg] = acc / mdeg
-    return v
+    return _elementary(_eigen(s)[0], s.K)
 
 
 def L_tensors(s: MetricSeries) -> np.ndarray:
     """Contravariant tensors L^{ij}_(k), the Taylor coefficients of
-    -v(rho) int_0^rho g^{ij}(u) du, shape (K+1, npts, n, n).
+    -v(rho) int_0^rho g^{ij}(u) du, shape (K+1, npts, n, n):
+    L_(k) = -E diag(sigma_{k-1}(lam without lam_i)) E^T.
 
     Row k holds L_(k) for k = 1..K; row 0, the constant term, is zero.
     """
     if s.K < 1:
         raise KOutOfRange(f"series order K = {s.K} must be at least 1")
     _check_order(s)
-    ginv = inverse_series(s)
-    vk = _volume_values(s, ginv, s.K - 1)
-    out = np.zeros((s.K + 1,) + ginv.shape[1:])
-    for k in range(1, s.K + 1):
-        # coefficient of rho^k in v(rho) * int_0^rho g^{ij}(u) du, where the
-        # integral contributes Ginv_l rho^{l+1} / (l+1)
-        direct = np.zeros_like(ginv[0])
-        for l in range(k):             # integral term rho^{l+1}, v term rho^{k-1-l}
-            direct += vk[k - 1 - l][:, None, None] * ginv[l] / (l + 1)
-        out[k] = -direct
+    lam, E = _eigen(s)
+    n = s.n
+    # row i of `others` lists every index but i
+    others = (np.arange(n)[:, None] + np.arange(1, n)) % n
+    sig = _elementary(lam[:, others], s.K - 1)                # (K, npts, n)
+    out = np.zeros((s.K + 1,) + s.g0.shape)
+    out[1:] = -(E * sig[:, :, None, :]) @ np.swapaxes(E, -1, -2)
     return out
 
 
@@ -227,14 +198,16 @@ def _vk_from_pack(pack, k: int) -> np.ndarray:
 
 
 def einstein_vk_exact(n: int, a: float, k: int) -> float:
-    """Closed-form v_k = a^k binom(n, k) for Einstein backgrounds (0 for k > n)."""
+    """Closed-form v_k = a^k binom(n, k) for Einstein backgrounds (0 for
+    k > n); infinite where a^k overflows."""
     if k < 0:
         raise KOutOfRange(f"k = {k} must be nonnegative")
-    return a ** k * comb(n, k)
+    return np.float64(a) ** k * comb(n, k) if k <= n else 0.0
 
 
 def einstein_L_exact(n: int, a: float, k: int) -> float:
-    """Closed-form scalar c with L^{ij}_(k) = c g^{ij}: c = -a^{k-1} binom(n-1, k-1)."""
+    """Closed-form scalar c with L^{ij}_(k) = c g^{ij}: c = -a^{k-1} binom(n-1, k-1)
+    (0 for k > n); infinite where a^{k-1} overflows."""
     if k < 1:
         raise KOutOfRange(f"k = {k} must be at least 1")
-    return -(a ** (k - 1)) * comb(n - 1, k - 1)
+    return -(np.float64(a) ** (k - 1)) * comb(n - 1, k - 1) if k <= n else 0.0

@@ -228,7 +228,12 @@ def test_exit_code_numerical_failure(capsys):
             (("--model", "sphere", "--n", "5", "--k", "2", "--amplitude", "1e300"),
              "metric overflows at a sampled point"),
             (("--model", "torus", "--periods", "1,1,1", "--amplitude", "50"),
-             "flow stalled at sup deviation 2.246e+89")):
+             "flow stalled at sup deviation 2.246e+89"),
+            # omega spans -8..40 at the nodes, each point's metric is well
+            # conditioned, and every trial metric that overflows is rejected
+            (("--model", "sphere", "--n", "5", "--k", "2", "--amplitude", "50",
+              "--tol", "1e-4"),
+             "flow stalled at sup deviation 2.922e+82 after 44 steps")):
         code, _, err = _run(capsys, "flow", *argv)
         assert code == 2, argv
         assert message in err and "Traceback" not in err, argv
@@ -293,6 +298,58 @@ def test_rv_cross_check_gap_is_a_numerical_failure(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("numerical failure: rv cross-check")
     assert "Traceback" not in err
+
+
+def test_series_commands_gate_their_closed_forms(capsys, monkeypatch):
+    # every vk and ltensor row must sit within 1e-12 of its closed form;
+    # eigenvalues off by 1e-9 move v_1 and L_(2) past that
+    from confvol import series
+
+    for argv in (("vk", "--n", "68"), ("ltensor", "--n", "30"),
+                 ("ltensor", "--n", "68")):
+        code, _, err = _run(capsys, *argv)
+        assert code == 0, (argv, err)
+    eigen = series._eigen
+
+    def perturbed(s):
+        lam, E = eigen(s)
+        return lam * (1.0 + 1e-9), E
+
+    monkeypatch.setattr(series, "_eigen", perturbed)
+    for command, row in (("vk", 1), ("ltensor", 2)):
+        code, _, err = _run(capsys, command, "--n", "5")
+        assert code == 2, command
+        assert err.startswith(f"numerical failure: {command} row k = {row} "
+                              f"misses its closed form"), err
+        assert "Traceback" not in err
+
+
+def test_series_commands_refuse_rows_out_of_range(capsys):
+    # v_27 = 5e11^27 overflows and C(68, k) 5e-13^k falls below the normal
+    # floats from k = 26 on: both are refused, not printed as inf or 0
+    for argv in (("vk", "--radius", "1e-6", "--n", "27"),
+                 ("ltensor", "--radius", "1e-6", "--n", "40"),
+                 ("vk", "--model", "hyperbolic", "--radius", "1e6", "--n", "68")):
+        code, _, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert "misses its closed form" in err and "Traceback" not in err, argv
+    # rows past k = n are exact zeros, also where a^k overflows
+    code, out, _ = _run(capsys, "vk", "--radius", "1e-6", "--n", "3",
+                        "--kmax", "30")
+    assert code == 0
+    assert all(r["vk"] == 0.0 for r in json.loads(out)["payload"]["rows"][4:])
+
+
+def test_gaussbonnet_gates_its_residual(capsys, monkeypatch):
+    from confvol import renorm
+
+    assert _run(capsys, "gaussbonnet")[0] == 0
+    residual = renorm.gauss_bonnet_4d
+    monkeypatch.setattr(renorm, "gauss_bonnet_4d",
+                        lambda *args, **kw: residual(*args, **kw) + 1e-6)
+    code, _, err = _run(capsys, "gaussbonnet")
+    assert code == 2
+    assert err.startswith("numerical failure: the Gauss-Bonnet residual misses")
 
 
 def test_payload_keeps_14_significant_digits(capsys):

@@ -519,6 +519,22 @@ def test_chart_pack_rejects_degenerate_and_asymmetric_metrics():
         curvature_pack(_ChartOnly(3, overflowing), pts)
 
 
+def test_degeneracy_is_judged_per_point():
+    # conformal factors spanning e^{30} (chart route) and e^{28.8}
+    # (closed-form route, f^2 = e^{2r}) over the batch; every point is well
+    # conditioned, so the batch holds the packs of its points
+    deformed = ConformalDeformation(RoundSphere(3, 1.0), lambda x: 7.5 * x[0])
+    warped = WarpedRadial(jets.exp, RoundSphere(2, 1.0), (-7.5, 7.5))
+    pts = np.array([[-1.0, 0.0, 0.0], [0.0, 0.2, 0.0], [1.0, 0.0, 0.1]])
+    for m, at in ((deformed, pts), (warped, pts * [7.2, 1.0, 1.0])):
+        batch = curvature_pack(m, at)
+        for i in range(len(at)):
+            one = curvature_pack(m, at[i:i + 1])
+            for name in ("metric", "inverse", "ricci", "scalar", "schouten"):
+                got, want = getattr(batch, name)[i], getattr(one, name)[0]
+                assert np.array_equal(got, want), (m, i, name)
+
+
 # -- closed-form metrics and on-demand Riemann and Weyl -----------------------
 
 _CLOSED_KINDS = (

@@ -11,6 +11,7 @@ from confvol.errors import InvalidRange, KOutOfRange, NoConvergence, StepRejecte
 from confvol.flow import (
     TorusGrid, discretize, flow_step, make_state, run_flow)
 from confvol.models import FlatTorus, RoundSphere, fourier_field
+from confvol.spectral import sphere_basis
 
 
 def test_torus_flow_converges():
@@ -204,6 +205,13 @@ def test_oversized_step_rejected():
     # not pass the growth test, and numpy must stay quiet
     state = make_state(disc, fourier_field(torus, (1, 0, 0), amplitude=50.0), 1)
     with pytest.raises(StepRejected, match="nan"):
+        flow_step(state, dt=1e-3)
+    # on the sphere at k = 2 an overflowing trial metric is refused by the
+    # chart front end; the step rejects it too
+    sphere = RoundSphere(5, 1.0)
+    member = sphere_basis(sphere, lmax=2).members[sphere.n + 1]
+    state = make_state(discretize(sphere), lambda x: 50.0 * member(x), 2)
+    with pytest.raises(StepRejected, match="metric overflows"):
         flow_step(state, dt=1e-3)
 
 

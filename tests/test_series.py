@@ -21,13 +21,13 @@ from confvol.models import (
     sphere_volume,
     zonal_field,
 )
+from confvol import series
 from confvol.series import (
     L_tensors,
     MetricSeries,
     einstein_L_exact,
     einstein_series,
     einstein_vk_exact,
-    inverse_series,
     metric_series,
     v_direct,
     vk_from_series,
@@ -57,25 +57,13 @@ def test_einstein_vk_closed_form():
             assert np.max(np.abs(got - expect)) <= 1e-12 * max(1.0, abs(expect)), (m, k)
 
 
-def test_inverse_series_product_identity():
-    # sum_j g_j Ginv_{m-j} = delta_{m0} I, checked on the Einstein family
-    m = RoundSphere(4, 1.3)
-    s = einstein_series(m, K=6)
-    inv = inverse_series(s)
-    eye = np.eye(4)
-    for order in range(7):
-        acc = sum(s.coeffs[j] @ inv[order - j] for j in range(order + 1))
-        target = eye if order == 0 else 0.0
-        assert np.max(np.abs(acc - target)) < 1e-13
-
-
 def test_L_tensor_routes_and_closed_form():
     from confvol.models import einstein_constant
 
     for m in EINSTEIN_CASES:
         a = einstein_constant(m)
         s = einstein_series(m)
-        ginv0 = inverse_series(s)[0]
+        ginv0 = np.linalg.inv(s.g0)
         L = L_tensors(s)[: m.n + 1]
         for k in range(1, m.n + 1):
             c = einstein_L_exact(m.n, a, k)
@@ -184,48 +172,87 @@ CONFORMALLY_FLAT_CASES = [
 
 def _bounds(s: MetricSeries) -> np.ndarray:
     """2^n r^j for j = 0..n, r the spectral radius of A = g^{-1}P at each
-    point, shape (n+1, npts).  The recurrences for v_j and L_(j+1) add terms
-    up to about this size (|tr A^i| <= n r^i, |sigma_i(A)| <= C(n, i) r^i),
-    so it is the scale of their rounding."""
-    A = np.linalg.solve(s.coeffs[0], s.coeffs[1] / 2.0)
+    point, shape (n+1, npts).  sigma_j(A) and the Newton tensors T_j(A) sum
+    terms up to about this size (|sigma_i(A)| <= C(n, i) r^i), so it is the
+    scale of their rounding."""
+    A = np.linalg.solve(s.g0, s.P)
     r = np.max(np.abs(np.linalg.eigvals(A)), axis=1)
     return np.stack([2.0 ** s.n * r ** j for j in range(s.n + 1)])
 
 
-def test_metric_series_matches_sigma_k_on_conformally_flat_kinds():
+def _general_series(n: int, seed: int) -> MetricSeries:
+    """An exact series on a random pair (g, P) at 4 points, g positive
+    definite and not diagonal.  Every model kind has a diagonal chart
+    metric, whose Cholesky factor is its own transpose; these pairs are not."""
+    rng = np.random.default_rng(seed)
+    B, Q = rng.standard_normal((2, 4, n, n))
+    return MetricSeries(n=n, points=np.zeros((4, n)),
+                        g0=B @ np.swapaxes(B, -1, -2) + n * np.eye(n),
+                        P=Q + np.swapaxes(Q, -1, -2), K=n, exact=True)
+
+
+def _series_cases():
+    """(series, model) of every conformally flat case, then the random pairs
+    with model None."""
+    return ([(metric_series(m, K=kmax), m) for m, kmax in CONFORMALLY_FLAT_CASES]
+            + [(_general_series(n, n), None) for n in (5, 6)])
+
+
+def _flip_largest(eigen):
+    """The series kernel's spectrum with the sign of each point's eigenvalue
+    of largest magnitude flipped."""
+    def flipped(s):
+        lam, E = eigen(s)
+        lam = lam.copy()
+        lam[np.arange(len(lam)), np.argmax(np.abs(lam), axis=1)] *= -1.0
+        return lam, E
+    return flipped
+
+
+def test_metric_series_matches_sigma_k_on_conformally_flat_kinds(monkeypatch):
     # g(rho) = (g + rho P) g^{-1} (g + rho P) is exact there, so the series
-    # route's v_k is sigma_k(g^{-1}P), which v_direct reads from Newton's
-    # identities; without g_2 the two disagree from k = 2 on
-    for m, kmax in CONFORMALLY_FLAT_CASES:
-        s = metric_series(m, K=kmax)
+    # route's v_k is sigma_k(g^{-1}P) from the eigenvalues, which v_direct
+    # reads from Newton's identities instead (sigma_k itself on the random
+    # pairs); a flipped eigenvalue moves v_1 by 2 r, 2^{1-n} of the bound
+    from confvol.curvature import sigma_k
+
+    for s, m in _series_cases():
         v, size = vk_from_series(s), _bounds(s)
-        no_g2 = vk_from_series(MetricSeries(
-            n=m.n, points=s.points, K=2,
-            coeffs=np.concatenate([s.coeffs[:2], np.zeros_like(s.coeffs[:1])])))
-        for k in range(1, kmax + 1):
-            direct = (-2.0) ** k * v_direct(m, k, points=s.points)
-            assert np.max(np.abs(v[k] - direct) / size[k]) <= 1e-13, (m, k)
-            if k == 2:
-                assert np.min(np.abs(no_g2[2] - direct) / size[2]) > 1e-3, m
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "_eigen", _flip_largest(series._eigen))
+            flipped = vk_from_series(s)
+        for k in range(1, s.K + 1):
+            direct = (sigma_k(s.P, s.g0, k) if m is None
+                      else (-2.0) ** k * v_direct(m, k, points=s.points))
+            assert np.max(np.abs(v[k] - direct) / size[k]) <= 1e-13, (m, s.n, k)
+            if k == 1:
+                assert np.min(np.abs(flipped[1] - direct) / size[1]) > 1e-3, (m, s.n)
 
 
 def test_L_tensors_are_newton_tensors_on_conformally_flat_kinds():
     # L_(k) = -T_{k-1}(A) g^{-1}, with A = g^{-1}P and the Newton tensors
-    # T_0 = I, T_j = sigma_j(A) I - A T_{j-1}
+    # T_0 = I, T_j = sigma_j(A) I - A T_{j-1}; the kernel takes sigma_{k-1}
+    # of the eigenvalues without lam_i on e_i, and sigma_{k-1} of all of
+    # them, -sigma_{k-1}(A) g^{-1}, misses from k = 2 on
     from confvol.curvature import sigma_k
 
-    for m, kmax in CONFORMALLY_FLAT_CASES:
-        s = metric_series(m, K=kmax)
+    for s, m in _series_cases():
         L, size = L_tensors(s), _bounds(s)
-        g0, P = s.coeffs[0], s.coeffs[1] / 2.0
+        g0, P = s.g0, s.P
         ginv = np.linalg.inv(g0)
         A = ginv @ P
         scale = np.max(np.abs(ginv), axis=(1, 2))
-        T = np.broadcast_to(np.eye(m.n), A.shape)
-        for k in range(1, kmax + 1):
+        T = np.broadcast_to(np.eye(s.n), A.shape)
+        for k in range(1, s.K + 1):
             gap = np.max(np.abs(L[k] + T @ ginv), axis=(1, 2))
-            assert np.max(gap / (size[k - 1] * scale)) <= 1e-13, (m, k)
-            T = sigma_k(P, g0, k)[:, None, None] * np.eye(m.n) - A @ T
+            assert np.max(gap / (size[k - 1] * scale)) <= 1e-13, (m, s.n, k)
+            if k == 2:
+                lam, E = series._eigen(s)
+                sig = series._elementary(lam, 1)[1][:, None, None]
+                all_of_lam = -(E * sig) @ np.swapaxes(E, -1, -2)
+                miss = np.max(np.abs(all_of_lam + T @ ginv), axis=(1, 2))
+                assert np.min(miss / (size[1] * scale)) > 1e-3, (m, s.n)
+            T = sigma_k(P, g0, k)[:, None, None] * np.eye(s.n) - A @ T
 
 
 def test_scaling_law():
@@ -244,7 +271,7 @@ def test_error_conditions():
     with pytest.raises(GeneralFGUnavailable):
         metric_series(ProductOfSpheres(((2, 1.0), (2, 2.0))), K=2)
     se = einstein_series(RoundSphere(4, 1.0), K=4)
-    s4 = MetricSeries(n=4, points=se.points, coeffs=se.coeffs, K=4,
+    s4 = MetricSeries(n=4, points=se.points, g0=se.g0, P=se.P, K=4,
                       einstein_a=None)   # same data, flagged as not exact
     with pytest.raises(InvalidRange):
         vk_from_series(s4)   # k > n/2 = 2, general metric, even n

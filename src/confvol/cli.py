@@ -186,14 +186,29 @@ def cmd_curvature(config: dict) -> dict:
     return out
 
 
-def _series(config: dict):
-    """Einstein series of the configured model to order kmax (default n)."""
-    from .series import _DEFAULT_POINT_COUNT, einstein_series
+def _series(config: dict, lag: int = 0):
+    """Einstein series of the configured model to order kmax (default n),
+    for rows k whose closed form is a^(k - lag) C(n - lag, k - lag)."""
+    from .models import einstein_constant
+    from .series import _DEFAULT_POINT_COUNT, einstein_series, einstein_vk_exact
 
     m = build_model(config)
     kmax = config["kmax"] or m.n
     _check_size("series entries (kmax+1) * points * n^2",
                 (kmax + 1) * _DEFAULT_POINT_COUNT * m.n ** 2)
+    # a row whose closed form, or its power of a, over- or underflows
+    # cannot be checked; rows past k = n are exact zeros
+    a, n = einstein_constant(m), m.n - lag
+    tiny = np.finfo(float).tiny
+    with np.errstate(all="ignore"):
+        for k in range(1, min(kmax, m.n) + 1):
+            j = k - lag
+            terms = (np.float64(a) ** j, einstein_vk_exact(n, a, j))
+            if a and not all(np.isfinite(x) and abs(x) >= tiny for x in terms):
+                raise ConfigInvalid(
+                    f"row k = {k}: the closed form a^{j} C({n}, {j}) with "
+                    f"a = {a:.3e} is not a finite normal float; kmax must be "
+                    f"below {k}")
     return einstein_series(m, K=kmax)
 
 
@@ -224,7 +239,7 @@ def cmd_vk(config: dict) -> dict:
 def cmd_ltensor(config: dict) -> dict:
     from .series import L_tensors, einstein_L_exact
 
-    s = _series(config)
+    s = _series(config, lag=1)
     ginv0 = np.linalg.inv(s.g0)
     rows = []
     with np.errstate(all="ignore"):     # the gate refuses what over- or underflows

@@ -16,7 +16,8 @@ class NumericalFailure(ConfvolError):
 # -- metric / curvature -------------------------------------------------
 
 class NonPositiveDefinite(NumericalFailure):
-    """Metric components are degenerate or indefinite at a sampled point."""
+    """Metric components are degenerate or indefinite at a sampled point,
+    or a basis Gram matrix is not positive definite."""
 
 
 class DimensionTooSmall(ConfvolError):

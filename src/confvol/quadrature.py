@@ -21,7 +21,7 @@ from .models import (
     ProductOfSpheres,
     RoundSphere,
 )
-from .spectral import field_values
+from .spectral import field_values, gauss_jacobi
 
 _MAX_DOUBLINGS = 6
 _MAX_NODES = 3_000_000
@@ -102,12 +102,10 @@ def _sphere_grid(n: int, radius: float, resolution: int):
     t = cos(theta), so Gauss-Jacobi in t integrates ambient polynomials of
     degree below 2 * resolution exactly.
     """
-    from scipy.special import roots_jacobi
-
     polar_nodes = []
     polar_weights = []
     for k in range(n - 1, 0, -1):       # weight sin^k(theta)
-        ts, ws = roots_jacobi(resolution, 0.5 * (k - 1), 0.5 * (k - 1))
+        ts, ws = gauss_jacobi(resolution, 0.5 * (k - 1))
         polar_nodes.append(np.arccos(ts))
         polar_weights.append(ws)
     phi = 2.0 * np.pi * np.arange(2 * resolution) / (2 * resolution)

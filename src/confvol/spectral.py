@@ -4,8 +4,10 @@ Spheres use zonal harmonics: restrictions of Gegenbauer polynomials in a
 single ambient coordinate, eigenvalue l(l+n-1)/L^2 at degree l.  Gram and
 Dirichlet matrices of the raw zonal family reduce to one- and two-variable
 sphere monomial integrals, which have a closed Gamma-function form, so the
-orthonormalization is exact.  Tori use Fourier modes; products of spheres
-lift factor harmonics.
+orthonormalization is exact.  The quadrature pair matrices that check it
+take Gauss-Jacobi rules of lmax + 1 nodes instead, exact for these
+polynomials.  Tori use Fourier modes; products of spheres lift factor
+harmonics.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import gamma, pi
 import numpy as np
 
 from . import jets
-from .errors import InvalidRange
+from .errors import InvalidRange, NonPositiveDefinite
 from .models import (
     FlatTorus,
     ModelMetric,
@@ -57,7 +59,6 @@ class SpectralBasis:
 
 
 _MAX_MEMBERS = 1000      # Dir/Gram assembly costs members^2 x nodes
-_PAIR_NODES = 48         # Gauss-Legendre nodes in psi of the sphere Dir/Gram disk
 _AXES_PER_DEGREE = 2     # zonal axes of each sphere basis degree above 1
 
 
@@ -132,6 +133,18 @@ def gauss_legendre(nodes: int):
     return xs, ws
 
 
+@lru_cache(maxsize=None)
+def gauss_jacobi(nodes: int, alpha: float):
+    """Gauss-Jacobi nodes and weights on [-1, 1] for the weight
+    (1 - x^2)^alpha (read-only: the arrays are shared between callers)."""
+    from scipy.special import roots_jacobi
+
+    xs, ws = roots_jacobi(nodes, alpha, alpha)
+    for arr in (xs, ws):
+        arr.flags.writeable = False
+    return xs, ws
+
+
 # -- sphere basis -----------------------------------------------------------
 
 
@@ -158,8 +171,15 @@ def sphere_basis(m: RoundSphere, lmax: int = 8) -> SpectralBasis:
         same, cross = (_poly_pair_integral(n, coeffs, coeffs, same_axis) * L ** n
                        for same_axis in (True, False))
         raw = np.where(np.eye(naxes, dtype=bool), same, cross)
-        # rows of inv(chol) give orthonormal combinations
-        trans = np.linalg.inv(np.linalg.cholesky(raw))
+        # rows of inv(chol) give orthonormal combinations; the monomial
+        # coefficients cancel catastrophically at high degree
+        try:
+            chol = np.linalg.cholesky(raw)
+        except np.linalg.LinAlgError:
+            raise NonPositiveDefinite(
+                f"the raw zonal Gram of degree {l} on S^{n} is not positive "
+                f"definite; lower lmax") from None
+        trans = np.linalg.inv(chol)
         fields = [zonal_field(m, coeffs, axis) for axis in axes]
         lam = l * (l + n - 1) / L ** 2
         for r in range(naxes):
@@ -179,34 +199,27 @@ def sphere_basis(m: RoundSphere, lmax: int = 8) -> SpectralBasis:
 
 
 def sphere_pair_matrices(m: RoundSphere, basis: SpectralBasis):
-    """Dirichlet and Gram matrices of a sphere basis by numeric quadrature.
+    """Dirichlet and Gram matrices of a sphere basis by exact Gauss-Jacobi
+    quadrature.
 
     Every basis member is a combination of raw zonal harmonics, each a
-    function of one ambient coordinate, and the product of two of them
-    depends on two coordinates (y_i, y_j) at most, so each raw entry
-    reduces to a weighted integral over the unit disk: the slice measure is
-    area(S^{n-2}) (1 - s^2 - t^2)^{(n-3)/2} ds dt.  The substitution
-    (s, t) = sin(psi) (cos phi, sin phi) makes the weight a smooth
-    trigonometric density, so Gauss-Legendre in psi converges at spectral
-    rate in every dimension.  The raw entries of every degree pair come
-    from (degree, node) tables of the Gegenbauer values and derivatives at
-    s and t, on one axis or across two, and the member weights W of
-    ``zonal_structure`` give Dir = W D W^T and Gram = W G W^T.  Independent
+    polynomial of degree at most lmax in one ambient coordinate.  On one
+    axis an entry is an integral in s with weight
+    area(S^{n-1}) (1 - s^2)^{(n-2)/2}; across two axes (s, t) it is an
+    integral over the unit disk with weight
+    area(S^{n-2}) (1 - s^2 - t^2)^{(n-3)/2}, which t = sqrt(1 - s^2) u
+    factors into (1 - s^2)^{(n-2)/2} (1 - u^2)^{(n-3)/2}.  Odd powers of t
+    vanish in u and t^q becomes (1 - s^2)^{q/2} times the q-th moment of
+    the u rule, so every integrand is a polynomial of degree at most
+    2 lmax in s, and rules of lmax + 1 nodes in s and u are exact.  The
+    member weights W of ``zonal_structure`` give Dir = W D W^T and
+    Gram = W G W^T from the (degree, degree) tables D and G.  Independent
     of the closed-form Gamma-function route used to orthonormalize the
     basis.
     """
     if basis.zonal_structure is None:
         raise InvalidRange("basis carries no zonal structure")
     n, L = m.n, m.radius
-    xs, ws = gauss_legendre(_PAIR_NODES)
-    psi = 0.25 * np.pi * (xs + 1.0)
-    wpsi = 0.25 * np.pi * ws * np.sin(psi) * np.cos(psi) ** (n - 2)
-    phi = 2.0 * np.pi * (np.arange(2 * _PAIR_NODES) + 0.5) / (2 * _PAIR_NODES)
-    wphi = np.full(2 * _PAIR_NODES, np.pi / _PAIR_NODES)
-    r = np.sin(psi)[:, None]
-    s = (r * np.cos(phi)).ravel()
-    t = (r * np.sin(phi)).ravel()
-    w = (wpsi[:, None] * wphi).ravel() * sphere_volume(n - 2)
 
     # raw harmonics (degree, axis), and the members as rows of weights on them
     raw = sorted({(d, ax) for st in basis.zonal_structure for d, ax, _ in st})
@@ -217,18 +230,29 @@ def sphere_pair_matrices(m: RoundSphere, basis: SpectralBasis):
             W[a, column[(d, ax)]] += weight
 
     degrees = sorted({d for d, _ in raw})
+    nodes = degrees[-1] + 1
     # one zero-padded (power, degree) coefficient matrix evaluates every
     # degree at once
-    C = np.zeros((degrees[-1] + 1, len(degrees)))
+    C = np.zeros((nodes, len(degrees)))
     for c, d in enumerate(degrees):
         C[: d + 1, c] = _gegenbauer_coeffs(d, n)
-    poly = np.polynomial.polynomial
-    vs, vt = (poly.polyval(u, C) for u in (s, t))
-    dvs, dvt = (poly.polyval(u, poly.polyder(C)) for u in (s, t))
+    s, ws = gauss_jacobi(nodes, 0.5 * (n - 2))
+    u, wu = gauss_jacobi(nodes, 0.5 * (n - 3))
+    q = np.arange(nodes)
+    dC = q[:, None] * C                 # coefficients of t f'(t)
+    # (node, degree) values of f(s) and f'(s)
+    powers = s[:, None] ** q
+    vs, dvs = powers @ C, powers[:, :-1] @ dC[1:]
+    # t^q integrated over u at each s node: (1 - s^2)^{q/2} times the q-th
+    # moment of the u rule, which vanishes at odd q
+    moments = np.where(q % 2 == 0, wu @ u[:, None] ** q, 0.0)
+    tpow = moments * (1.0 - s * s)[:, None] ** (q // 2)
+    vt, tdvt = tpow @ C, tpow @ dC
+    same_w, cross_w = ws * sphere_volume(n - 1), ws * sphere_volume(n - 2)
     # (degree, degree) tables on one axis and across two
-    gram_same, gram_cross = (vs * w) @ vs.T, (vs * w) @ vt.T
-    dir_same = (dvs * ((1.0 - s * s) * w)) @ dvs.T
-    dir_cross = -((dvs * (s * t * w)) @ dvt.T)
+    gram_same, gram_cross = (vs.T * same_w) @ vs, (vs.T * cross_w) @ vt
+    dir_same = (dvs.T * ((1.0 - s * s) * same_w)) @ dvs
+    dir_cross = -((dvs.T * (s * cross_w)) @ tdvt)
 
     deg = np.searchsorted(degrees, [d for d, _ in raw])
     ax = np.array([a for _, a in raw])

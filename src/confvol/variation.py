@@ -140,8 +140,8 @@ def _basis_dir_gram(basis: SpectralBasis):
     """Dirichlet and Gram matrices of the basis by quadrature on its model,
     assembled once and kept on the basis (read-only).
 
-    Sphere bases reduce every entry to a 2D disk quadrature from their
-    ``zonal_structure``; torus bases evaluate their cos/sin modes from
+    Sphere bases reduce every entry to exact Gauss-Jacobi rules in one or two
+    variables from their ``zonal_structure``; torus bases evaluate their cos/sin modes from
     ``labels`` in closed form on a uniform grid; other bases evaluate their
     member closures on the resolution-8 quadrature grid.
     """
@@ -157,7 +157,7 @@ def _assemble_dir_gram(basis: SpectralBasis):
     m = basis.model
     if isinstance(m, RoundSphere) and basis.zonal_structure is not None:
         # pair products depend on two ambient coordinates only, so the
-        # integrals reduce to cheap 2D quadrature in any dimension
+        # integrals reduce to exact 1D and 2D rules in any dimension
         return sphere_pair_matrices(m, basis)
     if isinstance(m, FlatTorus):
         # member (mode, tag) is amp cos(kappa . x + phase), kappa = 2 pi mode /

@@ -237,6 +237,16 @@ def test_exit_code_numerical_failure(capsys):
         code, _, err = _run(capsys, "flow", *argv)
         assert code == 2, argv
         assert message in err and "Traceback" not in err, argv
+    # past about lmax = 24 the monomial Gegenbauer coefficients cancel so
+    # badly that the raw zonal Gram loses positive definiteness
+    for argv, message in (
+            (("hessian", "--n", "9", "--k", "1", "--lmax", "30"), "degree 29 on S^9"),
+            (("hessian", "--n", "3", "--k", "1", "--lmax", "40"), "degree 25 on S^3"),
+            (("signtable", "--lmax", "40"), "degree 25 on S^3")):
+        code, _, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert f"raw zonal Gram of {message} is not positive definite" in err, err
+        assert "Traceback" not in err, argv
 
 
 def test_hessian_command(capsys):
@@ -324,15 +334,32 @@ def test_series_commands_gate_their_closed_forms(capsys, monkeypatch):
         assert "Traceback" not in err
 
 
-def test_series_commands_refuse_rows_out_of_range(capsys):
-    # v_27 = 5e11^27 overflows and C(68, k) 5e-13^k falls below the normal
-    # floats from k = 26 on: both are refused, not printed as inf or 0
-    for argv in (("vk", "--radius", "1e-6", "--n", "27"),
-                 ("ltensor", "--radius", "1e-6", "--n", "40"),
-                 ("vk", "--model", "hyperbolic", "--radius", "1e6", "--n", "68")):
+def test_series_commands_refuse_rows_out_of_range(capsys, monkeypatch):
+    # v_27 = 5e11^27 and the L_(27) scalar 5e11^26 C(39, 26) overflow, and
+    # 5e-13^26 falls below the normal floats: such a row cannot be checked,
+    # so kmax is refused before the series runs, naming the first such row;
+    # one row fewer runs and passes
+    from confvol import series
+
+    einstein_series = series.einstein_series
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return einstein_series(*args, **kw)
+
+    monkeypatch.setattr(series, "einstein_series", counted)
+    for argv, k in ((("vk", "--radius", "1e-6", "--n", "27"), 27),
+                    (("ltensor", "--radius", "1e-6", "--n", "40"), 27),
+                    (("vk", "--model", "hyperbolic", "--radius", "1e6", "--n", "68"), 26),
+                    (("ltensor", "--model", "hyperbolic", "--radius", "1e6", "--n", "68"), 27)):
         code, _, err = _run(capsys, *argv)
-        assert code == 2, argv
-        assert "misses its closed form" in err and "Traceback" not in err, argv
+        assert code == 1 and not calls, argv
+        assert f"row k = {k}: the closed form a^" in err, err
+        assert f"kmax must be below {k}" in err and "Traceback" not in err, argv
+        code, _, err = _run(capsys, *argv, "--kmax", str(k - 1))
+        assert code == 0 and calls, (argv, err)
+        calls.clear()
     # rows past k = n are exact zeros, also where a^k overflows
     code, out, _ = _run(capsys, "vk", "--radius", "1e-6", "--n", "3",
                         "--kmax", "30")

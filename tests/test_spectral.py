@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from confvol import spectral
 from confvol.curvature import laplacian
 from confvol.errors import InvalidRange
 from confvol.models import FlatTorus, ProductOfSpheres, RoundSphere, sphere_volume
 from confvol.quadrature import grid_with_weights, integrate
 from confvol.spectral import (
+    SpectralBasis,
     basis_for,
     field_gradients,
     field_values,
+    gauss_jacobi,
     product_basis,
     sphere_basis,
     sphere_monomial_integral,
@@ -78,6 +81,88 @@ def test_sphere_pair_matrices_match_exact():
         assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-12
         assert np.max(np.abs(dir_ - np.diag(basis.eigenvalues))) < 1e-11 * max(
             1.0, np.max(basis.eigenvalues))
+
+
+# Raw (unnormalized) pair matrices of the zonal harmonics of degrees 1..8 on
+# axes 0 and 1 of S^n(1.3), computed by the 48 x 96 disk rule that preceded
+# the Gauss-Jacobi one: (Gram, Dir) entries at the (8, axis 0) diagonal, the
+# (8, axis 0)-(8, axis 1) cross entry and the (2, axis 0)-(2, axis 1) one
+_DISK_RULE_ENTRIES = {
+    2: ((1.2492450787215903, 0.34159045121293635, -2.1237166338267035),
+        (53.222275543168266, 14.552965968835132, -7.5398223686155115)),
+    3: ((43.367041738386554, 4.818560193154066, -14.45568057946217),
+        (2052.877715426583, 228.09752393628713, -68.42925718088607)),
+    4: ((534.0993561464451, 29.208558539258796, -48.32327507991642),
+        (27811.090734252753, 1520.9190245294458, -285.93653893441666)),
+    5: ((3799.0964508613174, 115.12413487458477, -115.12413487458515),
+        (215806.66229744747, 6539.5958271953505, -817.4494783994222)),
+    6: ((18814.57289950367, 342.9739851471993, -221.72055605475637),
+        (1157819.8707386868, 21106.091393673905, -1836.7383341814168)),
+    7: ((71513.62925500925, 833.4921824593075, -366.73656028209746),
+        (4739364.779030191, 55237.3517369484, -3472.0621091796343)),
+    8: ((221326.04563250777, 1729.109731503921, -539.3620522936709),
+        (15715458.86147982, 122777.02235531026, -5744.684580642655)),
+}
+
+
+def _raw_zonal_basis(m, lmax=8):
+    """Unit weights on the raw harmonics (degree, axis) for axes 0 and 1."""
+    structure = tuple(((l, ax, 1.0),) for l in range(1, lmax + 1) for ax in (0, 1))
+    return SpectralBasis(model=m, members=(None,) * len(structure),
+                         eigenvalues=np.zeros(len(structure)), labels=(),
+                         zonal_structure=structure)
+
+
+def test_sphere_pair_matrices_match_the_disk_rule():
+    for n, (gram_ref, dir_ref) in _DISK_RULE_ENTRIES.items():
+        m = RoundSphere(n, 1.3)
+        dir_, gram = sphere_pair_matrices(m, _raw_zonal_basis(m))
+        for mat, ref in ((gram, gram_ref), (dir_, dir_ref)):
+            got = [mat[14, 14], mat[14, 15], mat[2, 3]]
+            assert np.allclose(got, ref, rtol=1e-13, atol=0), (n, got, ref)
+            # odd degrees on two axes integrate to zero
+            assert abs(mat[12, 13]) <= 1e-13 * np.max(np.abs(mat)), n
+
+
+def _diagonal_miss(n, lmax):
+    m = RoundSphere(n, 1.0)
+    basis = sphere_basis(m, lmax=lmax)
+    dir_, gram = sphere_pair_matrices(m, basis)
+    lam = basis.eigenvalues
+    return (np.max(np.abs(gram - np.eye(basis.size))),
+            np.max(np.abs(dir_ - np.diag(lam))) / np.max(lam))
+
+
+def test_sphere_pair_rules_need_lmax_plus_one_nodes(monkeypatch):
+    # lmax + 1 nodes make the degree-2 lmax integrands exact; with lmax the
+    # s nodes are the zeros of the top Gegenbauer polynomial, whose Gram
+    # diagonal then reads 0
+    cases = [(n, lmax) for n in range(2, 9) for lmax in (1, 3, 8)]
+    assert all(max(_diagonal_miss(n, lmax)) < 1e-11 for n, lmax in cases)
+    rule = spectral.gauss_jacobi
+    monkeypatch.setattr(spectral, "gauss_jacobi",
+                        lambda nodes, alpha: rule(nodes - 1, alpha))
+    for n, lmax in cases:
+        assert _diagonal_miss(n, lmax)[0] > 0.5, (n, lmax)
+
+
+def test_sphere_pair_rules_take_their_own_exponents(monkeypatch):
+    # (n - 2)/2 in s and (n - 3)/2 in u; swapped, both matrices leave the
+    # exact diagonal
+    rule = spectral.gauss_jacobi
+    for n, lmax in ((2, 3), (3, 8), (4, 2), (5, 5), (7, 3), (8, 8)):
+        swap = {0.5 * (n - 2): 0.5 * (n - 3), 0.5 * (n - 3): 0.5 * (n - 2)}
+        monkeypatch.setattr(spectral, "gauss_jacobi",
+                            lambda nodes, alpha: rule(nodes, swap[alpha]))
+        assert min(_diagonal_miss(n, lmax)) > 0.1, (n, lmax)
+
+
+def test_gauss_jacobi_is_shared_and_read_only():
+    xs, ws = gauss_jacobi(5, 1.5)
+    assert gauss_jacobi(5, 1.5)[0] is xs
+    assert not (xs.flags.writeable or ws.flags.writeable)
+    # the weights integrate (1 - x^2)^alpha: its total is B(1/2, alpha + 1)
+    assert np.sum(ws) == pytest.approx(3.0 * np.pi / 8.0, rel=1e-14)
 
 
 def test_radius_scaling_of_spectrum():

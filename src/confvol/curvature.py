@@ -6,11 +6,13 @@ products included, are diagonal metrics whose Riemann tensor is a sum of
 Kulkarni-Nomizu products of their blocks (``models.closed_form``).
 That route writes the metric without jets and contracts each product
 straight to Ricci, so it forms g, g^{-1}, Ricci, scalar and Schouten from
-(B, n) diagonals.  Every other kind runs the chart front end that
-``laplacian`` shares, ``_chart_jets`` (order-2 chart jets, inverse and
-Christoffel jets to order 1), and contracts to the values of the raised
-Riemann tensor, whose trace is Ricci; all derivatives are exact Taylor
-coefficients, never finite differences.  The two routes must agree.
+(B, n) diagonals.  Every other kind runs ``_chart_pack`` (order-2 chart
+jets, inverse and Christoffel jets to order 1) and contracts to the values
+of the raised Riemann tensor, whose trace is Ricci; all derivatives are
+exact Taylor coefficients, never finite differences.  The two routes must
+agree.  ``laplacian`` needs neither: every kind's chart metric is diagonal,
+and the Laplace-Beltrami operator of a diagonal metric reads only the
+order-2 jets of its diagonal and of the field.
 Bach comes from one conformal transformation law on both routes (see
 ``_bach``); series.v_direct asks for it only at k = 3 on kinds that are
 not conformally flat, where Bach does not vanish.
@@ -118,52 +120,66 @@ def sigma_k(schouten: np.ndarray, metric: np.ndarray, k: int) -> np.ndarray:
     return elem[k]
 
 
-def laplacian(m: ModelMetric, fields, points) -> np.ndarray:
-    """Laplace-Beltrami of a list of scalar fields at chart points, shape (F, B)."""
+def laplacian(m: ModelMetric, fields, points):
+    """Laplace-Beltrami and values of a list of scalar fields at chart
+    points, each of shape (F, B).
+
+    The chart metric must be diagonal, h = diag(h_1, ..., h_n), as every
+    kind's is; then
+    Delta f = sum_i h_i^{-1} [d_i^2 f + d_i f (1/2 sum_j d_i log h_j - d_i log h_i)],
+    read off order-2 jets of h and of the fields on one coordinate list, so
+    a sphere chart and its zonal fields share |x|^2 and 1/(L^2 + |x|^2).
+    Refuses a chart that is not diagonal, and a metric that overflows or is
+    degenerate at some point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = m.n
-    x, _, _, inv0, _, gam = _chart_jets(m, points)
-    ginv = np.ascontiguousarray(np.moveaxis(inv0, 0, -1))     # (n, n, B)
-    out = []
-    for f in fields:
-        w = f(x)
-        hess = np.stack([
-            np.stack([w.diff(i).diff(j).value for j in range(n)]) for i in range(n)
-        ])                                                    # (n, n, B)
-        grad = w.gradient_value()                             # (n, B)
-        cov = hess - np.einsum("kij...,k...->ij...", gam[..., 0], grad)
-        out.append(np.einsum("ij...,ij...->...", ginv, cov))
-    return np.stack(out)
+    space = jets.jet_space(n, 2)
+    x = jets.coordinates(space, points.T)
+    G = m.chart(x).c                                          # (n, n, B, nc)
+    if np.any(G[~np.eye(n, dtype=bool)]):
+        raise GeneralFGUnavailable(f"laplacian needs a diagonal chart; "
+                                   f"{type(m).__name__}'s is not")
+    h = G[np.arange(n), np.arange(n)]                         # (n, B, nc)
+    h0 = h[..., 0].T                                          # (B, n)
+    if not np.all(np.isfinite(h0)):
+        raise NonFiniteResult("metric overflows at a sampled point")
+    _refuse_degenerate(h0)
+    dlog = h[..., 1:n + 1] / h[..., :1]                       # [j, B, i] = d_i log h_j
+    drift = 0.5 * np.sum(dlog, axis=0) - dlog[np.arange(n), :, np.arange(n)].T
+    squares = [space.index[tuple(2 * (u == i) for u in range(n))] for i in range(n)]
+    w = np.stack([f(x).c for f in fields])                    # (F, B, nc)
+    terms = 2.0 * w[..., squares] + w[..., 1:n + 1] * drift   # (F, B, n)
+    return np.sum(terms / h0, axis=-1), w[..., 0]
+
+
+def _refuse_degenerate(eig: np.ndarray) -> None:
+    """Refuse metrics whose smallest eigenvalue (of (B, n)) is at most 1e-12
+    of the largest, compared within each point."""
+    if np.any(np.min(eig, axis=-1) <= 1e-12 * np.max(eig, axis=-1)):
+        raise NonPositiveDefinite("metric degenerate at a sampled point")
 
 
 # -- chart pipeline --------------------------------------------------------
 
 
-def _chart_jets(m: ModelMetric, points: np.ndarray):
-    """(x, G = m.chart(x), g0, g0^{-1}, inverse and Christoffel jets to order 1)
-    on order-2 coordinates x; refuses a metric not finite, not symmetric or
-    degenerate at some point (its eigenvalues compared within the point)."""
-    x = jets.coordinates(jets.jet_space(m.n, 2), points.T)
-    G = m.chart(x)                                            # (n, n, B, nc)
+def _chart_pack(m: ModelMetric, points: np.ndarray) -> CurvaturePack:
+    """Pack from order-2 chart jets, inverse and Christoffel jets to order 1;
+    refuses a metric not finite, not symmetric or degenerate at some point
+    (its eigenvalues compared within the point)."""
+    n = m.n
+    space = jets.jet_space(n, 2)
+    G = m.chart(jets.coordinates(space, points.T))            # (n, n, B, nc)
 
     g0 = np.ascontiguousarray(np.moveaxis(G.value, -1, 0))    # (B, n, n)
     if not np.all(np.isfinite(g0)):
         raise NonFiniteResult("metric overflows at a sampled point")
     if np.max(np.abs(g0 - np.swapaxes(g0, -1, -2))) > 1e-12 * np.max(np.abs(g0)):
         raise NonPositiveDefinite("metric components not symmetric")
-    eig = np.linalg.eigvalsh(g0)                              # ascending
-    if np.any(eig[:, 0] <= 1e-12 * eig[:, -1]):
-        raise NonPositiveDefinite("metric degenerate at a sampled point")
+    _refuse_degenerate(np.linalg.eigvalsh(g0))
 
     inv0 = np.linalg.inv(g0)
     Ginv = _inverse_jets(G, np.ascontiguousarray(np.moveaxis(inv0, 0, -1)))
-    return x, G, g0, inv0, Ginv, _christoffel(G, Ginv)
-
-
-def _chart_pack(m: ModelMetric, points: np.ndarray) -> CurvaturePack:
-    n = m.n
-    _, G, g0, inv0, Ginv, gam = _chart_jets(m, points)
-    space = G.space
+    gam = _christoffel(G, Ginv)
 
     # Riemann jets are trusted to order 0: every product returns the value only
     dgam = np.stack([space.diff(gam, v, 0) for v in range(n)])
@@ -277,8 +293,7 @@ def _closed_pack(points: np.ndarray, diag: np.ndarray, dims, terms) -> Curvature
     c (d_a h_b + d_b h_a - 2 delta_ab h_a), so g^{-1}Ric and g^{-1}P are
     diagonal and no (B, n, n, n, n) array is formed until Riemann is read.
     """
-    if np.any(np.min(diag, axis=-1) <= 1e-12 * np.max(diag, axis=-1)):
-        raise NonPositiveDefinite("metric degenerate at a sampled point")
+    _refuse_degenerate(diag)
     n = diag.shape[-1]
     block = np.repeat(np.arange(len(dims)), dims)             # block of each axis
     ric = np.zeros_like(diag)                                 # eigenvalues of g^{-1}Ric

@@ -33,7 +33,12 @@ the sign of a zero coefficient can differ.
 Besides ring arithmetic and integer powers, jets compose with ``exp``,
 ``cos`` and ``reciprocal``, the functions the model charts and fields use.
 ``coordinates`` returns the seed jets in a list whose ``memo`` keeps jets
-formed from the whole list, such as |x|^2; its slices are plain lists.
+formed from the whole list; a slice is again such a list, of its seeds'
+variables, with a memo of its own.  The list writes |x|^2 in closed form,
+and that is the kernel's sum x_0 x_0 + x_1 x_1 + ... bit for bit: no output
+coefficient of x_v x_v has more than two nonzero pair terms (the value
+x_v^2, the gradient x_v + x_v and the coefficient 1 of x_v^2), so each is
+exact, and einsum adds them to a +0 accumulator, so its zeros are +0.
 
 Curvature needs exact metric derivatives to second order, which is why
 charts are evaluated on jets instead of being finite-differenced.
@@ -310,14 +315,39 @@ def cos(x):
 
 
 class Coordinates(list):
-    """Coordinate seed jets; ``memo`` keeps jets formed from all of them."""
+    """Seed jets of the variables ``variables``; ``memo`` keeps jets formed
+    from all of them.  A slice, such as a product factor's block, is again
+    a ``Coordinates``, of its seeds' variables and with a memo of its own."""
 
-    def __init__(self, seeds):
+    def __init__(self, seeds, variables):
         super().__init__(seeds)
+        self.variables = variables
         self.memo = {}
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Coordinates(list.__getitem__(self, key), self.variables[key])
+        return list.__getitem__(self, key)
+
+    def sum_of_squares(self) -> Jet:
+        """x_0^2 + x_1^2 + ... over the list, in closed form: the squared
+        values added left to right, the gradient 2 x_v and 1 at each x_v^2,
+        every other coefficient +0 (see the module docstring)."""
+        space = self[0].space
+        values = [xv.value for xv in self]
+        c = np.zeros(values[0].shape + (space.ncoef,))
+        for a in values:
+            c[..., 0] += a * a
+        for v, a in zip(self.variables, values):
+            if space.order >= 1:
+                c[..., 1 + v] = 2.0 * a + 0.0      # +0 where a is -0
+            if space.order >= 2:
+                c[..., space.index[tuple(2 * (u == v) for u in range(space.nvars))]] = 1.0
+        return Jet(space, c)
 
 
 def coordinates(space: JetSpace, values: np.ndarray) -> Coordinates:
     """Coordinate seed jets at base point(s) ``values`` (shape (nvars, ...))."""
     values = np.asarray(values, dtype=float)
-    return Coordinates(Jet.variable(space, v, values[v]) for v in range(space.nvars))
+    return Coordinates((Jet.variable(space, v, values[v]) for v in range(space.nvars)),
+                       tuple(range(space.nvars)))

@@ -7,7 +7,9 @@ and curvature of the kinds that need no jets: flat tori, space forms,
 products of round spheres and warped products over these, recursively.
 Coordinate lists from ``jets.coordinates`` carry a memo, so a sphere chart
 and its zonal fields on one list form |x|^2 and 1/(L^2 + |x|^2) once per
-radius; slices, such as a product factor's block, carry none.
+radius; a slice, such as a product factor's block, has a memo of its own.
+|x|^2 of a coordinate list, a slice included, is written in closed form
+(``jets.Coordinates.sum_of_squares``), bit for bit the kernel's products.
 """
 
 from __future__ import annotations
@@ -301,7 +303,10 @@ def einstein_model(n: int, a: float) -> ModelMetric:
 
 
 def _sum_of_squares(x):
-    """x_0^2 + x_1^2 + ..., added left to right, of jets or arrays."""
+    """x_0^2 + x_1^2 + ..., added left to right, of jets or arrays; a list of
+    coordinate seeds, a slice of one included, writes it in closed form."""
+    if isinstance(x, jets.Coordinates):
+        return x.sum_of_squares()
     s2 = x[0] * x[0]
     for xi in x[1:]:
         s2 = s2 + xi * xi

@@ -102,9 +102,8 @@ def delta_vk(background: ModelMetric, omega, k: int, points: np.ndarray) -> np.n
     cL = einstein_L_exact(n, a, k)
     vk = einstein_vk_exact(n, a, k)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    lap = laplacian(background, [omega], points)[0]
-    om = field_values(omega, points)
-    return cL * lap - 2.0 * k * vk * om
+    lap, om = laplacian(background, [omega], points)
+    return cL * lap[0] - 2.0 * k * vk * om[0]
 
 
 def vk_pointwise(m: ModelMetric, k: int, points: np.ndarray) -> np.ndarray:

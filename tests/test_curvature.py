@@ -268,7 +268,7 @@ def test_conformal_scalar_linearization():
         return curvature_pack(m, pts, want_bach=False).scalar
 
     fd = (scal(h) - scal(-h)) / (2 * h)
-    lap = laplacian(torus, [omega], pts)[0]
+    (lap,), _ = laplacian(torus, [omega], pts)
     n = 3
     assert np.max(np.abs(fd + 2 * (n - 1) * lap)) < 1e-6
 
@@ -280,7 +280,7 @@ def test_laplacian_eigenfunction():
     basis = sphere_basis(m, lmax=2)
     pts = _random_points(m, 6)
     for idx in (0, len(basis.members) - 1):
-        lap = laplacian(m, [basis.members[idx]], pts)[0]
+        (lap,), _ = laplacian(m, [basis.members[idx]], pts)
         vals = field_values(basis.members[idx], pts)
         assert np.max(np.abs(lap + basis.eigenvalues[idx] * vals)) < 1e-9
 
@@ -426,8 +426,14 @@ def test_stereographic_memo_scope():
         assert np.array_equal(f(shared).c, f(_coords(spheres[0], 2, pts)).c)
     for s in spheres:
         assert np.array_equal(s.chart(shared).c, s.chart(_coords(s, 2, pts)).c)
-    # a slice, such as a product factor's block, carries no memo
-    assert hasattr(shared, "memo") and not hasattr(shared[1:], "memo")
+    # a slice, such as a product factor's block, keeps its seeds' variables
+    # and has a memo of its own, since its |x|^2 sums over the slice only
+    block = shared[1:]
+    assert block.variables == (1, 2, 3) and not block.memo and shared.memo
+    # a plain list of the same seeds forms |x|^2 by the pair kernel
+    s = RoundSphere(3, 2.0)
+    assert np.array_equal(s.chart(block).c,
+                          s.chart(list(_coords(spheres[0], 2, pts)[1:])).c)
 
 
 def test_zonal_field_refuses_a_product_coordinate_list():
@@ -448,13 +454,14 @@ def test_zonal_field_refuses_a_product_coordinate_list():
 
 def test_deformed_sphere_product_count(monkeypatch):
     # one order-2 chart pack of e^{2 omega} g_{S^5}, omega a 3-axis zonal
-    # mix of degree 2: |x|^2 (5) and its reciprocal (1) once; per field
-    # one embedding component (1) and Horner (1); exp (1); the squared
+    # mix of degree 2: the reciprocal of 1 + |x|^2 (1) once; per field one
+    # embedding component (1) and Horner (1); exp (1); the squared
     # conformal factor (1) and its product with exp (1); Christoffel (1);
-    # Riemann, scalar and Schouten (3).  Products with a constant factor
-    # (the first Horner step of a composition or a field, the first factor
-    # of a power, and both products by g0^{-1} in the order-1 inverse) are
-    # scales, not kernel calls
+    # Riemann, scalar and Schouten (3).  |x|^2 of the coordinate list is
+    # written in closed form, and products with a constant factor (the
+    # first Horner step of a composition or a field, the first factor of a
+    # power, and both products by g0^{-1} in the order-1 inverse) are
+    # scales; neither is a kernel call
     m = RoundSphere(5)
     omega = _mix(m, zonal_field)
     counted = jets.JetSpace.mul
@@ -466,7 +473,7 @@ def test_deformed_sphere_product_count(monkeypatch):
 
     monkeypatch.setattr(jets.JetSpace, "mul", mul)
     v_direct(ConformalDeformation(m, omega), 2, _random_points(m, 3))
-    assert len(calls) == 6 + 3 * 2 + 1 + 1 + 1 + 1 + 3
+    assert len(calls) == 1 + 3 * 2 + 1 + 1 + 1 + 1 + 3
 
 
 def test_kulkarni_nomizu_bitwise_unchanged():
@@ -613,3 +620,62 @@ def test_closed_form_v_k_allocates_no_n4_array():
         finally:
             tracemalloc.stop()
         assert peak < 48 * 12 ** 4 * 8 / 10, (m, peak)
+
+
+# -- the diagonal Laplace-Beltrami ---------------------------------------------
+
+
+def _trace_laplacian(m, f, pts):
+    """g^{ij} (d_i d_j f - Gam^k_ij d_k f) from the oracle's own inverse and
+    Christoffel jets, at order 2."""
+    x = _coords(m, 2, pts)
+    G = m.chart(x)
+    inv0 = np.linalg.inv(np.moveaxis(G.value, -1, 0))
+    Ginv = order4_chart._inverse_jets(G, np.ascontiguousarray(np.moveaxis(inv0, 0, -1)), 2)
+    gam = order4_chart._christoffel(G, Ginv, 2)[..., 0]       # (k, i, j, B)
+    w = f(x)
+    hess = np.stack([np.stack([w.diff(i).diff(j).value for j in range(m.n)])
+                     for i in range(m.n)])
+    cov = hess - np.einsum("kij...,k...->ij...", gam, w.gradient_value())
+    return np.einsum("...ij,ij...->...", inv0, cov), w.value
+
+
+def test_laplacian_matches_christoffel_trace():
+    # the diagonal formula shares no inverse or Christoffel step with the
+    # trace it is checked against
+    def field(x):
+        return (0.3 * x[0] * x[-1] + 0.2 * jets.exp(0.5 * x[1])
+                - 0.1 * x[-1] * x[-1] + 0.05 * x[0])
+
+    bump = lambda x: 0.1 * x[0] * x[1] + 0.05 * x[2] - 0.07 * x[-1] * x[-1]
+    deformed = [ConformalDeformation(b, bump) for b in
+                (RoundSphere(5, 1.3), _spheres((2, 1.0), (3, 1.0)),
+                 FlatTorus((1.0, 1.0, 1.0)))]
+    for m in _CLOSED_KINDS + _WARPED_KINDS + tuple(deformed):
+        pts = _random_points(m, 8)
+        (lap,), (val,) = laplacian(m, [field], pts)
+        ref, ref_val = _trace_laplacian(m, field, pts)
+        assert np.max(np.abs(lap - ref)) <= 1e-13 * np.max(np.abs(ref)), m
+        assert np.array_equal(val, ref_val), m
+
+
+def test_laplacian_refuses_what_the_chart_pack_refuses():
+    pts = np.array([[0.0, 0.3, -0.2]])
+
+    def asymmetric(x):
+        G = models._delta_matrix(x)
+        G.c[0, 1, ..., 0] = 0.1
+        return G
+
+    def overflowing(x):
+        G = models._delta_matrix(x)
+        G.c[1, 1, ..., 0] = np.inf
+        return G
+
+    degenerate = _ChartOnly(3, lambda x: models._delta_matrix(x, scale=x[0] * x[0]))
+    for chart, error, match in ((asymmetric, GeneralFGUnavailable, "diagonal"),
+                                (overflowing, NonFiniteResult, "overflows")):
+        with pytest.raises(error, match=match):
+            laplacian(_ChartOnly(3, chart), [lambda x: x[0]], pts)
+    with pytest.raises(NonPositiveDefinite, match="degenerate"):
+        laplacian(degenerate, [lambda x: x[0]], pts)

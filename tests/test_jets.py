@@ -255,3 +255,30 @@ def test_constant_factor_routes_match_the_pair_kernel(n, order):
         for p in range(4):
             assert np.array_equal((u ** p).c, ref), p
             ref = sp.mul(ref, u.c)
+
+
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sum_of_squares_is_the_kernels_bit_for_bit(order, n):
+    # the closed-form |x|^2 of a coordinate list against the pair kernel's
+    # x_v * x_v added left to right, signed zeros included, on whole lists
+    # and on slices, whose seeds keep their variables
+    sp = jets.jet_space(n, order)
+    rng = np.random.default_rng(10 * n + order)
+    for batch in (1, 2, 48):
+        values = rng.standard_normal((n, batch))
+        values[:, ::3] = 0.0
+        values[0, 1::4] = -0.0
+        values[-1, 2::5] = -values[-1, 2::5]
+        x = jets.coordinates(sp, values)
+        for part in (slice(None), slice(1, None), slice(0, n - 1), slice(n // 2, n)):
+            seeds = x[part]
+            if not seeds:
+                continue
+            ref = sp.mul(seeds[0].c, seeds[0].c)
+            for xv in seeds[1:]:
+                ref = ref + sp.mul(xv.c, xv.c)
+            assert seeds.variables == tuple(range(n))[part]
+            got = seeds.sum_of_squares().c
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))

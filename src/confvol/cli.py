@@ -68,6 +68,7 @@ _RULES = {
     "grid": (lambda v, c: v >= 2, "at least 2"),
     "nmin": (lambda v, c: v >= 3, "at least 3"),
     "nmax": (lambda v, c: v >= c["nmin"], "at least nmin"),
+    "seed": (lambda v, c: v >= 0, "at least 0"),
     "amplitude": (lambda v, c: isfinite(v), "finite"),
     "tol": (lambda v, c: isfinite(v) and v > 0, "finite and positive"),
     "max_steps": (lambda v, c: v >= 1, "at least 1"),
@@ -131,7 +132,9 @@ def config_hash(command: str, config: dict) -> str:
 def _check_size(what: str, size: int, limit: int = _MAX_ENTRIES):
     """Refuse a size over its budget before anything of that size is built."""
     if size > limit:
-        raise ConfigInvalid(f"{what} is {size}; it must be at most {limit}")
+        # a size of more than 4,300 digits cannot be printed
+        shown = size if size < 10 ** 15 else "over 10^15"
+        raise ConfigInvalid(f"{what} is {shown}; it must be at most {limit}")
 
 
 def build_model(config: dict):

@@ -6,13 +6,16 @@ products included, are diagonal metrics whose Riemann tensor is a sum of
 Kulkarni-Nomizu products of their blocks (``models.closed_form``).
 That route writes the metric without jets and contracts each product
 straight to Ricci, so it forms g, g^{-1}, Ricci, scalar and Schouten from
-(B, n) diagonals.  Every other kind runs ``_chart_pack`` (order-2 chart
-jets, inverse and Christoffel jets to order 1) and contracts to the values
-of the raised Riemann tensor, whose trace is Ricci; all derivatives are
-exact Taylor coefficients, never finite differences.  The two routes must
-agree.  ``laplacian`` needs neither: every kind's chart metric is diagonal,
-and the Laplace-Beltrami operator of a diagonal metric reads only the
-order-2 jets of its diagonal and of the field.
+(B, n) diagonals.  Every kind's chart metric is diagonal, and its chart
+returns the diagonal h.  Every other kind runs ``_chart_pack``: order-2
+jets of h, the inverse 1/h - (1/h) dh (1/h) and the Christoffel jets to
+order 1, and the values of the raised Riemann tensor, whose trace is
+Ricci; h is embedded into (n, n) once, so these sums keep the full
+matrix's order.  All derivatives are exact Taylor coefficients, never
+finite differences.  The two routes must agree.  ``laplacian`` needs
+neither: the Laplace-Beltrami operator of a diagonal metric reads only the
+order-2 jets of h and of the field.  It shares ``_chart_diagonal`` with
+``_chart_pack``, which refuses a metric that overflows or is degenerate.
 Bach comes from one conformal transformation law on both routes (see
 ``_bach``); series.v_direct asks for it only at k = 3 on kinds that are
 not conformally flat, where Bach does not vanish.
@@ -124,28 +127,18 @@ def laplacian(m: ModelMetric, fields, points):
     """Laplace-Beltrami and values of a list of scalar fields at chart
     points, each of shape (F, B).
 
-    The chart metric must be diagonal, h = diag(h_1, ..., h_n), as every
-    kind's is; then
+    With the chart metric h = diag(h_1, ..., h_n),
     Delta f = sum_i h_i^{-1} [d_i^2 f + d_i f (1/2 sum_j d_i log h_j - d_i log h_i)],
     read off order-2 jets of h and of the fields on one coordinate list, so
     a sphere chart and its zonal fields share |x|^2 and 1/(L^2 + |x|^2).
-    Refuses a chart that is not diagonal, and a metric that overflows or is
-    degenerate at some point."""
+    Refuses a metric that overflows or is degenerate at some point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = m.n
-    space = jets.jet_space(n, 2)
-    x = jets.coordinates(space, points.T)
-    G = m.chart(x).c                                          # (n, n, B, nc)
-    if np.any(G[~np.eye(n, dtype=bool)]):
-        raise GeneralFGUnavailable(f"laplacian needs a diagonal chart; "
-                                   f"{type(m).__name__}'s is not")
-    h = G[np.arange(n), np.arange(n)]                         # (n, B, nc)
+    x, h = _chart_diagonal(m, points)                         # h: (n, B, nc)
     h0 = h[..., 0].T                                          # (B, n)
-    if not np.all(np.isfinite(h0)):
-        raise NonFiniteResult("metric overflows at a sampled point")
-    _refuse_degenerate(h0)
     dlog = h[..., 1:n + 1] / h[..., :1]                       # [j, B, i] = d_i log h_j
     drift = 0.5 * np.sum(dlog, axis=0) - dlog[np.arange(n), :, np.arange(n)].T
+    space = x[0].space
     squares = [space.index[tuple(2 * (u == i) for u in range(n))] for i in range(n)]
     w = np.stack([f(x).c for f in fields])                    # (F, B, nc)
     terms = 2.0 * w[..., squares] + w[..., 1:n + 1] * drift   # (F, B, n)
@@ -162,24 +155,29 @@ def _refuse_degenerate(eig: np.ndarray) -> None:
 # -- chart pipeline --------------------------------------------------------
 
 
-def _chart_pack(m: ModelMetric, points: np.ndarray) -> CurvaturePack:
-    """Pack from order-2 chart jets, inverse and Christoffel jets to order 1;
-    refuses a metric not finite, not symmetric or degenerate at some point
-    (its eigenvalues compared within the point)."""
-    n = m.n
-    space = jets.jet_space(n, 2)
-    G = m.chart(jets.coordinates(space, points.T))            # (n, n, B, nc)
-
-    g0 = np.ascontiguousarray(np.moveaxis(G.value, -1, 0))    # (B, n, n)
-    if not np.all(np.isfinite(g0)):
+def _chart_diagonal(m: ModelMetric, points: np.ndarray):
+    """Order-2 coordinate jets at the points and the chart metric's diagonal
+    on them, (n, B, nc); refuses a metric that overflows or is degenerate
+    at some point (its entries compared within the point)."""
+    x = jets.coordinates(jets.jet_space(m.n, 2), points.T)
+    h = m.chart(x).c
+    h0 = h[..., 0].T                                          # (B, n)
+    if not np.all(np.isfinite(h0)):
         raise NonFiniteResult("metric overflows at a sampled point")
-    if np.max(np.abs(g0 - np.swapaxes(g0, -1, -2))) > 1e-12 * np.max(np.abs(g0)):
-        raise NonPositiveDefinite("metric components not symmetric")
-    _refuse_degenerate(np.linalg.eigvalsh(g0))
+    _refuse_degenerate(h0)
+    return x, h
 
-    inv0 = np.linalg.inv(g0)
-    Ginv = _inverse_jets(G, np.ascontiguousarray(np.moveaxis(inv0, 0, -1)))
-    gam = _christoffel(G, Ginv)
+
+def _chart_pack(m: ModelMetric, points: np.ndarray) -> CurvaturePack:
+    """Pack from the order-2 jets of the chart metric's diagonal h, with
+    inverse and Christoffel jets to order 1."""
+    n = m.n
+    x, h = _chart_diagonal(m, points)
+    space = x[0].space
+    # the diagonal embedded once: the Christoffel symbols, gg, the scalar
+    # contraction and P run on (n, n) arrays, in the full matrix's order
+    G = _embed(h)                                             # (n, n, B, nc)
+    hinv, gam = _christoffel(space, h, G)
 
     # Riemann jets are trusted to order 0: every product returns the value only
     dgam = np.stack([space.diff(gam, v, 0) for v in range(n)])
@@ -191,45 +189,48 @@ def _chart_pack(m: ModelMetric, points: np.ndarray) -> CurvaturePack:
     riem_up = t1 - t2 + gg - gg.swapaxes(2, 3)
 
     ric = np.einsum("msmn...->sn...", riem_up)
-    scal = space.mul(Ginv, ric, 0, "ij...p,ij...p->...")
+    scal = space.mul(_embed(hinv[..., :1]), ric, 0, "ij...p,ij...p->...")
     ricci = np.moveaxis(ric[..., 0], -1, 0)
     if n >= 3:
-        P = (ric - space.mul(scal[None, None], G.c, 0) / (2.0 * (n - 1))) / (n - 2)
+        P = (ric - space.mul(scal[None, None], G, 0) / (2.0 * (n - 1))) / (n - 2)
         schout = np.moveaxis(P[..., 0], -1, 0)
     else:
         schout = np.zeros_like(ricci)
 
+    g0 = _diag(h[..., 0].T)                                   # (B, n, n)
     # the lowered Riemann tensor needs only the values of Riem_up
     rm_up0 = np.moveaxis(riem_up[..., 0], -1, 0)             # (B, n,n,n,n)
     return CurvaturePack(
-        points, g0, inv0, ricci, scal[..., 0], schout,
+        points, g0, _diag(hinv[..., 0].T), ricci, scal[..., 0], schout,
         lambda: np.einsum("...rl,...lsmn->...rsmn", g0, rm_up0))
 
 
-# the matrix product [i, j] = sum_k A[i, k] B[k, j] when A, or B, is a
-# constant matrix given by its values: one contraction of coefficient
-# arrays, no coefficient pairs
-_CONST_MATMUL = "ik...,kj...q->ij...q"
-_MATMUL_CONST = "ik...q,kj...->ij...q"
-
-
-def _inverse_jets(G: Jet, inv0: np.ndarray) -> np.ndarray:
-    """Coefficients up to order 1 of G^{-1} = inv0 - inv0 dG inv0, given the
-    inverse inv0 (n, n, B), C-contiguous, of the value of the matrix jet G."""
-    delta = G.c[..., :G.space.ncoef_at(1)].copy()
-    delta[..., 0] = 0.0
-    E = np.einsum(_CONST_MATMUL, inv0, delta)                 # zero constant term
-    eye = np.zeros_like(E)
-    eye[..., 0] = np.eye(len(inv0))[:, :, None]
-    return np.einsum(_MATMUL_CONST, eye - E, inv0)
-
-
-def _christoffel(G: Jet, Ginv: np.ndarray) -> np.ndarray:
-    """Coefficients up to order 1 of Gam^k_ij, shape (k, i, j, B, n + 1)."""
-    dG = np.stack([G.space.diff(G.c, v, 1) for v in range(len(G.c))])  # (v,a,b,B,n+1)
+def _christoffel(space: jets.JetSpace, h: np.ndarray, G: np.ndarray):
+    """Coefficients up to order 1 of the inverse metric's diagonal,
+    (n, B, n + 1), and of Gam^k_ij, (k, i, j, B, n + 1), from the chart
+    metric's diagonal h (n, B, nc) and its embedding G (n, n, B, nc)."""
+    n = len(h)
+    inv = 1.0 / h[..., :1]
+    # (1 - (1/h) dh)(1/h), as the Neumann series (I - E) g0^{-1} writes it,
+    # so a zero derivative gives +0
+    hinv = np.concatenate([inv, (0.0 - inv * h[..., 1:n + 1]) * inv], axis=-1)
+    dG = np.stack([space.diff(G, v, 1) for v in range(n)])    # (v,a,b,B,n+1)
     M1 = dG.transpose(2, 0, 1, *range(3, dG.ndim))            # [l,i,j] = d_i g_{jl}
     M2 = dG.transpose(2, 1, 0, *range(3, dG.ndim))            # [l,i,j] = d_j g_{il}
-    return 0.5 * G.space.mul(Ginv, M1 + M2 - dG, 1, "kl...p,lij...p->kij...")
+    return hinv, 0.5 * space.mul(hinv[:, None, None], M1 + M2 - dG, 1)
+
+
+def _embed(d: np.ndarray) -> np.ndarray:
+    """The (n, n, ...) array with d (n, ...) on its diagonal, +0 elsewhere."""
+    n = len(d)
+    out = np.zeros((n, n) + d.shape[1:])
+    out[np.arange(n), np.arange(n)] = d
+    return out
+
+
+def _diag(values: np.ndarray) -> np.ndarray:
+    """The (B, n, n) matrices with the rows of values (B, n) on their diagonal."""
+    return values[:, :, None] * np.eye(values.shape[-1])
 
 
 def _kulkarni_nomizu(P: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -307,16 +308,13 @@ def _closed_pack(points: np.ndarray, diag: np.ndarray, dims, terms) -> Curvature
     else:
         sch = np.zeros_like(ric)
 
-    def embed(values):
-        return values[:, :, None] * np.eye(n)
-
     def form_riemann():
-        blocks = [embed(np.where(block == a, diag, 0.0)) for a in range(len(dims))]
+        blocks = [_diag(np.where(block == a, diag, 0.0)) for a in range(len(dims))]
         riemann = np.zeros(diag.shape[:1] + (n,) * 4)
         for c, a, b in terms:
             riemann += (np.reshape(c, (-1, 1, 1, 1, 1))
                         * _kulkarni_nomizu(blocks[a], blocks[b]))
         return riemann
 
-    return CurvaturePack(points, embed(diag), embed(1.0 / diag), embed(ric * diag),
-                         scalar, embed(sch * diag), form_riemann)
+    return CurvaturePack(points, _diag(diag), _diag(1.0 / diag), _diag(ric * diag),
+                         scalar, _diag(sch * diag), form_riemann)

@@ -187,7 +187,8 @@ class SphereZonal:
             return np.exp(-2.0 * omega) * (
                 R / (2.0 * (n - 1)) - lap - 0.5 * (n - 2) * grad2)
         deformed = ConformalDeformation(self.base, self._field(omega))
-        return (-2.0) ** k * v_direct(deformed, k, points=self.points)
+        # v_direct refuses k > 3 before (-2)^k can overflow
+        return v_direct(deformed, k, points=self.points) * (-2.0) ** k
 
     def density(self, omega):
         return self.w * np.exp(self.base.n * omega)

@@ -6,29 +6,26 @@ coordinates around a base point, truncated at a fixed total degree.  The
 coefficient array carries arbitrary leading batch axes, so whole tensors
 and whole batches of evaluation points propagate in one vectorized sweep.
 A tensor of jets is one ``Jet`` whose array leads with the tensor axes: a
-chart metric writes its (n, n, ..., ncoef) coefficient array directly.
+chart metric's diagonal is one (n, ..., ncoef) coefficient array.
 
 ``JetSpace.mul`` is the one product kernel.  Output coefficients of one
 degree with the same number of contributing coefficient pairs form a group;
 for each group it gathers those pairs and combines them with one
 ``np.einsum`` call, so the same loop gives the elementwise product of
-``Jet`` arithmetic and tensor contractions of jets, such as the matrix
-products and Christoffel contractions of the curvature pipeline.
+``Jet`` arithmetic and tensor contractions of jets, such as the
+Christoffel product of the curvature pipeline.
 The pair tables are built with array operations on monomial codes, and the
 pairs of each output coefficient are kept in row-major ``(i, j)`` order.
 That order and the operand layout fix the output bits (see ``JetSpace.mul``).
 
 A product with a constant factor does not call the kernel: multiplying a
 jet by a number or an array scales its coefficients, ``_compose`` starts
-Horner with the scale ``h f^(order)(u0)/order!``, a power starts from the
-jet itself, not from the constant 1, and the order-1 inverse
-``curvature._inverse_jets`` multiplies by the constant matrix g0^{-1}
-with one contraction of coefficient arrays.  These give the kernel's
-values bit for bit: of the kernel's pairs for one output coefficient only
-the one with the constant coefficient is nonzero, the others add exact
-zeros, and numpy's einsum adds the terms of a matrix index in the same
-order on both routes (tested on orders 0-4, n = 3-7, batches 1-48).  Only
-the sign of a zero coefficient can differ.
+Horner with the scale ``h f^(order)(u0)/order!``, and a power starts from
+the jet itself, not from the constant 1.  These give the kernel's values
+bit for bit: of the kernel's pairs for one output coefficient only the one
+with the constant coefficient is nonzero, and the others add exact zeros
+(tested on orders 0-4, n = 3-7, batches 1-48).  Only the sign of a zero
+coefficient can differ.
 
 Besides ring arithmetic and integer powers, jets compose with ``exp``,
 ``cos`` and ``reciprocal``, the functions the model charts and fields use.
@@ -140,8 +137,7 @@ class JetSpace:
         kernel must be checked against the benchmark's task digests.
 
         Products with a constant factor do not come here: they are scales
-        or single contractions with the same values (see the module
-        docstring).
+        with the same values (see the module docstring).
         """
         top = self.order if out_order is None else min(out_order, self.order)
         out = None

@@ -1,10 +1,13 @@
 """Model Riemannian metrics with jet-evaluable chart components.
 
 Every model exposes its dimension ``n`` and a ``chart`` method mapping a
-list of coordinate jets to the (n, n) matrix of metric components as a
-single Jet with leading tensor axes.  ``closed_form`` gives the metric
-and curvature of the kinds that need no jets: flat tori, space forms,
-products of round spheres and warped products over these, recursively.
+list of coordinate jets to its chart metric, which is diagonal in every
+kind, as one Jet of its diagonal entries, (n, ..., ncoef).  A conformally
+flat kind repeats its conformal factor, a product concatenates its
+factors' diagonals, and dr^2 + f^2 h prepends 1 to f^2 times h's
+diagonal.  ``closed_form`` gives the metric and curvature of the kinds
+that need no jets: flat tori, space forms, products of round spheres and
+warped products over these, recursively.
 Coordinate lists from ``jets.coordinates`` carry a memo, so a sphere chart
 and its zonal fields on one list form |x|^2 and 1/(L^2 + |x|^2) once per
 radius; a slice, such as a product factor's block, has a memo of its own.
@@ -30,20 +33,16 @@ class ModelMetric:
     n: int
 
     def chart(self, x: Sequence[Jet]) -> Jet:
+        """Diagonal of the chart metric at coordinate jets x, (n, ..., ncoef)."""
         raise NotImplementedError
 
     def sample_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
 
-def _delta_matrix(x: Sequence[Jet], scale: Jet | None = None) -> Jet:
-    """Diagonal chart metric: ``scale`` (1 when None) on the diagonal."""
-    n = len(x)
-    diag = scale if scale is not None else Jet.constant(
-        x[0].space, np.ones(x[0].c.shape[:-1]))
-    c = np.zeros((n, n) + diag.c.shape, dtype=diag.c.dtype)
-    c[np.arange(n), np.arange(n)] = diag.c
-    return Jet(diag.space, c)
+def _conformal_diagonal(n: int, scale: Jet) -> Jet:
+    """The diagonal of scale times the identity: n copies of ``scale``."""
+    return Jet(scale.space, np.repeat(scale.c[None], n, axis=0))
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class RoundSphere(ModelMetric):
     radius: float = 1.0
 
     def chart(self, x):
-        return _delta_matrix(x, scale=self.conformal_factor(x))
+        return _conformal_diagonal(self.n, self.conformal_factor(x))
 
     def conformal_factor(self, x):
         """(2 L^2 (1 / (L^2 + |x|^2)))^2 at coordinate jets or arrays x."""
@@ -78,7 +77,7 @@ class HyperbolicSpace(ModelMetric):
     radius: float = 1.0
 
     def chart(self, x):
-        return _delta_matrix(x, scale=self.conformal_factor(x))
+        return _conformal_diagonal(self.n, self.conformal_factor(x))
 
     def conformal_factor(self, x):
         """(1 / (L^2 - |x|^2) (2 L^2))^2 at coordinate jets or arrays x."""
@@ -106,7 +105,7 @@ class FlatTorus(ModelMetric):
         return len(self.periods)
 
     def chart(self, x):
-        return _delta_matrix(x)
+        return Jet.constant(x[0].space, np.ones((self.n,) + x[0].c.shape[:-1]))
 
     def sample_points(self, count, rng):
         u = rng.uniform(size=(count, self.n))
@@ -133,13 +132,10 @@ class ProductOfSpheres(ModelMetric):
         return sum(d for d, _ in self.factors)
 
     def chart(self, x):
-        c = np.zeros((self.n, self.n) + x[0].c.shape)
-        offset = 0
-        for d, r in self.factors:
-            block = slice(offset, offset + d)
-            c[block, block] = RoundSphere(d, r).chart(x[block]).c
-            offset += d
-        return Jet(x[0].space, c)
+        cuts = np.cumsum([0] + [d for d, _ in self.factors])
+        return Jet(x[0].space, np.concatenate(
+            [RoundSphere(d, r).chart(x[lo:hi]).c
+             for (d, r), lo, hi in zip(self.factors, cuts, cuts[1:])]))
 
     def sample_points(self, count, rng):
         parts = [
@@ -166,10 +162,8 @@ class WarpedRadial(ModelMetric):
 
     def chart(self, x):
         fib = self.warp(x[0]) ** 2 * self.fiber.chart(x[1:])
-        c = np.zeros((self.n, self.n) + fib.c.shape[2:], dtype=fib.c.dtype)
-        c[0, 0, ..., 0] = 1.0
-        c[1:, 1:] = fib.c
-        return Jet(fib.space, c)
+        one = Jet.constant(fib.space, np.ones((1,) + fib.c.shape[1:-1]))
+        return Jet(fib.space, np.concatenate([one.c, fib.c]))
 
     def sample_points(self, count, rng):
         r0, rmax = self.r_range

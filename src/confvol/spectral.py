@@ -65,7 +65,9 @@ _AXES_PER_DEGREE = 2     # zonal axes of each sphere basis degree above 1
 def _check_size(size: int, what: str):
     """Refuse a basis over the member budget before building it."""
     if size > _MAX_MEMBERS:
-        raise InvalidRange(f"{what} gives {size} members; the basis must be "
+        # a size of more than 4,300 digits cannot be printed
+        shown = size if size < 10 ** 15 else "over 10^15"
+        raise InvalidRange(f"{what} gives {shown} members; the basis must be "
                            f"at most {_MAX_MEMBERS} members")
 
 

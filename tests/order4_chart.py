@@ -3,8 +3,9 @@
 ``chart_pack_order4`` is the chart pack as it was before Bach moved to the
 conformal transformation law: with ``want_bach`` it propagates order-4
 metric jets and forms Bach as Lap P - div div P - P^{kl} W_{kijl} from
-covariant derivatives of the Schouten jets.  It evaluates the chart and
-refuses a degenerate metric itself, and has its own inverse jets (a
+covariant derivatives of the Schouten jets.  It embeds the chart's
+diagonal into the full (n, n) matrix jet (``full_chart``), refuses a
+degenerate metric itself, and has its own general matrix inverse jets (a
 Neumann series of any order) and its own Christoffel step, so it shares
 only the jet arithmetic (``Jet``/``JetSpace``), the model charts and the
 pack type with the library, never the law itself.
@@ -18,16 +19,22 @@ from confvol.errors import NonPositiveDefinite
 from confvol.models import ModelMetric
 
 
+def full_chart(m: ModelMetric, x) -> jets.Jet:
+    """The chart metric as the (n, n) matrix jet, +0 off its diagonal."""
+    h = m.chart(x).c                                          # (n, B, nc)
+    c = np.zeros((m.n,) + h.shape)
+    c[np.arange(m.n), np.arange(m.n)] = h
+    return jets.Jet(x[0].space, c)
+
+
 def chart_pack_order4(m: ModelMetric, points: np.ndarray, want_bach: bool) -> CurvaturePack:
     n = m.n
     order = 4 if want_bach else 2
     space = jets.jet_space(n, order)
     x = jets.coordinates(space, points.T)
-    G = m.chart(x)                                            # (n, n, B, nc)
+    G = full_chart(m, x)                                      # (n, n, B, nc)
 
     g0 = np.ascontiguousarray(np.moveaxis(G.value, -1, 0))    # (B, n, n)
-    if np.max(np.abs(g0 - np.swapaxes(g0, -1, -2))) > 1e-12 * np.max(np.abs(g0)):
-        raise NonPositiveDefinite("metric components not symmetric")
     eig = np.linalg.eigvalsh(g0)
     if np.min(eig) <= 1e-12 * np.max(eig):
         raise NonPositiveDefinite("metric degenerate at a sampled point")

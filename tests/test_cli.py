@@ -1,10 +1,14 @@
 """CLI: config parsing, deterministic records, exit codes, file outputs."""
 
 import json
+import signal
+import time
+import warnings
 
+import numpy as np
 import pytest
 
-from confvol import errors
+from confvol import cli, errors
 from confvol.cli import (
     canonical_text,
     cli_dispatch,
@@ -159,12 +163,22 @@ def test_exit_code_out_of_range_model_keys(capsys):
         ("hessian", "--model", "einstein", "--a", "1e-300", "--n", "3"),
         ("hessian", "--model", "einstein", "--a", "1e300", "--n", "3"),
         ("variation", "--model", "einstein", "--a", "1e300", "--n", "3"),
+        # numpy's default_rng takes no negative seed
+        ("curvature", "--seed", "-1"),
+        ("variation", "--seed", "-1"),
+        # sizes of more than 4,300 digits, which str() refuses to print
+        ("flow", "--model", "torus", "--periods", ",".join(["1"] * 3000),
+         "--grid", "99999999999999999999"),
+        ("variation", "--model", "einstein", "--a", "0", "--n", "1000000"),
     ]
     for argv in table:
         code, out, err = _run(capsys, *argv)
         assert code == 1, argv
         assert "Traceback" not in err and "NaN" not in out, argv
         assert "must be" in err, argv
+    # v_2 and up of a sphere flow are refused past k = 3 before (-2)^k overflows
+    code, _, err = _run(capsys, "flow", "--k", "1000000")
+    assert code == 1 and "cover k in 1..3" in err
     # the smallest valid values still run
     assert _run(capsys, "vk", "--n", "1")[0] == 0
     assert _run(capsys, "vk", "--kmax", "0")[0] == 0
@@ -417,3 +431,107 @@ def test_one_parser_serves_successive_calls(capsys, tmp_path):
     code, second, _ = _run(capsys, *argv)
     assert code == 0 and not record.exists()
     assert payload_bytes(json.loads(first)) == payload_bytes(json.loads(second))
+
+
+# -- a seeded sweep of the exit-code contract -----------------------------------
+# Each input is one command with 1-4 keys of its schema.  A key's values are
+# the edge cases of its type and every default the schemas give it; three
+# draws in four take a value that the key's rule in cli._RULES accepts
+# (judged on the command's defaults), so most inputs pass validation and run.
+# A new command, key or rule joins the sweep without an edit.  It stores no
+# outputs, only the contract: exit code 0, 1 or 2, no uncaught exception, no
+# NaN or Infinity on stdout and no warning.  An input still running at its
+# alarm is left unjudged: a flow asked for up to 10^6 steps at a tolerance
+# it cannot reach runs them all, which is no breach of the contract.
+
+_SWEEP_EDGES = {
+    int: ("-1", "0", "1", "2", "3", "5", "8", "1000000", "99999999999999999999",
+          "1.5", ""),
+    float: ("-1", "0", "1e-300", "1e-7", "0.3", "1", "2", "1e300", "nan", "inf",
+            "-inf", ""),
+    str: ("", "x", "nan", "1,2", "0,1", "1e300,1", "torus", "hyperbolic",
+          "einstein", "hyperbolic6", "V"),
+}
+_SWEEP_SEEDS = range(8)
+_SWEEP_INPUTS = 100           # per seed
+_SWEEP_BUDGET_S = 5.0         # inputs past it are not run
+_SWEEP_ALARM_S = 2            # an input running longer is stopped, unjudged
+
+
+def _sweep_pools(command):
+    """key -> (values its rule accepts, values refused), as argument strings."""
+    schema = cli._COMMANDS[command][1]
+    defaults = {key: default for key, (_, default) in schema.items()}
+    pools = {}
+    for key, (typ, _) in schema.items():
+        values = set(_SWEEP_EDGES[typ]) | {
+            str(other[key][1]) for _, other in cli._COMMANDS.values() if key in other}
+        accepted, refused = [], []
+        for raw in sorted(values):
+            try:
+                value = typ(raw)
+            except ValueError:
+                refused.append(raw)
+                continue
+            valid = cli._RULES.get(key, (lambda v, c: True,))[0]
+            (accepted if valid(value, defaults) else refused).append(raw)
+        pools[key] = (accepted, refused)
+    return pools
+
+
+def _sweep_inputs(seed):
+    rng = np.random.default_rng(seed)
+    commands = sorted(cli._COMMANDS)
+    for _ in range(_SWEEP_INPUTS):
+        command = commands[rng.integers(len(commands))]
+        pools = _sweep_pools(command)
+        argv = [command]
+        keys = sorted(pools)
+        for key in rng.choice(keys, min(len(keys), rng.integers(1, 5)), replace=False):
+            accepted, refused = pools[key]
+            side = accepted if accepted and (not refused or rng.random() < 0.75) else refused
+            argv += [f"--{key.replace('_', '-')}", side[rng.integers(len(side))]]
+        yield argv
+
+
+class _Alarm(BaseException):
+    """Raised at an input's alarm; no handler of the library catches it."""
+
+
+def _alarm(signum, frame):
+    raise _Alarm
+
+
+def test_seeded_sweep_keeps_the_exit_code_contract(capsys):
+    failures, ran = [], 0
+    deadline = time.perf_counter() + _SWEEP_BUDGET_S
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    try:
+        for seed in _SWEEP_SEEDS:
+            for argv in _sweep_inputs(seed):
+                if time.perf_counter() > deadline:
+                    break
+                signal.alarm(_SWEEP_ALARM_S)
+                try:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        try:
+                            code = cli_dispatch(argv)
+                        except Exception as exc:
+                            code = f"uncaught {exc!r}"
+                except _Alarm:
+                    capsys.readouterr()
+                    continue
+                finally:
+                    signal.alarm(0)
+                ran += 1
+                out = capsys.readouterr().out
+                if code not in (0, 1, 2):
+                    failures.append((seed, argv, code))
+                if "NaN" in out or "Infinity" in out:
+                    failures.append((seed, argv, "non-finite number on stdout"))
+                if caught:
+                    failures.append((seed, argv, [str(w.message) for w in caught]))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert ran and not failures, failures

@@ -6,7 +6,7 @@ import pytest
 from confvol import curvature, jets, models
 from confvol.curvature import (
     _christoffel,
-    _inverse_jets,
+    _embed,
     _kulkarni_nomizu,
     curvature_pack,
     laplacian,
@@ -313,7 +313,7 @@ def _sum_of_squares(x):
 def _ref_sphere_chart(m, x):
     L2 = m.radius ** 2
     conf = (2.0 * L2 / (L2 + _sum_of_squares(x))) ** 2
-    return models._delta_matrix(x, scale=conf)
+    return Jet(conf.space, np.repeat(conf.c[None], len(x), axis=0))
 
 
 def _ref_zonal(m, coeffs, axis):
@@ -379,31 +379,92 @@ def test_shared_stereographic_jets_are_bitwise_unchanged():
         assert np.array_equal(G.c, ref.c), order
 
 
+def _full_product_chart(m, x):
+    """The (n, n) chart as the models formed it as a full matrix: a space
+    form's diagonal embedded, a product's blocks placed, dr^2 + f^2 h as 1
+    and the pair kernel's f^2 times h's matrix, e^{2 omega} times the base
+    matrix by the kernel."""
+    if isinstance(m, ConformalDeformation):
+        return jets.exp(2.0 * m.omega(x)) * _full_product_chart(m.base, x)
+    if isinstance(m, WarpedRadial):
+        fib = m.warp(x[0]) ** 2 * _full_product_chart(m.fiber, x[1:])
+        c = np.zeros((m.n, m.n) + fib.c.shape[2:])
+        c[0, 0, ..., 0] = 1.0
+        c[1:, 1:] = fib.c
+        return Jet(fib.space, c)
+    if isinstance(m, ProductOfSpheres):
+        c = np.zeros((m.n, m.n) + x[0].c.shape)
+        lo = 0
+        for d, r in m.factors:
+            block = slice(lo, lo + d)
+            c[block, block] = _full_product_chart(RoundSphere(d, r), x[block]).c
+            lo += d
+        return Jet(x[0].space, c)
+    return order4_chart.full_chart(m, x)
+
+
+def _chart_kinds(n):
+    """Deformed spheres, hyperbolic spaces and tori, and plain and deformed
+    products and warped kinds, of dimension n >= 2."""
+    sn = RoundSphere(n, 1.3)
+    product = _spheres((n // 2, 1.0), (n - n // 2, 1.4))
+    warped = _warped(RoundSphere(n - 1, 1.2))
+    bump = lambda x: 0.3 * x[0] * x[-1] - 0.2 * jets.cos(x[1]) + 0.05 * x[-1]
+    return (ConformalDeformation(sn, _mix(sn, zonal_field) if n >= 5 else bump),
+            ConformalDeformation(HyperbolicSpace(n, 0.9), bump),
+            product, ConformalDeformation(product, bump),
+            warped, ConformalDeformation(warped, bump),
+            ConformalDeformation(ConformalDeformation(FlatTorus((1.0,) * n), bump),
+                                 lambda x: 0.3 * x[0]))
+
+
+def test_charts_are_the_diagonal_of_the_full_matrix_product():
+    # each kind's diagonal chart is, bit for bit with signed zeros, the
+    # diagonal of the full matrix it was formed as; e^{2 omega} stays the
+    # left factor of the kernel's product
+    for n in range(2, 10):
+        for m in _chart_kinds(n):
+            diag = np.arange(n)
+            for order in range(3):
+                for batch in (1, 2, 48):
+                    pts = _random_points(m, batch)
+                    got = m.chart(_coords(m, order, pts)).c
+                    ref = _full_product_chart(m, _coords(m, order, pts)).c[diag, diag]
+                    _assert_bitwise(got, ref)
+
+
 def _assert_bitwise(got, ref):
     assert got.shape == ref.shape
     assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_inverse_jets_bitwise_unchanged():
-    # the library's order-1 inverse and Christoffel jets are the oracle's
-    # Neumann series and order-2 Christoffel step truncated to order 1, bit
-    # for bit with signed zeros; the oracle's series is the pair kernel's
-    # (to the sign of a zero) at every order it runs
-    m = RoundSphere(5, 1.3)
-    pts = _random_points(m, 4)
-    for order in (2, 4):
-        x = _coords(m, order, pts)
-        G = ConformalDeformation(m, _mix(m, zonal_field)).chart(x)
-        # off-diagonal terms exercise every entry of the matrix products
-        G = G + 0.1 * Jet(G.space, np.stack([np.stack([(xi * xj).c for xj in x])
-                                             for xi in x]))
-        g0 = np.moveaxis(G.value, -1, 0)
-        inv0 = np.ascontiguousarray(np.moveaxis(np.linalg.inv(g0), 0, -1))
-        ref = order4_chart._inverse_jets(G, inv0, order)
-        assert np.array_equal(ref, _ref_inverse(G, g0, order)), order
-        Ginv = _inverse_jets(G, inv0)
-        _assert_bitwise(Ginv, ref[..., :m.n + 1])
-        _assert_bitwise(_christoffel(G, Ginv), order4_chart._christoffel(G, ref, 2))
+    # the library's order-1 inverse and Christoffel jets of the chart's
+    # diagonal are the oracle's Neumann series and order-2 Christoffel step
+    # on the full (n, n) chart, truncated to order 1, bit for bit with
+    # signed zeros; products and tori have derivatives that are exact zeros.
+    # The oracle's series is the pair kernel's (to the sign of a zero) at
+    # every order it runs
+    s5 = RoundSphere(5, 1.3)
+    kinds = (ConformalDeformation(s5, _mix(s5, zonal_field)),
+             ConformalDeformation(_spheres((2, 1.0), (3, 1.3)), _BUMP),
+             ConformalDeformation(FlatTorus((1.0, 2.0, 1.0, 1.5)), _BUMP),
+             ConformalDeformation(_WARPED_KINDS[2], _BUMP),
+             _spheres((3, 1.0), (2, 0.8)))
+    for m in kinds:
+        diag = np.arange(m.n)
+        for order, batch in ((2, 1), (2, 2), (2, 48), (4, 3)):
+            x = _coords(m, order, _random_points(m, batch))
+            G = order4_chart.full_chart(m, x)
+            g0 = np.moveaxis(G.value, -1, 0)
+            inv0 = np.ascontiguousarray(np.moveaxis(np.linalg.inv(g0), 0, -1))
+            ref = order4_chart._inverse_jets(G, inv0, order)
+            assert np.array_equal(ref, _ref_inverse(G, g0, order)), (m, order)
+            h = m.chart(x).c
+            _assert_bitwise(_embed(h), G.c)
+            hinv, gam = _christoffel(G.space, h, _embed(h))
+            _assert_bitwise(hinv, ref[diag, diag, ..., :m.n + 1])
+            _assert_bitwise(gam, order4_chart._christoffel(G, ref, 2))
 
 
 def test_order4_oracle_shares_only_the_pack_type_with_curvature():
@@ -502,28 +563,26 @@ class _ChartOnly(models.ModelMetric):
         self.n, self.chart = n, chart
 
 
-def test_chart_pack_rejects_degenerate_and_asymmetric_metrics():
+def _ones(x):
+    """The flat chart's diagonal on x, a fresh array to edit."""
+    return FlatTorus((1.0,) * len(x)).chart(x)
+
+
+def _overflowing(x):
+    h = _ones(x)
+    h.c[1, ..., 0] = np.inf
+    return h
+
+
+def test_chart_pack_rejects_degenerate_and_overflowing_metrics():
     pts = np.array([[0.0, 0.3, -0.2]])
-    degenerate = _ChartOnly(3, lambda x: models._delta_matrix(x, scale=x[0] * x[0]))
+    degenerate = _ChartOnly(3, lambda x: (x[0] * x[0]) * _ones(x))
     with pytest.raises(NonPositiveDefinite, match="degenerate"):
         curvature_pack(degenerate, pts)
-
-    def asymmetric(x):
-        G = models._delta_matrix(x)
-        G.c[0, 1, ..., 0] = 0.1
-        return G
-
-    with pytest.raises(NonPositiveDefinite, match="not symmetric"):
-        curvature_pack(_ChartOnly(3, asymmetric), pts)
-
-    def overflowing(x):
-        G = models._delta_matrix(x)
-        G.c[1, 1, ..., 0] = np.inf
-        return G
-
-    # inf - inf makes both tests above compare NaN, which neither refuses
+    # refused before the degeneracy test, which an infinite entry would pass
+    # as a ratio of 0 to inf
     with pytest.raises(NonFiniteResult, match="overflows"):
-        curvature_pack(_ChartOnly(3, overflowing), pts)
+        curvature_pack(_ChartOnly(3, _overflowing), pts)
 
 
 def test_degeneracy_is_judged_per_point():
@@ -561,8 +620,8 @@ def test_direct_metric_matches_chart_bitwise():
             _warped(RoundSphere(2, 0.7), lambda r: jets.exp(0.3 * r)),):
         pts = _random_points(m, 16)
         x = jets.coordinates(jets.jet_space(m.n, 0), pts.T)
-        chart = np.moveaxis(m.chart(x).value, -1, 0)
-        direct = models.metric_values(m, pts)
+        chart = m.chart(x).value.T
+        direct = models.closed_form(m, pts)[0]
         assert np.array_equal(direct, chart), m
         assert np.array_equal(np.signbit(direct), np.signbit(chart)), m
     for m in (ConformalDeformation(RoundSphere(3), lambda x: x[0]),
@@ -629,7 +688,7 @@ def _trace_laplacian(m, f, pts):
     """g^{ij} (d_i d_j f - Gam^k_ij d_k f) from the oracle's own inverse and
     Christoffel jets, at order 2."""
     x = _coords(m, 2, pts)
-    G = m.chart(x)
+    G = order4_chart.full_chart(m, x)
     inv0 = np.linalg.inv(np.moveaxis(G.value, -1, 0))
     Ginv = order4_chart._inverse_jets(G, np.ascontiguousarray(np.moveaxis(inv0, 0, -1)), 2)
     gam = order4_chart._christoffel(G, Ginv, 2)[..., 0]       # (k, i, j, B)
@@ -661,21 +720,8 @@ def test_laplacian_matches_christoffel_trace():
 
 def test_laplacian_refuses_what_the_chart_pack_refuses():
     pts = np.array([[0.0, 0.3, -0.2]])
-
-    def asymmetric(x):
-        G = models._delta_matrix(x)
-        G.c[0, 1, ..., 0] = 0.1
-        return G
-
-    def overflowing(x):
-        G = models._delta_matrix(x)
-        G.c[1, 1, ..., 0] = np.inf
-        return G
-
-    degenerate = _ChartOnly(3, lambda x: models._delta_matrix(x, scale=x[0] * x[0]))
-    for chart, error, match in ((asymmetric, GeneralFGUnavailable, "diagonal"),
-                                (overflowing, NonFiniteResult, "overflows")):
-        with pytest.raises(error, match=match):
-            laplacian(_ChartOnly(3, chart), [lambda x: x[0]], pts)
+    with pytest.raises(NonFiniteResult, match="overflows"):
+        laplacian(_ChartOnly(3, _overflowing), [lambda x: x[0]], pts)
+    degenerate = _ChartOnly(3, lambda x: (x[0] * x[0]) * _ones(x))
     with pytest.raises(NonPositiveDefinite, match="degenerate"):
         laplacian(degenerate, [lambda x: x[0]], pts)

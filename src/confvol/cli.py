@@ -22,8 +22,7 @@ from math import comb, isfinite
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigInvalid, ConfvolError, NonFiniteResult, NumericalFailure,
-                     UnknownCommand)
+from .errors import ConfvolError, NonFiniteResult, NumericalFailure, check_size
 
 # -- config schemas ---------------------------------------------------------
 
@@ -83,13 +82,13 @@ def parse_value(key: str, raw: str, typ):
     try:
         return typ(raw)
     except ValueError as exc:
-        raise ConfigInvalid(f"key {key!r}: cannot parse {raw!r} as "
-                            f"{typ.__name__}") from exc
+        raise ConfvolError(f"key {key!r}: cannot parse {raw!r} as "
+                           f"{typ.__name__}") from exc
 
 
 def load_config(command: str, cfg_path: str | None, overrides: dict) -> dict:
     if command not in _COMMANDS:
-        raise UnknownCommand(f"unknown command {command!r}")
+        raise ConfvolError(f"unknown command {command!r}")
     schema = _COMMANDS[command][1]
     config = {k: d for k, (_, d) in schema.items()}
     if cfg_path:
@@ -99,20 +98,20 @@ def load_config(command: str, cfg_path: str | None, overrides: dict) -> dict:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ConfigInvalid(
+                    raise ConfvolError(
                         f"{cfg_path}:{lineno}: expected key = value")
                 key, raw = (s.strip() for s in line.split("=", 1))
                 if key not in schema:
-                    raise ConfigInvalid(
+                    raise ConfvolError(
                         f"{cfg_path}:{lineno}: unknown key {key!r}")
                 config[key] = parse_value(key, raw, schema[key][0])
     for key, raw in overrides.items():
         if key not in schema:
-            raise ConfigInvalid(f"unknown key {key!r} for command {command!r}")
+            raise ConfvolError(f"unknown key {key!r} for command {command!r}")
         config[key] = parse_value(key, str(raw), schema[key][0])
     for key, (valid, rule) in _RULES.items():
         if key in config and not valid(config[key], config):
-            raise ConfigInvalid(f"key {key!r}: {config[key]!r} must be {rule}")
+            raise ConfvolError(f"key {key!r}: {config[key]!r} must be {rule}")
     return config
 
 
@@ -129,14 +128,6 @@ def config_hash(command: str, config: dict) -> str:
 # -- model construction ------------------------------------------------------
 
 
-def _check_size(what: str, size: int, limit: int = _MAX_ENTRIES):
-    """Refuse a size over its budget before anything of that size is built."""
-    if size > limit:
-        # a size of more than 4,300 digits cannot be printed
-        shown = size if size < 10 ** 15 else "over 10^15"
-        raise ConfigInvalid(f"{what} is {shown}; it must be at most {limit}")
-
-
 def build_model(config: dict):
     from .models import FlatTorus, HyperbolicSpace, RoundSphere, einstein_model
 
@@ -149,7 +140,7 @@ def build_model(config: dict):
         return FlatTorus(_periods(config["periods"]))
     if kind == "einstein":
         return einstein_model(config["n"], config["a"])
-    raise ConfigInvalid(f"unknown model kind {config['model']!r}")
+    raise ConfvolError(f"unknown model kind {config['model']!r}")
 
 
 # -- command implementations -------------------------------------------------
@@ -175,7 +166,7 @@ def cmd_curvature(config: dict) -> dict:
     from .curvature import curvature_pack
 
     m = build_model(config)
-    _check_size("points * n^4", config["points"] * m.n ** 4)
+    check_size("points * n^4", config["points"] * m.n ** 4, _MAX_ENTRIES)
     pts = m.sample_points(config["points"],
                           np.random.default_rng(config["seed"]))
     pack = curvature_pack(m, pts, want_bach=True)
@@ -197,8 +188,8 @@ def _series(config: dict, lag: int = 0):
 
     m = build_model(config)
     kmax = config["kmax"] or m.n
-    _check_size("series entries (kmax+1) * points * n^2",
-                (kmax + 1) * _DEFAULT_POINT_COUNT * m.n ** 2)
+    check_size("series entries (kmax+1) * points * n^2",
+               (kmax + 1) * _DEFAULT_POINT_COUNT * m.n ** 2, _MAX_ENTRIES)
     # a row whose closed form, or its power of a, over- or underflows
     # cannot be checked; rows past k = n are exact zeros
     a, n = einstein_constant(m), m.n - lag
@@ -208,7 +199,7 @@ def _series(config: dict, lag: int = 0):
             j = k - lag
             terms = (np.float64(a) ** j, einstein_vk_exact(n, a, j))
             if a and not all(np.isfinite(x) and abs(x) >= tiny for x in terms):
-                raise ConfigInvalid(
+                raise ConfvolError(
                     f"row k = {k}: the closed form a^{j} C({n}, {j}) with "
                     f"a = {a:.3e} is not a finite normal float; kmax must be "
                     f"below {k}")
@@ -263,8 +254,8 @@ def cmd_variation(config: dict) -> dict:
     basis = basis_for(m, config["lmax"])
     k = config["k"]
     if not 0 <= config["member"] < basis.size:
-        raise ConfigInvalid(f"key 'member': {config['member']!r} must be in "
-                            f"0..{basis.size - 1}")
+        raise ConfvolError(f"key 'member': {config['member']!r} must be in "
+                           f"0..{basis.size - 1}")
     member = basis.members[config["member"]]
     pts = m.sample_points(4, np.random.default_rng(config["seed"]))
     return {
@@ -281,7 +272,7 @@ def cmd_hessian(config: dict) -> dict:
 
     m = build_model(config)
     # the criticality check's curvature pack holds 4 * n^4 Riemann entries
-    _check_size("4 * n^4", 4 * m.n ** 4)
+    check_size("4 * n^4", 4 * m.n ** 4, _MAX_ENTRIES)
     basis = basis_for(m, config["lmax"])
     form = (hessian_V(m, basis) if config["functional"] == "V"
             else hessian_Fk(m, config["k"], basis))
@@ -300,7 +291,7 @@ def cmd_signtable(config: dict) -> dict:
     from .spectral import sphere_basis
     from .variation import classify_sign_Fk, hessian_Fk
 
-    _check_size("4 * nmax^4", 4 * config["nmax"] ** 4)
+    check_size("4 * nmax^4", 4 * config["nmax"] ** 4, _MAX_ENTRIES)
     rows = []
     for n in range(config["nmin"], config["nmax"] + 1):
         sphere = RoundSphere(n, 1.0)
@@ -334,8 +325,8 @@ def cmd_rv(config: dict) -> dict:
 
     n = {"hyperbolic4": 3, "hyperbolic6": 5}.get(config["model"])
     if n is None:
-        raise ConfigInvalid(f"rv model must be hyperbolic4 or hyperbolic6, "
-                            f"got {config['model']!r}")
+        raise ConfvolError(f"rv model must be hyperbolic4 or hyperbolic6, "
+                           f"got {config['model']!r}")
     form = hyperbolic_normal_form(RoundSphere(n, 1.0))
     exp = extract_expansion(form)
     V_bulk = renorm_volume_geodcomp(geodesic_compactification(form), n)
@@ -375,11 +366,11 @@ def cmd_flow(config: dict) -> dict:
     from .spectral import sphere_basis
 
     if config["model"] not in ("torus", "sphere"):
-        raise ConfigInvalid(f"flow model must be torus or sphere, "
-                            f"got {config['model']!r}")
+        raise ConfvolError(f"flow model must be torus or sphere, "
+                           f"got {config['model']!r}")
     m = build_model(config)
     if config["model"] == "torus":
-        _check_size("grid^n", config["grid"] ** m.n, _MAX_NODES)
+        check_size("grid^n", config["grid"] ** m.n, _MAX_NODES)
         omega0 = fourier_field(m, (1,) + (0,) * (m.n - 1),
                                amplitude=config["amplitude"])
         kw = {"shape": (config["grid"],) * m.n}
@@ -388,8 +379,8 @@ def cmd_flow(config: dict) -> dict:
             # k >= 2 take sigma_k on order-2 chart jets of the conformally
             # flat deformations at the flow's 48 nodes; the n^4 Riemann
             # jets are the largest array
-            _check_size("sphere flow chart-jet entries 48 * n^4 * C(n+2, 2)",
-                        48 * m.n ** 4 * comb(m.n + 2, 2))
+            check_size("sphere flow chart-jet entries 48 * n^4 * C(n+2, 2)",
+                       48 * m.n ** 4 * comb(m.n + 2, 2), _MAX_ENTRIES)
         member = sphere_basis(m, lmax=2).members[m.n + 1]
         omega0 = lambda x: config["amplitude"] * member(x)
         kw = {}
@@ -419,15 +410,15 @@ def _read_record(path: str) -> dict:
     if not (isinstance(rec, dict) and isinstance(rec.get("payload"), dict)
             and all(isinstance(rec.get(k), str)
                     for k in ("command", "config_hash"))):
-        raise ConfigInvalid(f"{path}: not a JSON result record with "
-                            f"command, config_hash and payload")
+        raise ConfvolError(f"{path}: not a JSON result record with "
+                           f"command, config_hash and payload")
     return rec
 
 
 def cmd_report(config: dict) -> dict:
     paths = [p for p in config["inputs"].split(",") if p]
     if not paths:
-        raise ConfigInvalid("report needs inputs = comma-separated json paths")
+        raise ConfvolError("report needs inputs = comma-separated json paths")
     lines = []
     for path in sorted(paths):
         rec = _read_record(path)

@@ -39,8 +39,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .errors import (
-    GeneralFGUnavailable, KOutOfRange, NonFiniteResult, NonPositiveDefinite)
+from .errors import ConfvolError, NonFiniteResult, NumericalFailure
 from .jets import Jet
 from .models import ConformalDeformation, ModelMetric, WarpedRadial, closed_form
 
@@ -105,7 +104,7 @@ def sigma_k(schouten: np.ndarray, metric: np.ndarray, k: int) -> np.ndarray:
     metric = np.asarray(metric)
     n = metric.shape[-1]
     if k < 0 or k > n:
-        raise KOutOfRange(f"k = {k} outside 0..{n}")
+        raise ConfvolError(f"k = {k} outside 0..{n}")
     if k == 0:
         return np.ones(schouten.shape[:-2])
     endo = np.linalg.solve(metric, schouten)
@@ -149,7 +148,7 @@ def _refuse_degenerate(eig: np.ndarray) -> None:
     """Refuse metrics whose smallest eigenvalue (of (B, n)) is at most 1e-12
     of the largest, compared within each point."""
     if np.any(np.min(eig, axis=-1) <= 1e-12 * np.max(eig, axis=-1)):
-        raise NonPositiveDefinite("metric degenerate at a sampled point")
+        raise NumericalFailure("metric degenerate at a sampled point")
 
 
 # -- chart pipeline --------------------------------------------------------
@@ -272,7 +271,7 @@ def _conformal_base(m: ModelMetric, points: np.ndarray):
     base, at = (m.fiber, points[:, 1:]) if warped else (m, points)
     closed = None if isinstance(base, WarpedRadial) else closed_form(base, at)
     if closed is None:
-        raise GeneralFGUnavailable(f"no zero-Cotton conformal base for {type(m).__name__}")
+        raise ConfvolError(f"no zero-Cotton conformal base for {type(m).__name__}")
     if not warped:
         return w, dw, closed
     diag, dims, terms = closed

@@ -1,8 +1,16 @@
-"""Exception hierarchy shared by all confvol modules."""
+"""Exceptions shared by all confvol modules.
+
+An error's class is its CLI exit code: ConfvolError (exit 1) refuses an
+input, NumericalFailure (exit 2) reports a computation on valid input that
+gave no trusted result.  The three subclasses exist only because callers
+catch them (StepRejected, NonFiniteResult) or read what they carry
+(NoConvergence.report).
+"""
 
 
 class ConfvolError(Exception):
-    """Base class for all toolkit errors; exit_code is the CLI's exit status."""
+    """An input outside the toolkit's domain or budget; exit_code is the
+    CLI's exit status."""
 
     exit_code = 1
 
@@ -13,79 +21,13 @@ class NumericalFailure(ConfvolError):
     exit_code = 2
 
 
-# -- metric / curvature -------------------------------------------------
-
-class NonPositiveDefinite(NumericalFailure):
-    """Metric components are degenerate or indefinite at a sampled point,
-    or a basis Gram matrix is not positive definite."""
-
-
-class DimensionTooSmall(ConfvolError):
-    """Operation undefined below the minimum dimension (e.g. Schouten at n=2)."""
-
-
-class DimensionFour(ConfvolError):
-    """The third volume coefficient formula is singular in dimension four."""
-
-
-class KOutOfRange(ConfvolError):
-    """Coefficient or symmetric-function index outside its range."""
-
-
-class GridResolutionInsufficient(NumericalFailure):
-    """Quadrature failed to reach the requested tolerance before the cap."""
-
-
-# -- series engine ------------------------------------------------------
-
-class NotEinstein(ConfvolError):
-    """Closed-form Einstein expansion requested for a non-Einstein metric."""
-
-
-class GeneralFGUnavailable(ConfvolError):
-    """Higher-order expansion coefficients unavailable for generic metrics."""
-
-
-class InvalidRange(ConfvolError):
-    """Requested coefficient order outside the admissible range."""
-
-
-# -- variation ----------------------------------------------------------
-
-class HalfDimension(ConfvolError):
-    """k = n/2 with n even: the functional is conformally invariant."""
-
-
-class NotCritical(NumericalFailure):
-    """Background fails the constant-coefficient criticality gate."""
-
-
-# -- renormalized volume ------------------------------------------------
-
-class OddDimension(ConfvolError):
-    """Operation requires even boundary dimension."""
-
-
-class EvenDimension(ConfvolError):
-    """Operation requires odd boundary dimension."""
-
-
-class NotTotallyGeodesic(NumericalFailure):
-    """Compactification has nonvanishing boundary second fundamental form."""
-
-
-class EpsilonOutOfRange(ConfvolError):
-    """Truncation parameter outside the radial domain."""
-
-
-class IllConditionedFit(NumericalFailure):
-    """Expansion fit matrix condition number over threshold."""
-
-
-# -- flow ---------------------------------------------------------------
-
 class StepRejected(NumericalFailure):
     """Flow step increased the constraint violation; caller should halve dt."""
+
+
+class NonFiniteResult(NumericalFailure):
+    """A result record, a flow start or a chart metric holds a NaN or an
+    infinity."""
 
 
 class NoConvergence(NumericalFailure):
@@ -96,16 +38,9 @@ class NoConvergence(NumericalFailure):
         self.report = report
 
 
-# -- CLI ----------------------------------------------------------------
-
-class UnknownCommand(ConfvolError):
-    """Unrecognized CLI subcommand."""
-
-
-class ConfigInvalid(ConfvolError):
-    """Malformed or unknown configuration key/value."""
-
-
-class NonFiniteResult(NumericalFailure):
-    """A result record, a flow start or a chart metric holds a NaN or an
-    infinity."""
+def check_size(what: str, size: int, limit: int) -> None:
+    """Refuse a size over its budget before anything of that size is built."""
+    if size > limit:
+        # a size of more than 4,300 digits cannot be printed
+        shown = size if size < 10 ** 15 else "over 10^15"
+        raise ConfvolError(f"{what} is {shown}; it must be at most {limit}")

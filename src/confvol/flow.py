@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidRange, KOutOfRange, NoConvergence, NonFiniteResult, StepRejected)
+from .errors import ConfvolError, NoConvergence, NonFiniteResult, StepRejected
 from .models import (
     ConformalDeformation,
     FlatTorus,
@@ -45,7 +44,7 @@ from .models import (
     zonal_field,
 )
 from .series import v_direct
-from .spectral import _gegenbauer_coeffs, field_values, gauss_legendre
+from .spectral import _gegenbauer_coeffs, field_values, gauss_jacobi
 
 _VARIANCE_SLACK = 1e-14
 
@@ -114,7 +113,7 @@ class TorusGrid:
 
     def vk(self, omega, k):
         if k != 1:
-            raise KOutOfRange(
+            raise ConfvolError(
                 "torus flow evaluates v_k spectrally for k = 1 only")
         n = self.base.n
         lap, grad2 = self._spectral(omega)
@@ -140,7 +139,7 @@ class SphereZonal:
     def __init__(self, sphere: RoundSphere, nodes: int = 48, degree: int = 16):
         self.base = sphere
         n, L = sphere.n, sphere.radius
-        xs, ws = gauss_legendre(nodes)
+        xs, ws = gauss_jacobi(nodes, 0.0)
         self.t = xs
         area = sphere_volume(n - 1)
         self.w = ws * (1.0 - xs ** 2) ** ((n - 2) / 2.0) * area * L ** n
@@ -240,9 +239,9 @@ def _state(disc, omega, k: int, step: int) -> FlowState:
 def make_state(disc, omega0, k: int) -> FlowState:
     n = disc.base.n
     if n < 2:
-        raise InvalidRange(f"n = {n} must be at least 2: v_1 = R / (2(n - 1))")
+        raise ConfvolError(f"n = {n} must be at least 2: v_1 = R / (2(n - 1))")
     if n == 2 * k:
-        raise InvalidRange(
+        raise ConfvolError(
             f"F_{k} is conformally invariant in dimension {n}; no flow")
     omega = field_values(omega0, disc.points) if callable(omega0) \
         else np.asarray(omega0, dtype=float)
@@ -290,7 +289,7 @@ def discretize(m: ModelMetric, **kw):
         return TorusGrid(m, **kw)
     if isinstance(m, RoundSphere):
         return SphereZonal(m, **kw)
-    raise InvalidRange(f"no flow discretization for {type(m).__name__}")
+    raise ConfvolError(f"no flow discretization for {type(m).__name__}")
 
 
 def run_flow(m: ModelMetric, k: int, omega0, tol: float = 1e-6,

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets
-from .errors import InvalidRange, NonPositiveDefinite
+from .errors import ConfvolError, NumericalFailure
 from .jets import Jet
 
 
@@ -234,7 +234,7 @@ def closed_form(m: ModelMetric, points: np.ndarray):
     f = m.warp(Jet.variable(jets.jet_space(1, 2), 0, x[0]))
     f, fp, fpp = f.value, f.diff(0).value, f.diff(0).diff(0).value
     if not np.all(f):              # refused before the terms divide by f^2
-        raise NonPositiveDefinite("metric degenerate at a sampled point")
+        raise NumericalFailure("metric degenerate at a sampled point")
     coeff = {(a, b): c for c, a, b in terms}          # one term per pair
     pairs = [(a, b) for b in range(len(dims)) for a in range(b + 1)]
     # 0.5 (2c - f'^2) / f^2 is the pair's sum to the bit when c is a round
@@ -332,7 +332,7 @@ def zonal_field(m: RoundSphere, poly_coeffs: np.ndarray, axis: int):
 
     def field(x):
         if len(x) != m.n:
-            raise InvalidRange(f"a zonal field of S^{m.n} given {len(x)} coordinates")
+            raise ConfvolError(f"a zonal field of S^{m.n} given {len(x)} coordinates")
         t = _embedding_component(m, x, axis)
         # Horner from the float c_last: its product with t is a plain scale
         out = coeffs[-1] if len(coeffs) > 1 else coeffs[-1] + 0.0 * t

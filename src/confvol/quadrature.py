@@ -11,9 +11,11 @@ reduces them to a radial rule.
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
-from .errors import GridResolutionInsufficient, InvalidRange
+from .errors import ConfvolError, NumericalFailure, check_size
 from .models import (
     ConformalDeformation,
     FlatTorus,
@@ -45,7 +47,7 @@ def integrate(m: ModelMetric, f=None, tol: float = 1e-10,
             return val
         prev = val
         res *= 2
-    raise GridResolutionInsufficient(
+    raise NumericalFailure(
         f"quadrature not converged to {tol} (last delta "
         f"{abs(val - prev):.3e})")
 
@@ -60,12 +62,9 @@ def grid_with_weights(m: ModelMetric, resolution: int):
     if isinstance(m, (RoundSphere, ProductOfSpheres)):
         factors = ((m.n, m.radius),) if isinstance(m, RoundSphere) else m.factors
         # an S^d grid has 2 resolution^d nodes; refuse before exhausting memory
-        nodes = np.prod([2 * resolution ** d for d, _ in factors])
-        if nodes > _MAX_NODES:
-            raise InvalidRange(
-                f"grid on {type(m).__name__} at resolution {resolution} in "
-                f"dimension {m.n} has {nodes} nodes; it must be at most "
-                f"{_MAX_NODES}")
+        check_size(f"the node count of the {type(m).__name__} grid at resolution "
+                   f"{resolution} in dimension {m.n}",
+                   prod(2 * resolution ** d for d, _ in factors), _MAX_NODES)
         parts = [_sphere_grid(d, r, resolution) for d, r in factors]
         pts = _mesh_points([p for p, _ in parts])
         ws = _mesh_points([w[:, None] for _, w in parts])
@@ -74,7 +73,7 @@ def grid_with_weights(m: ModelMetric, resolution: int):
         pts, w = grid_with_weights(m.base, resolution)
         om = field_values(m.omega, pts)
         return pts, w * np.exp(m.n * om)
-    raise InvalidRange(f"no quadrature rule for model kind {type(m).__name__}")
+    raise ConfvolError(f"no quadrature rule for model kind {type(m).__name__}")
 
 
 def _integrate_once(m: ModelMetric, f, resolution: int) -> float:

@@ -26,18 +26,12 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .errors import (
-    EpsilonOutOfRange,
-    EvenDimension,
-    IllConditionedFit,
-    InvalidRange,
-    NotTotallyGeodesic,
-)
+from .errors import ConfvolError, NumericalFailure
 from .jets import Jet
 from .models import ConformalDeformation, ModelMetric, WarpedRadial
 from .quadrature import integrate
 from .series import v_direct
-from .spectral import field_values, gauss_legendre
+from .spectral import field_values, gauss_jacobi
 
 # conditioning of the weighted monomial fit grows quickly with the number of
 # divergent terms; beyond this the analytic path is the only reliable route
@@ -66,9 +60,9 @@ class AHNormalForm:
     def __post_init__(self):
         d1 = _warp_derivative(self.warp)
         if abs(self.warp(0.0) - 1.0) > 1e-12:
-            raise InvalidRange(f"warp(0) = {self.warp(0.0)}, expected 1")
+            raise ConfvolError(f"warp(0) = {self.warp(0.0)}, expected 1")
         if abs(d1) > _GEODESIC_TOL:
-            raise InvalidRange(
+            raise ConfvolError(
                 f"warp must be even in r: f'(0) = {d1:.3e}")
 
 
@@ -100,7 +94,7 @@ def _density_poly(a: AHNormalForm) -> np.ndarray:
 def truncated_volume(a: AHNormalForm, eps: float) -> float:
     """Vol_{g_+}({r > eps}) = Vol(M, g) * int_eps^{r_max} f(r)^n r^{-(n+1)} dr."""
     if not 0.0 < eps <= a.r_max:
-        raise EpsilonOutOfRange(f"eps = {eps} outside (0, {a.r_max}]")
+        raise ConfvolError(f"eps = {eps} outside (0, {a.r_max}]")
     n = a.n
     vol = integrate(a.boundary)
     if a.poly is not None:
@@ -172,7 +166,7 @@ def extract_expansion(a: AHNormalForm, eps0: float = 0.5, ratio: float = 0.75,
     scale = np.linalg.norm(Aw, axis=0)
     cond = np.linalg.cond(Aw / scale)
     if cond > _COND_LIMIT:
-        raise IllConditionedFit(
+        raise NumericalFailure(
             f"expansion fit condition number {cond:.3e}; shrink eps0")
     sol, *_ = np.linalg.lstsq(Aw / scale, yw, rcond=None)
     sol = sol / scale
@@ -197,7 +191,7 @@ def boundary_shape_value(warp: Callable) -> float:
 def renorm_coefficient(n: int) -> float:
     """C_{n+1} = 2^{n-1} (n+1) ((n-1)/2)!^2 / n! for odd n."""
     if n % 2 == 0:
-        raise EvenDimension(f"coefficient defined for odd n, got {n}")
+        raise ConfvolError(f"coefficient defined for odd n, got {n}")
     half = (n - 1) // 2
     return 2.0 ** (n - 1) * (n + 1) * factorial(half) ** 2 / factorial(n)
 
@@ -207,7 +201,7 @@ def bulk_coefficient_integral(compact: WarpedRadial, k: int, omega=None) -> floa
     direction (the warped models are cohomogeneity one, so curvature
     depends on r alone; verified on a second fiber point)."""
     r0, rmax = compact.r_range
-    xs, ws = gauss_legendre(_RADIAL_NODES)
+    xs, ws = gauss_jacobi(_RADIAL_NODES, 0.0)
     rs = 0.5 * (rmax - r0) * xs + 0.5 * (rmax + r0)
     wr = 0.5 * (rmax - r0) * ws
     q = compact.fiber.n
@@ -227,7 +221,7 @@ def bulk_coefficient_integral(compact: WarpedRadial, k: int, omega=None) -> floa
     probe = np.concatenate([rs[:1, None], fiber_pts[1:2]], axis=1)
     v2 = v_direct(model, k, points=probe)
     if abs(v2[0] - vals[0]) > 1e-8 * max(1.0, abs(vals[0])):
-        raise InvalidRange("integrand is not a function of the radius alone")
+        raise ConfvolError("integrand is not a function of the radius alone")
     fiber_vol = integrate(compact.fiber)
     return fiber_vol * float(np.sum(wr * density(rs) * vals))
 
@@ -239,18 +233,18 @@ def renorm_volume_geodcomp(compact: WarpedRadial, n: int, omega=None) -> float:
     compactification e^{2 omega} (dr^2 + g_r) must give the same V.
     """
     if n % 2 == 0:
-        raise EvenDimension(f"renormalized volume extraction needs odd n, got {n}")
+        raise ConfvolError(f"renormalized volume extraction needs odd n, got {n}")
     if n < 3:
-        raise InvalidRange(f"n = {n} below 3")
+        raise ConfvolError(f"n = {n} below 3")
     if abs(boundary_shape_value(compact.warp)) > _GEODESIC_TOL:
-        raise NotTotallyGeodesic(
+        raise NumericalFailure(
             f"boundary shape value {boundary_shape_value(compact.warp):.3e}")
     if omega is not None:
         space = jets.jet_space(1, 2)
         om = omega([Jet.variable(space, 0, 0.0)])
         if isinstance(om, Jet) and (abs(om.value) > _GEODESIC_TOL
                                     or abs(om.c[1]) > _GEODESIC_TOL):
-            raise NotTotallyGeodesic(
+            raise NumericalFailure(
                 "conformal factor must vanish to second order at the boundary")
     k = (n + 1) // 2
     return renorm_coefficient(n) * bulk_coefficient_integral(compact, k, omega)
@@ -269,5 +263,5 @@ def gauss_bonnet_4d(V: float, weyl_integral: float, chi: float,
     elif mode == "compact":
         rhs = 0.25 * weyl_integral + 16.0 * V
     else:
-        raise InvalidRange(f"mode {mode!r} not in {{'AHE', 'compact'}}")
+        raise ConfvolError(f"mode {mode!r} not in {{'AHE', 'compact'}}")
     return abs(8.0 * pi ** 2 * chi - rhs)

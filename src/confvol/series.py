@@ -26,14 +26,7 @@ from math import comb
 import numpy as np
 
 from .curvature import curvature_pack, sigma_k
-from .errors import (
-    DimensionFour,
-    DimensionTooSmall,
-    GeneralFGUnavailable,
-    InvalidRange,
-    KOutOfRange,
-    NotEinstein,
-)
+from .errors import ConfvolError
 from .models import ModelMetric, conformally_flat, einstein_constant, metric_values
 
 
@@ -77,11 +70,11 @@ def metric_series(m: ModelMetric, K: int = 1, points=None,
     kinds only its order-1 term 2P holds, so K > 1 is refused there.
     """
     if K < 0:
-        raise InvalidRange(f"truncation order K = {K} must be nonnegative")
+        raise ConfvolError(f"truncation order K = {K} must be nonnegative")
     a = einstein_constant(m)
     exact = a is not None or conformally_flat(m)
     if K > 1 and not exact:
-        raise GeneralFGUnavailable(
+        raise ConfvolError(
             "general-metric series coefficients beyond order 1 are not constructed")
     pts = _series_points(m, points, count)
     if a is not None:
@@ -100,13 +93,13 @@ def einstein_series(m: ModelMetric, K: int | None = None, points=None,
     """metric_series of an Einstein model, (1 + a rho)^2 g, to order K
     (default 2n + 2)."""
     if einstein_constant(m) is None:
-        raise NotEinstein(f"{type(m).__name__} is not a recognized Einstein model")
+        raise ConfvolError(f"{type(m).__name__} is not a recognized Einstein model")
     return metric_series(m, 2 * m.n + 2 if K is None else K, points, count)
 
 
 def _check_order(s: MetricSeries):
     if not s.exact and s.n % 2 == 0 and s.K > s.n // 2:
-        raise InvalidRange(
+        raise ConfvolError(
             f"v_k for k > n/2 = {s.n // 2} undefined for general metrics in even dimension")
 
 
@@ -147,7 +140,7 @@ def L_tensors(s: MetricSeries) -> np.ndarray:
     Row k holds L_(k) for k = 1..K; row 0, the constant term, is zero.
     """
     if s.K < 1:
-        raise KOutOfRange(f"series order K = {s.K} must be at least 1")
+        raise ConfvolError(f"series order K = {s.K} must be at least 1")
     _check_order(s)
     lam, E = _eigen(s)
     n = s.n
@@ -171,16 +164,16 @@ def v_direct(m: ModelMetric, k: int, points=None,
     """
     n = m.n
     if k >= 2 and n < 3:
-        raise DimensionTooSmall(
+        raise ConfvolError(
             f"v^({2 * k}) needs the Schouten tensor, undefined at n = {n}")
     flat = conformally_flat(m)
     kmax = n if flat else 3
     if not 1 <= k <= kmax:
-        raise KOutOfRange(f"direct formulas cover k in 1..{kmax} for "
-                          f"{type(m).__name__}, got {k}")
+        raise ConfvolError(f"direct formulas cover k in 1..{kmax} for "
+                           f"{type(m).__name__}, got {k}")
     want_bach = k == 3 and not flat
     if want_bach and n == 4:
-        raise DimensionFour("the sixth-order coefficient formula is singular at n = 4")
+        raise ConfvolError("the sixth-order coefficient formula is singular at n = 4")
     pts = _series_points(m, points, count)
     return _vk_from_pack(curvature_pack(m, pts, want_bach=want_bach), k)
 
@@ -201,7 +194,7 @@ def einstein_vk_exact(n: int, a: float, k: int) -> float:
     """Closed-form v_k = a^k binom(n, k) for Einstein backgrounds (0 for
     k > n); infinite where a^k overflows."""
     if k < 0:
-        raise KOutOfRange(f"k = {k} must be nonnegative")
+        raise ConfvolError(f"k = {k} must be nonnegative")
     return np.float64(a) ** k * comb(n, k) if k <= n else 0.0
 
 
@@ -209,5 +202,5 @@ def einstein_L_exact(n: int, a: float, k: int) -> float:
     """Closed-form scalar c with L^{ij}_(k) = c g^{ij}: c = -a^{k-1} binom(n-1, k-1)
     (0 for k > n); infinite where a^{k-1} overflows."""
     if k < 1:
-        raise KOutOfRange(f"k = {k} must be at least 1")
+        raise ConfvolError(f"k = {k} must be at least 1")
     return -(np.float64(a) ** (k - 1)) * comb(n - 1, k - 1) if k <= n else 0.0

@@ -19,7 +19,7 @@ from math import gamma, pi
 import numpy as np
 
 from . import jets
-from .errors import InvalidRange, NonPositiveDefinite
+from .errors import ConfvolError, NumericalFailure, check_size
 from .models import (
     FlatTorus,
     ModelMetric,
@@ -62,15 +62,6 @@ _MAX_MEMBERS = 1000      # Dir/Gram assembly costs members^2 x nodes
 _AXES_PER_DEGREE = 2     # zonal axes of each sphere basis degree above 1
 
 
-def _check_size(size: int, what: str):
-    """Refuse a basis over the member budget before building it."""
-    if size > _MAX_MEMBERS:
-        # a size of more than 4,300 digits cannot be printed
-        shown = size if size < 10 ** 15 else "over 10^15"
-        raise InvalidRange(f"{what} gives {shown} members; the basis must be "
-                           f"at most {_MAX_MEMBERS} members")
-
-
 def _zonal_size(n: int, lmax: int) -> int:
     """Members of a sphere basis: the full degree-1 block, then a few axes."""
     return (n + 1) + (lmax - 1) * min(_AXES_PER_DEGREE, n + 1)
@@ -85,7 +76,7 @@ def basis_for(m: ModelMetric, *args, **kw) -> SpectralBasis:
         return torus_basis(m, *args, **kw)
     if isinstance(m, ProductOfSpheres):
         return product_basis(m, *args, **kw)
-    raise InvalidRange(f"no closed-form eigenbasis for {type(m).__name__}")
+    raise ConfvolError(f"no closed-form eigenbasis for {type(m).__name__}")
 
 
 # -- exact sphere integrals -------------------------------------------------
@@ -117,28 +108,26 @@ def _gegenbauer_coeffs(l: int, n: int) -> np.ndarray:
     (read-only: the array is shared between callers)."""
     from scipy.special import gegenbauer
 
-    coeffs = np.asarray(gegenbauer(l, (n - 1) / 2.0).coeffs[::-1])
+    try:
+        with np.errstate(all="raise"):
+            coeffs = np.asarray(gegenbauer(l, (n - 1) / 2.0).coeffs[::-1])
+        # scipy.special.gamma overflows to inf without a floating-point error
+        finite = np.all(np.isfinite(coeffs))
+    except FloatingPointError:
+        finite = False
+    if not finite:
+        raise ConfvolError(f"the degree-{l} Gegenbauer coefficients on S^{n} "
+                           f"leave the float range")
     coeffs.flags.writeable = False
     return coeffs
 
 
 @lru_cache(maxsize=None)
-def gauss_legendre(nodes: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] (read-only: the arrays
-    are shared between callers).  Kept here, below ``quadrature``, so that
-    every module reaches it without an import cycle."""
-    from scipy.special import roots_legendre
-
-    xs, ws = roots_legendre(nodes)
-    for arr in (xs, ws):
-        arr.flags.writeable = False
-    return xs, ws
-
-
-@lru_cache(maxsize=None)
 def gauss_jacobi(nodes: int, alpha: float):
     """Gauss-Jacobi nodes and weights on [-1, 1] for the weight
-    (1 - x^2)^alpha (read-only: the arrays are shared between callers)."""
+    (1 - x^2)^alpha; alpha = 0 is Gauss-Legendre (read-only: the arrays are
+    shared between callers).  Kept here, below ``quadrature``, so that every
+    module reaches it without an import cycle."""
     from scipy.special import roots_jacobi
 
     xs, ws = roots_jacobi(nodes, alpha, alpha)
@@ -159,11 +148,11 @@ def sphere_basis(m: RoundSphere, lmax: int = 8) -> SpectralBasis:
     n, L = m.n, m.radius
     if n < 2:
         # the Gegenbauer index (n-1)/2 is 0 on the circle: no zonal family
-        raise InvalidRange(f"n = {n} must be at least 2 for zonal harmonics")
+        raise ConfvolError(f"n = {n} must be at least 2 for zonal harmonics")
     if lmax < 1:
-        raise InvalidRange(f"lmax = {lmax} must be at least 1")
-    _check_size(_zonal_size(n, lmax),
-                f"lmax = {lmax} on S^{n}")
+        raise ConfvolError(f"lmax = {lmax} must be at least 1")
+    check_size(f"the basis size at lmax = {lmax} on S^{n}", _zonal_size(n, lmax),
+               _MAX_MEMBERS)
     members, eigenvalues, labels, structure = [], [], [], []
     for l in range(1, lmax + 1):
         naxes = n + 1 if l == 1 else min(_AXES_PER_DEGREE, n + 1)
@@ -178,7 +167,7 @@ def sphere_basis(m: RoundSphere, lmax: int = 8) -> SpectralBasis:
         try:
             chol = np.linalg.cholesky(raw)
         except np.linalg.LinAlgError:
-            raise NonPositiveDefinite(
+            raise NumericalFailure(
                 f"the raw zonal Gram of degree {l} on S^{n} is not positive "
                 f"definite; lower lmax") from None
         trans = np.linalg.inv(chol)
@@ -220,7 +209,7 @@ def sphere_pair_matrices(m: RoundSphere, basis: SpectralBasis):
     basis.
     """
     if basis.zonal_structure is None:
-        raise InvalidRange("basis carries no zonal structure")
+        raise ConfvolError("basis carries no zonal structure")
     n, L = m.n, m.radius
 
     # raw harmonics (degree, axis), and the members as rows of weights on them
@@ -283,8 +272,9 @@ def _half_lattice(n: int, mmax: int):
 def torus_basis(m: FlatTorus, mmax: int = 4) -> SpectralBasis:
     """Real Fourier modes (cos and sin per half-lattice mode), orthonormal."""
     if mmax < 1:
-        raise InvalidRange(f"mmax = {mmax} must be at least 1")
-    _check_size((2 * mmax + 1) ** m.n - 1, f"mmax = {mmax} in dimension {m.n}")
+        raise ConfvolError(f"mmax = {mmax} must be at least 1")
+    check_size(f"the basis size at mmax = {mmax} in dimension {m.n}",
+               (2 * mmax + 1) ** m.n - 1, _MAX_MEMBERS)
     vol = m.volume
     amp = np.sqrt(2.0 / vol)
     members, eigenvalues, labels = [], [], []
@@ -311,8 +301,8 @@ def torus_basis(m: FlatTorus, mmax: int = 4) -> SpectralBasis:
 def product_basis(m: ProductOfSpheres, lmax: int = 4) -> SpectralBasis:
     """Factor harmonics lifted to the product (constant on the other factors),
     from each factor's sphere basis."""
-    _check_size(sum(_zonal_size(d, lmax) for d, _ in m.factors),
-                f"lmax = {lmax} on {len(m.factors)} sphere factors")
+    check_size(f"the basis size at lmax = {lmax} on {len(m.factors)} sphere factors",
+               sum(_zonal_size(d, lmax) for d, _ in m.factors), _MAX_MEMBERS)
     members, eigenvalues, labels = [], [], []
     offset = 0
     total_vol = m.volume

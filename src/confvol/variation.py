@@ -24,14 +24,7 @@ from math import comb
 import numpy as np
 
 from .curvature import curvature_pack, laplacian
-from .errors import (
-    HalfDimension,
-    InvalidRange,
-    KOutOfRange,
-    NotCritical,
-    NotEinstein,
-    OddDimension,
-)
+from .errors import ConfvolError, NumericalFailure
 from .models import (FlatTorus, ModelMetric, RoundSphere, conformally_flat,
                      einstein_constant, metric_values)
 from .quadrature import grid_with_weights, integrate
@@ -84,7 +77,7 @@ def _classify(eigs: np.ndarray):
 def _require_einstein(m: ModelMetric) -> float:
     a = einstein_constant(m)
     if a is None:
-        raise NotEinstein(f"{type(m).__name__} has no recognized Einstein constant")
+        raise ConfvolError(f"{type(m).__name__} has no recognized Einstein constant")
     return a
 
 
@@ -96,7 +89,7 @@ def delta_vk(background: ModelMetric, omega, k: int, points: np.ndarray) -> np.n
     inverse metric, so the divergence reduces to a Laplacian.
     """
     if k < 1:
-        raise KOutOfRange(f"k = {k} must be at least 1")
+        raise ConfvolError(f"k = {k} must be at least 1")
     a = _require_einstein(background)
     n = background.n
     cL = einstein_L_exact(n, a, k)
@@ -196,11 +189,11 @@ def hessian_Fk(background: ModelMetric, k: int, basis: SpectralBasis) -> Hessian
     """
     n = background.n
     if n < 2:
-        raise InvalidRange(f"n = {n} must be at least 2: v_1 = R / (2(n - 1))")
+        raise ConfvolError(f"n = {n} must be at least 2: v_1 = R / (2(n - 1))")
     if not 1 <= k <= n:
-        raise KOutOfRange(f"k = {k} outside 1..{n}")
+        raise ConfvolError(f"k = {k} outside 1..{n}")
     if n % 2 == 0 and k == n // 2:
-        raise HalfDimension(
+        raise ConfvolError(
             f"F_{k} in dimension {n} is conformally invariant; use hessian_V "
             f"(--functional V on the command line)")
     return _second_variation(
@@ -217,7 +210,7 @@ def hessian_V(background: ModelMetric, basis: SpectralBasis) -> HessianForm:
     """
     n = background.n
     if n % 2:
-        raise OddDimension(f"renormalized volume Hessian needs even n, got {n}")
+        raise ConfvolError(f"renormalized volume Hessian needs even n, got {n}")
     k = n // 2
     return _second_variation(
         background, k, basis, "V", (-1.0) ** (k + 1) * 2.0 ** (-k),
@@ -262,8 +255,8 @@ def _second_variation(background: ModelMetric, k: int, basis: SpectralBasis,
     vals = _critical_values(background).get(k)
     if vals is not None and (np.max(np.abs(vals - vk))
                              > _CRITICAL_TOL * max(1.0, abs(vk))):
-        raise NotCritical(f"v_{k} deviates from constant by "
-                          f"{np.max(np.abs(vals - vk)):.3e}")
+        raise NumericalFailure(f"v_{k} deviates from constant by "
+                               f"{np.max(np.abs(vals - vk)):.3e}")
 
     on_model = basis.model == background
     if on_model:
@@ -278,7 +271,7 @@ def _second_variation(background: ModelMetric, k: int, basis: SpectralBasis,
         gap = np.max(np.abs(H - np.diag(diag)))
         scale = max(1.0, float(np.max(np.abs(diag))))
         if gap > _DIAGONAL_TOL * scale:
-            raise NotCritical(
+            raise NumericalFailure(
                 f"assembled Hessian deviates from exact diagonal by {gap:.3e}")
         vol = integrate(background)
     else:
@@ -297,11 +290,11 @@ def classify_sign_Fk(n: int, k: int, sign_R: float) -> str:
     """Expected definiteness of the second variation of F_k at an Einstein
     metric (excluding the round sphere, which is semi-definite)."""
     if not 1 <= k <= n:
-        raise InvalidRange(f"k = {k} outside 1..{n}")
+        raise ConfvolError(f"k = {k} outside 1..{n}")
     if n % 2 == 0 and k == n // 2:
-        raise InvalidRange(f"k = n/2 = {k} is conformally invariant")
+        raise ConfvolError(f"k = n/2 = {k} is conformally invariant")
     if sign_R == 0:
-        raise InvalidRange("classification needs R != 0")
+        raise ConfvolError("classification needs R != 0")
     below = k < n / 2
     if sign_R > 0:
         return "positive definite" if below else "negative definite"
@@ -313,9 +306,9 @@ def classify_sign_V(n: int, sign_R: float) -> str:
     """Expected definiteness of the renormalized-volume Hessian (n even,
     excluding the round sphere)."""
     if n % 2:
-        raise OddDimension(f"needs even n, got {n}")
+        raise ConfvolError(f"needs even n, got {n}")
     if sign_R == 0:
-        raise InvalidRange("classification needs R != 0")
+        raise ConfvolError("classification needs R != 0")
     if sign_R < 0:
         return "negative definite"
     return "positive definite" if n % 4 == 0 else "negative definite"

@@ -15,7 +15,7 @@ import numpy as np
 
 from confvol import jets
 from confvol.curvature import CurvaturePack
-from confvol.errors import NonPositiveDefinite
+from confvol.errors import NumericalFailure
 from confvol.models import ModelMetric
 
 
@@ -37,7 +37,7 @@ def chart_pack_order4(m: ModelMetric, points: np.ndarray, want_bach: bool) -> Cu
     g0 = np.ascontiguousarray(np.moveaxis(G.value, -1, 0))    # (B, n, n)
     eig = np.linalg.eigvalsh(g0)
     if np.min(eig) <= 1e-12 * np.max(eig):
-        raise NonPositiveDefinite("metric degenerate at a sampled point")
+        raise NumericalFailure("metric degenerate at a sampled point")
 
     inv0 = np.linalg.inv(g0)
     Ginv = _inverse_jets(G, np.ascontiguousarray(np.moveaxis(inv0, 0, -1)), order)

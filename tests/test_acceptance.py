@@ -11,7 +11,7 @@ from math import pi
 import numpy as np
 
 from conftest import ACCEPTANCE_LINES
-from confvol.errors import NotCritical
+from confvol.errors import NumericalFailure
 from confvol.flow import discretize, make_state, run_flow
 from confvol.models import (
     ConformalDeformation,
@@ -292,7 +292,7 @@ def test_criterion_10_torus_flow():
     fresh = make_state(disc, report.final.omega, 1)
     gate_ok = fresh.sup_deviation < 1e-6
     if not gate_ok:
-        raise NotCritical(
+        raise NumericalFailure(
             f"converged state fails the gate: {fresh.sup_deviation:.3e}")
     ok = (report.converged and report.steps <= 10000
           and report.volume_drift < 1e-8 and gate_ok)

@@ -1,6 +1,8 @@
 """CLI: config parsing, deterministic records, exit codes, file outputs."""
 
+import importlib
 import json
+import pkgutil
 import signal
 import time
 import warnings
@@ -8,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import confvol
 from confvol import cli, errors
 from confvol.cli import (
     canonical_text,
@@ -16,7 +19,8 @@ from confvol.cli import (
     load_config,
     payload_bytes,
 )
-from confvol.errors import ConfigInvalid, NonFiniteResult, UnknownCommand
+from confvol.errors import NonFiniteResult
+from conftest import raises_exit
 
 
 def _run(capsys, *argv):
@@ -50,14 +54,13 @@ def test_config_file_round_trip(tmp_path):
 def test_unknown_key_rejected_with_location(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("n = 4\nbogus = 1\n")
-    with pytest.raises(ConfigInvalid) as exc:
+    with raises_exit(1, "bad.cfg:2: unknown key 'bogus'"):
         load_config("vk", str(path), {})
-    assert "bad.cfg:2" in str(exc.value)
-    with pytest.raises(ConfigInvalid):
+    with raises_exit(1, "unknown key 'bogus' for command 'vk'"):
         load_config("vk", None, {"bogus": "1"})
-    with pytest.raises(UnknownCommand):
+    with raises_exit(1, "unknown command 'nonsense'"):
         load_config("nonsense", None, {})
-    with pytest.raises(ConfigInvalid):
+    with raises_exit(1, "cannot parse 'not_an_int' as int"):
         load_config("vk", None, {"n": "not_an_int"})
 
 
@@ -176,6 +179,26 @@ def test_exit_code_out_of_range_model_keys(capsys):
         assert code == 1, argv
         assert "Traceback" not in err and "NaN" not in out, argv
         assert "must be" in err, argv
+    # a node count of 91 digits prints as a bound
+    code, _, err = _run(capsys, "variation", "--n", "100")
+    assert code == 1 and "is over 10^15; it must be at most 3000000" in err
+    # sphere dimensions whose Gegenbauer coefficients leave the float range
+    # are refused before scipy warns or math.gamma overflows
+    for argv, message in (
+            (("variation", "--n", "340"), "degree-1 Gegenbauer coefficients on S^340"),
+            (("flow", "--model", "sphere", "--n", "400", "--k", "1"),
+             "degree-1 Gegenbauer coefficients on S^400"),
+            (("variation", "--n", "130"), "degree-2 Gegenbauer coefficients on S^130"),
+            (("flow", "--model", "sphere", "--n", "130", "--k", "1"),
+             "degree-2 Gegenbauer coefficients on S^130"),
+            # the flow's own degree-16 zonal basis
+            (("flow", "--model", "sphere", "--n", "120", "--k", "1"),
+             "degree-16 Gegenbauer coefficients on S^120")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, *argv)
+        assert code == 1 and message in err and not out, argv
+        assert "Traceback" not in err and not caught, argv
     # v_2 and up of a sphere flow are refused past k = 3 before (-2)^k overflows
     code, _, err = _run(capsys, "flow", "--k", "1000000")
     assert code == 1 and "cover k in 1..3" in err
@@ -208,16 +231,22 @@ def test_unreadable_paths_and_non_records_exit_1(capsys, tmp_path):
 
 
 def test_exit_codes_live_on_error_classes():
-    numerical = {"NoConvergence", "StepRejected", "IllConditionedFit",
-                 "GridResolutionInsufficient", "NonFiniteResult",
-                 "NonPositiveDefinite", "NotCritical", "NotTotallyGeodesic"}
-    classes = {name: cls for name, cls in vars(errors).items()
-               if isinstance(cls, type) and issubclass(cls, errors.ConfvolError)}
-    assert numerical <= classes.keys()
-    for name, cls in classes.items():
-        # NumericalFailure is the base the eight numerical classes share
-        expected = 2 if name in numerical | {"NumericalFailure"} else 1
-        assert cls.exit_code == expected, name
+    # the class is the exit code: two bases, and the three subclasses that
+    # callers catch or read
+    expected = {errors.ConfvolError: 1, errors.NumericalFailure: 2,
+                errors.StepRejected: 2, errors.NonFiniteResult: 2,
+                errors.NoConvergence: 2}
+    for cls, code in expected.items():
+        assert cls.exit_code == code, cls
+    # no confvol module defines another subclass
+    for module in pkgutil.iter_modules(confvol.__path__):
+        importlib.import_module(f"confvol.{module.name}")
+    found, todo = set(), [errors.ConfvolError]
+    while todo:
+        cls = todo.pop()
+        found.add(cls)
+        todo += cls.__subclasses__()
+    assert {cls for cls in found if cls.__module__.startswith("confvol")} == expected.keys()
 
 
 def test_non_finite_record_is_numerical_failure():

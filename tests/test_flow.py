@@ -7,11 +7,12 @@ import pytest
 
 from confvol import flow
 from confvol.cli import cli_dispatch
-from confvol.errors import InvalidRange, KOutOfRange, NoConvergence, StepRejected
+from confvol.errors import NoConvergence, StepRejected
 from confvol.flow import (
     TorusGrid, discretize, flow_step, make_state, run_flow)
 from confvol.models import FlatTorus, RoundSphere, fourier_field
 from confvol.spectral import sphere_basis
+from conftest import raises_exit
 
 
 def test_torus_flow_converges():
@@ -236,13 +237,13 @@ def test_discretization_keywords_reach_the_grid():
 def test_guards():
     torus = FlatTorus((1.0, 1.0, 1.0))
     disc = discretize(torus)
-    with pytest.raises(KOutOfRange):
+    with raises_exit(1, "spectrally for k = 1 only"):
         disc.vk(np.zeros(16 ** 3), 2)
-    with pytest.raises(InvalidRange):
+    with raises_exit(1, "F_1 is conformally invariant in dimension 2"):
         make_state(discretize(FlatTorus((1.0, 1.0))), np.zeros(16 * 16), 1)
     from confvol.models import HyperbolicSpace
 
-    with pytest.raises(InvalidRange):
+    with raises_exit(1, "no flow discretization for HyperbolicSpace"):
         discretize(HyperbolicSpace(3, 1.0))
 
 

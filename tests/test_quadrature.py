@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from confvol.errors import GridResolutionInsufficient, InvalidRange
+from conftest import raises_exit
 from confvol.models import (
     ConformalDeformation,
     FlatTorus,
@@ -70,11 +70,17 @@ def test_sphere_grid_exact_for_polynomials():
 def test_node_budget_guard():
     # a grid over the node budget is a size the input asks for (exit 1),
     # not a quadrature that failed to converge
-    with pytest.raises(InvalidRange, match="must be at most"):
+    with raises_exit(1, "RoundSphere grid at resolution 64 in dimension 8 is "
+                        "562949953421312; it must be at most 3000000"):
         grid_with_weights(RoundSphere(8, 1.0), 64)
     # S^3 x S^3 at resolution 16 would mesh 67M nodes
-    with pytest.raises(InvalidRange, match="must be at most"):
+    with raises_exit(1, "ProductOfSpheres grid at resolution 16 in dimension 6 "
+                        "is 67108864; it must be at most 3000000"):
         grid_with_weights(ProductOfSpheres(((3, 1.0), (3, 1.0))), 16)
+    # S^10 x S^10 at resolution 16 meshes 2^82 nodes, which an int64
+    # product wraps to 0; the count is exact
+    with raises_exit(1, "is over 10\\^15; it must be at most 3000000"):
+        grid_with_weights(ProductOfSpheres(((10, 1.0), (10, 1.0))), 16)
 
 
 def test_kind_without_rule_is_invalid_input():
@@ -82,9 +88,8 @@ def test_kind_without_rule_is_invalid_input():
     # that failed to converge (exit 2)
     warped = WarpedRadial(lambda r: 1.0 + r, RoundSphere(2, 1.0), (0.0, 1.0))
     for m in (HyperbolicSpace(3), warped):
-        with pytest.raises(InvalidRange, match="no quadrature rule") as err:
+        with raises_exit(1, "no quadrature rule"):
             integrate(m, f=lambda pts: np.ones(pts.shape[0]))
-        assert err.value.exit_code == 1
 
 
 def test_nonconvergent_raises():
@@ -96,5 +101,5 @@ def test_nonconvergent_raises():
     def noisy(pts):
         return rng.normal(size=pts.shape[0])
 
-    with pytest.raises(GridResolutionInsufficient):
+    with raises_exit(2, "quadrature not converged to 1e-12"):
         integrate(m, f=noisy, tol=1e-12, resolution=4)

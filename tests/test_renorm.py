@@ -5,13 +5,7 @@ import pytest
 
 from confvol import jets
 from confvol.curvature import curvature_pack
-from confvol.errors import (
-    EpsilonOutOfRange,
-    EvenDimension,
-    IllConditionedFit,
-    InvalidRange,
-    NotTotallyGeodesic,
-)
+from conftest import raises_exit
 from confvol.models import (
     ConformalDeformation,
     RoundSphere,
@@ -110,7 +104,7 @@ def test_cohomogeneity_spot_check_fires():
     sphere = RoundSphere(3, 1.0)
     boundary = ConformalDeformation(sphere, zonal_field(sphere, [0.0, 0.2], 0))
     compact = geodesic_compactification(hyperbolic_normal_form(boundary))
-    with pytest.raises(InvalidRange, match="radius alone"):
+    with raises_exit(1, "radius alone"):
         renorm_volume_geodcomp(compact, 3)
 
 
@@ -122,32 +116,32 @@ def test_boundary_shape_operator():
 
 def test_not_totally_geodesic_rejected():
     compact = WarpedRadial(lambda r: 1.0 - r, RoundSphere(2, 1.0), (0.0, 1.0))
-    with pytest.raises(NotTotallyGeodesic):
+    with raises_exit(2, "boundary shape value"):
         renorm_volume_geodcomp(compact, 3)
     # conformal factors that fail to vanish to second order are rejected too
     a = hyperbolic_normal_form(RoundSphere(3, 1.0))
     good = geodesic_compactification(a)
-    with pytest.raises(NotTotallyGeodesic):
+    with raises_exit(2, "must vanish to second order at the boundary"):
         renorm_volume_geodcomp(good, 3, omega=lambda x: 0.1 * x[0])
 
 
 def test_renorm_coefficient_values():
     assert renorm_coefficient(3) == pytest.approx(8.0 / 3.0)
     assert renorm_coefficient(5) == pytest.approx(16.0 / 5.0)
-    with pytest.raises(EvenDimension):
+    with raises_exit(1, "coefficient defined for odd n, got 4"):
         renorm_coefficient(4)
 
 
 def test_range_guards():
     a = hyperbolic_normal_form(RoundSphere(3, 1.0))
-    with pytest.raises(EpsilonOutOfRange):
+    with raises_exit(1, "eps = 0.0 outside"):
         truncated_volume(a, 0.0)
-    with pytest.raises(EpsilonOutOfRange):
+    with raises_exit(1, "eps = 3.0 outside"):
         truncated_volume(a, 3.0)
     compact = geodesic_compactification(a)
-    with pytest.raises(EvenDimension):
+    with raises_exit(1, "extraction needs odd n, got 4"):
         renorm_volume_geodcomp(compact, 4)
-    with pytest.raises(InvalidRange):
+    with raises_exit(1, "n = 1 below 3"):
         renorm_volume_geodcomp(compact, 1)
     # the compactification is conformally flat, so v^(n+1) is sigma_k at
     # every odd n and the bulk route matches the analytic V
@@ -155,7 +149,7 @@ def test_range_guards():
         a_n = hyperbolic_normal_form(RoundSphere(n, 1.0))
         V = renorm_volume_geodcomp(geodesic_compactification(a_n), n)
         assert V == pytest.approx(extract_expansion(a_n).V, rel=1e-12, abs=0.0)
-    with pytest.raises(InvalidRange):
+    with raises_exit(1, "warp must be even in r"):
         AHNormalForm(boundary=RoundSphere(3, 1.0),
                      warp=lambda r: 1.0 - r, r_max=1.0)   # odd warp term
 
@@ -163,7 +157,7 @@ def test_range_guards():
 def test_ill_conditioned_fit():
     a = hyperbolic_normal_form(RoundSphere(5, 1.0))
     b = AHNormalForm(boundary=a.boundary, warp=a.warp, r_max=a.r_max)
-    with pytest.raises(IllConditionedFit):
+    with raises_exit(2, "expansion fit condition number"):
         # too many nuisance columns over too narrow an eps window
         extract_expansion(b, eps0=0.1, ratio=0.95, samples=40, tail_powers=14)
 
@@ -184,5 +178,5 @@ def test_gauss_bonnet_compact_s4():
 
 
 def test_gauss_bonnet_guards():
-    with pytest.raises(InvalidRange):
+    with raises_exit(1, "mode 'weird' not in"):
         gauss_bonnet_4d(1.0, 0.0, chi=1.0, mode="weird")

@@ -5,7 +5,6 @@ import pytest
 
 from confvol import spectral
 from confvol.curvature import laplacian
-from confvol.errors import InvalidRange
 from confvol.models import FlatTorus, ProductOfSpheres, RoundSphere, sphere_volume
 from confvol.quadrature import grid_with_weights, integrate
 from confvol.spectral import (
@@ -20,6 +19,7 @@ from confvol.spectral import (
     sphere_pair_matrices,
     torus_basis,
 )
+from conftest import raises_exit
 
 
 def _quad_gram(m, basis, resolution=16):
@@ -157,6 +157,15 @@ def test_sphere_pair_rules_take_their_own_exponents(monkeypatch):
         assert min(_diagonal_miss(n, lmax)) > 0.1, (n, lmax)
 
 
+def test_gauss_jacobi_at_alpha_0_is_gauss_legendre():
+    # the flow's and rv's 48-node radial rule, byte for byte
+    from scipy.special import roots_legendre
+
+    xs, ws = gauss_jacobi(48, 0.0)
+    ref_xs, ref_ws = roots_legendre(48)
+    assert xs.tobytes() == ref_xs.tobytes() and ws.tobytes() == ref_ws.tobytes()
+
+
 def test_gauss_jacobi_is_shared_and_read_only():
     xs, ws = gauss_jacobi(5, 1.5)
     assert gauss_jacobi(5, 1.5)[0] is xs
@@ -207,17 +216,19 @@ def test_field_gradients_shape_and_value():
 
 def test_basis_for_dispatch_and_guards():
     assert basis_for(RoundSphere(3, 1.0), lmax=1).size == 4
-    with pytest.raises(InvalidRange):
+    with raises_exit(1, "lmax = 0 must be at least 1"):
         sphere_basis(RoundSphere(3, 1.0), lmax=0)
-    with pytest.raises(InvalidRange):
+    with raises_exit(1, "mmax = 0 must be at least 1"):
         torus_basis(FlatTorus((1.0,)), mmax=0)
     # the member budget refuses a basis from its size alone, before building
-    with pytest.raises(InvalidRange, match="must be at most"):
+    with raises_exit(1, r"basis size at lmax = 100000 on S\^3 is 200002; "
+                        "it must be at most 1000"):
         sphere_basis(RoundSphere(3, 1.0), lmax=100_000)
-    with pytest.raises(InvalidRange, match="must be at most"):
+    with raises_exit(1, "basis size at lmax = 300 on 2 sphere factors is 1202; "
+                        "it must be at most 1000"):
         # each factor has 3 + 299 * 2 = 601 members; the product has 1,202
         product_basis(ProductOfSpheres(((2, 1.0), (2, 1.0))), lmax=300)
     from confvol.models import HyperbolicSpace
 
-    with pytest.raises(InvalidRange):
+    with raises_exit(1, "no closed-form eigenbasis for HyperbolicSpace"):
         basis_for(HyperbolicSpace(3, 1.0))

@@ -3,14 +3,6 @@
 import numpy as np
 import pytest
 
-from confvol.errors import (
-    HalfDimension,
-    InvalidRange,
-    KOutOfRange,
-    NotCritical,
-    NotEinstein,
-    OddDimension,
-)
 from confvol.models import (
     ConformalDeformation,
     FlatTorus,
@@ -28,6 +20,7 @@ from confvol.quadrature import grid_with_weights, integrate
 from confvol.series import einstein_series, einstein_vk_exact, v_direct
 from confvol.spectral import (basis_for, field_gradients, field_values,
                               sphere_basis, sphere_pair_matrices, torus_basis)
+from conftest import raises_exit
 from confvol.variation import (
     classify_sign_Fk,
     classify_sign_V,
@@ -94,9 +87,9 @@ def test_deformation_with_flat_origin_is_not_einstein():
     s3 = RoundSphere(3, 1.0)
     m = ConformalDeformation(s3, zonal_field(s3, [0.0, 0.0, 0.2], 0))
     assert einstein_constant(m) is None
-    with pytest.raises(NotEinstein):
+    with raises_exit(1, "ConformalDeformation has no recognized Einstein constant"):
         delta_vk(m, lambda x: x[0], 1, np.zeros((1, 3)))
-    with pytest.raises(NotEinstein):
+    with raises_exit(1, "ConformalDeformation is not a recognized Einstein model"):
         einstein_series(m)
     # v_1 = R / (2(n-1)) from the chart pack
     chart = integrate(m, f=lambda pts: curvature_pack(m, pts, want_bach=False)
@@ -206,20 +199,20 @@ def test_obata_bound():
 def test_error_conditions():
     m = RoundSphere(4, 1.0)
     basis = sphere_basis(m, lmax=2)
-    with pytest.raises(HalfDimension):
+    with raises_exit(1, "F_2 in dimension 4 is conformally invariant"):
         hessian_Fk(m, 2, basis)
-    with pytest.raises(KOutOfRange):
+    with raises_exit(1, r"k = 5 outside 1\.\.4"):
         hessian_Fk(m, 5, basis)
-    with pytest.raises(OddDimension):
+    with raises_exit(1, "volume Hessian needs even n, got 5"):
         hessian_V(RoundSphere(5, 1.0), sphere_basis(RoundSphere(5, 1.0), lmax=1))
-    with pytest.raises(NotEinstein):
+    with raises_exit(1, "ProductOfSpheres has no recognized Einstein constant"):
         delta_vk(ProductOfSpheres(((2, 1.0), (2, 2.0))), lambda x: x[0], 1,
                  np.zeros((1, 4)))
-    with pytest.raises(InvalidRange):
+    with raises_exit(1, "k = n/2 = 2 is conformally invariant"):
         classify_sign_Fk(4, 2, +1.0)
-    with pytest.raises(InvalidRange):
+    with raises_exit(1, "classification needs R != 0"):
         classify_sign_Fk(4, 1, 0.0)
-    with pytest.raises(NotEinstein):
+    with raises_exit(1, "ConformalDeformation has no recognized Einstein constant"):
         # non-constant conformal factor breaks the Einstein property
         bumpy = ConformalDeformation(RoundSphere(5, 1.0),
                                      lambda x: 0.3 * x[0])
@@ -239,7 +232,7 @@ def test_not_critical_gate():
     orig = variation.einstein_constant
     try:
         variation.einstein_constant = lambda mm: 0.6   # true value is 0.5
-        with pytest.raises(NotCritical):
+        with raises_exit(2, "v_1 deviates from constant by"):
             variation.hessian_Fk(m, 1, basis)
     finally:
         variation.einstein_constant = orig
@@ -254,7 +247,7 @@ def test_diagonal_gate(monkeypatch):
 
     m = RoundSphere(5, 1.0)
     monkeypatch.setattr(variation, "sphere_pair_matrices", skewed)
-    with pytest.raises(NotCritical, match="exact diagonal"):
+    with raises_exit(2, "deviates from exact diagonal"):
         hessian_Fk(m, 1, sphere_basis(m, lmax=3))
 
 

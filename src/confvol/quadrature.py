@@ -54,17 +54,20 @@ def integrate(m: ModelMetric, f=None, tol: float = 1e-10,
 
 def grid_with_weights(m: ModelMetric, resolution: int):
     """Chart nodes (npts, n) and weights summing to the volume of m."""
+    factors = (((m.n, m.radius),) if isinstance(m, RoundSphere)
+               else getattr(m, "factors", ()))
+    # a torus grid has resolution^n nodes and an S^d factor 2 resolution^d
+    # (a deformation meshes its base); refuse before exhausting memory
+    check_size(f"the node count of the {type(m).__name__} grid at resolution "
+               f"{resolution} in dimension {m.n}",
+               resolution ** m.n if isinstance(m, FlatTorus)
+               else prod(2 * resolution ** d for d, _ in factors), _MAX_NODES)
     if isinstance(m, FlatTorus):
         axes = [np.arange(resolution)[:, None] / resolution * p for p in m.periods]
         pts = _mesh_points(axes)
         w = np.full(pts.shape[0], np.prod(m.periods) / pts.shape[0])
         return pts, w
     if isinstance(m, (RoundSphere, ProductOfSpheres)):
-        factors = ((m.n, m.radius),) if isinstance(m, RoundSphere) else m.factors
-        # an S^d grid has 2 resolution^d nodes; refuse before exhausting memory
-        check_size(f"the node count of the {type(m).__name__} grid at resolution "
-                   f"{resolution} in dimension {m.n}",
-                   prod(2 * resolution ** d for d, _ in factors), _MAX_NODES)
         parts = [_sphere_grid(d, r, resolution) for d, r in factors]
         pts = _mesh_points([p for p, _ in parts])
         ws = _mesh_points([w[:, None] for _, w in parts])

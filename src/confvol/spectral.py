@@ -4,17 +4,19 @@ Spheres use zonal harmonics: restrictions of Gegenbauer polynomials in a
 single ambient coordinate, eigenvalue l(l+n-1)/L^2 at degree l.  Gram and
 Dirichlet matrices of the raw zonal family reduce to one- and two-variable
 sphere monomial integrals, which have a closed Gamma-function form, so the
-orthonormalization is exact.  The quadrature pair matrices that check it
-take Gauss-Jacobi rules of lmax + 1 nodes instead, exact for these
-polynomials.  Tori use Fourier modes; products of spheres lift factor
-harmonics.
+orthonormalization is exact.  Tori use Fourier modes; products of spheres
+lift factor harmonics.  Each constructor gives its basis the assembler of
+its quadrature Dirichlet/Gram pair: Gauss-Jacobi rules of lmax + 1 nodes on
+spheres, exact for these polynomials, a uniform grid on tori, and each
+factor's pair as a diagonal block on products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gamma, pi
+from typing import Callable
 
 import numpy as np
 
@@ -42,23 +44,30 @@ class SpectralBasis:
     members: tuple
     eigenvalues: np.ndarray
     labels: tuple
+    assemble: Callable[[SpectralBasis], tuple] = field(repr=False, compare=False)
     # for sphere bases: per member, ((degree, axis, weight), ...) expressing
     # it as a combination of raw zonal harmonics
     zonal_structure: tuple | None = None
-    # the quadrature (Dir, Gram) pair, filled by variation._basis_dir_gram so
-    # that a k sweep over one basis assembles once
-    _dir_gram: tuple | None = field(default=None, init=False, compare=False,
-                                    repr=False)
 
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def dir_gram(self) -> tuple:
+        """(Dirichlet, Gram) by quadrature on the model, built by ``assemble``
+        on first read and kept read-only, so a k sweep assembles once."""
+        pair = self.assemble(self)
+        for mat in pair:
+            mat.flags.writeable = False
+        return pair
 
     def first_eigenvalue(self) -> float:
         return float(np.min(self.eigenvalues))
 
 
 _MAX_MEMBERS = 1000      # Dir/Gram assembly costs members^2 x nodes
+_MAX_TORUS_WORK = 20_000_000    # members x grid nodes of a torus Dir/Gram pair
 _AXES_PER_DEGREE = 2     # zonal axes of each sphere basis degree above 1
 
 
@@ -179,12 +188,13 @@ def sphere_basis(m: RoundSphere, lmax: int = 8) -> SpectralBasis:
             labels.append((l, axes[r]))
             structure.append(tuple(
                 (l, axes[i], float(trans[r, i])) for i in range(r + 1)))
-    eigenvalues = np.asarray(eigenvalues)
     return SpectralBasis(
         model=m,
         members=tuple(members),
-        eigenvalues=eigenvalues,
+        eigenvalues=np.asarray(eigenvalues),
         labels=tuple(labels),
+        # looked up at call time, so that a wrapper of it sees every call
+        assemble=lambda basis: sphere_pair_matrices(m, basis),
         zonal_structure=tuple(structure),
     )
 
@@ -275,9 +285,8 @@ def torus_basis(m: FlatTorus, mmax: int = 4) -> SpectralBasis:
         raise ConfvolError(f"mmax = {mmax} must be at least 1")
     check_size(f"the basis size at mmax = {mmax} in dimension {m.n}",
                (2 * mmax + 1) ** m.n - 1, _MAX_MEMBERS)
-    vol = m.volume
-    amp = np.sqrt(2.0 / vol)
-    members, eigenvalues, labels = [], [], []
+    amp = np.sqrt(2.0 / m.volume)
+    members, eigenvalues, labels, phases = [], [], [], []
     modes = _half_lattice(m.n, mmax)
     modes.sort(key=lambda mo: sum((2 * pi * mi / p) ** 2 for mi, p in zip(mo, m.periods)))
     for mode in modes:
@@ -286,12 +295,32 @@ def torus_basis(m: FlatTorus, mmax: int = 4) -> SpectralBasis:
             members.append(fourier_field(m, mode, amplitude=amp, phase=phase))
             eigenvalues.append(lam)
             labels.append((mode, tag))
-    eigenvalues = np.asarray(eigenvalues)
+            phases.append(phase)
+
+    def assemble(basis):
+        # member i is amp cos(kappa_i . x + phase_i); a product of two modes
+        # up to mmax has frequencies up to 2 mmax, which a uniform grid
+        # integrates exactly with more than 2 mmax points per axis
+        from .quadrature import grid_with_weights    # quadrature imports spectral
+
+        resolution = max(8, 2 * mmax + 1)
+        check_size(f"the torus Dir/Gram work (members x nodes) at mmax = {mmax} "
+                   f"in dimension {m.n}", basis.size * resolution ** m.n,
+                   _MAX_TORUS_WORK)
+        pts, w = grid_with_weights(m, resolution)
+        wavenumbers = np.array([mode for mode, _ in labels], dtype=float)
+        kappa = 2.0 * np.pi * wavenumbers / np.asarray(m.periods)
+        arg = kappa @ pts.T + np.array(phases)[:, None]
+        vals, dvals = amp * np.cos(arg), -amp * np.sin(arg)
+        # the flat metric is the identity: Dir = (kappa kappa^T) * (d d^T)
+        return (kappa @ kappa.T) * ((dvals * w) @ dvals.T), (vals * w) @ vals.T
+
     return SpectralBasis(
         model=m,
         members=tuple(members),
-        eigenvalues=eigenvalues,
+        eigenvalues=np.asarray(eigenvalues),
         labels=tuple(labels),
+        assemble=assemble,
     )
 
 
@@ -303,29 +332,38 @@ def product_basis(m: ProductOfSpheres, lmax: int = 4) -> SpectralBasis:
     from each factor's sphere basis."""
     check_size(f"the basis size at lmax = {lmax} on {len(m.factors)} sphere factors",
                sum(_zonal_size(d, lmax) for d, _ in m.factors), _MAX_MEMBERS)
-    members, eigenvalues, labels = [], [], []
+    members, eigenvalues, labels, blocks = [], [], [], []
     offset = 0
-    total_vol = m.volume
     for fi, (d, r) in enumerate(m.factors):
-        sub = RoundSphere(d, r)
-        sub_basis = sphere_basis(sub, lmax=lmax)
-        other_vol = total_vol / sphere_volume(d, r)
+        sub_basis = sphere_basis(RoundSphere(d, r), lmax=lmax)
+        other_vol = m.volume / sphere_volume(d, r)
         norm = 1.0 / np.sqrt(other_vol)
-        for field, lam, lab in zip(sub_basis.members, sub_basis.eigenvalues,
-                                   sub_basis.labels):
-            members.append(_lifted_field(field, offset, d, norm))
+        for member, lam, lab in zip(sub_basis.members, sub_basis.eigenvalues,
+                                    sub_basis.labels):
+            members.append(_lifted_field(member, offset, d, norm))
             eigenvalues.append(lam)
             labels.append((fi,) + lab)
+        # a lifted pair integrates over the other factors to norm^2 times
+        # their volume
+        blocks.append((sub_basis, norm ** 2 * other_vol))
         offset += d
     order = np.argsort(eigenvalues, kind="stable")
-    members = tuple(members[i] for i in order)
-    labels = tuple(labels[i] for i in order)
-    eigenvalues = np.asarray(eigenvalues)[order]
+
+    def assemble(basis):
+        # gradients on different factors are orthogonal and every factor
+        # harmonic has mean zero, so entries across factors vanish
+        from scipy.linalg import block_diag
+
+        pair = [block_diag(*(scale * sub.dir_gram[i] for sub, scale in blocks))
+                for i in (0, 1)]
+        return tuple(mat[np.ix_(order, order)] for mat in pair)
+
     return SpectralBasis(
         model=m,
-        members=members,
-        eigenvalues=eigenvalues,
-        labels=labels,
+        members=tuple(members[i] for i in order),
+        eigenvalues=np.asarray(eigenvalues)[order],
+        labels=tuple(labels[i] for i in order),
+        assemble=assemble,
     )
 
 

@@ -7,8 +7,9 @@ Second variation at a critical (Einstein) metric is the quadratic form
     H(omega, omega) = -(n-2k) * integral of [L^{ij} d_i omega d_j omega
                                              + 2k v_k omega^2]
 
-assembled here over a Laplacian eigenbasis, where it diagonalizes with
-entries proportional to (lambda - R/(n-1)).  The sign pattern depends only
+assembled here over a Laplacian eigenbasis from the Dirichlet/Gram pair
+that the basis builds for its own kind, where it diagonalizes with entries
+proportional to (lambda - R/(n-1)).  The sign pattern depends only
 on the signs of n-2k and of the scalar curvature, which classify_sign_Fk
 tabulates; hessian_V handles the conformally invariant k = n/2 slot.
 Each Hessian first checks v_k against the direct curvature formula, whose
@@ -25,18 +26,15 @@ import numpy as np
 
 from .curvature import curvature_pack, laplacian
 from .errors import ConfvolError, NumericalFailure
-from .models import (FlatTorus, ModelMetric, RoundSphere, conformally_flat,
-                     einstein_constant, metric_values)
-from .quadrature import grid_with_weights, integrate
+from .models import ModelMetric, conformally_flat, einstein_constant
+from .quadrature import integrate
 from .series import _vk_from_pack, einstein_L_exact, einstein_vk_exact, v_direct
-from .spectral import (SpectralBasis, field_gradients, field_values,
-                       sphere_pair_matrices)
+from .spectral import SpectralBasis, field_values
 
 _NULL_THRESHOLD = 1e-8
 _CRITICAL_TOL = 1e-8
 _DIAGONAL_TOL = 1e-9
 _FUNCTIONAL_TOL = 1e-9      # convergence of the F_k and first-variation integrals
-_DIR_GRAM_RESOLUTION = 8    # quadrature grid of the Dir/Gram assembly
 _OBATA_TOL = 1e-9           # slack of the Obata bound and equality tests
 
 
@@ -128,57 +126,6 @@ def first_variation_Fk(m: ModelMetric, k: int, omega) -> float:
     return (n - 2 * k) * integrate(m, f=integrand, tol=_FUNCTIONAL_TOL)
 
 
-def _basis_dir_gram(basis: SpectralBasis):
-    """Dirichlet and Gram matrices of the basis by quadrature on its model,
-    assembled once and kept on the basis (read-only).
-
-    Sphere bases reduce every entry to exact Gauss-Jacobi rules in one or two
-    variables from their ``zonal_structure``; torus bases evaluate their cos/sin modes from
-    ``labels`` in closed form on a uniform grid; other bases evaluate their
-    member closures on the resolution-8 quadrature grid.
-    """
-    if basis._dir_gram is None:
-        pair = _assemble_dir_gram(basis)
-        for mat in pair:
-            mat.flags.writeable = False
-        object.__setattr__(basis, "_dir_gram", pair)
-    return basis._dir_gram
-
-
-def _assemble_dir_gram(basis: SpectralBasis):
-    m = basis.model
-    if isinstance(m, RoundSphere) and basis.zonal_structure is not None:
-        # pair products depend on two ambient coordinates only, so the
-        # integrals reduce to exact 1D and 2D rules in any dimension
-        return sphere_pair_matrices(m, basis)
-    if isinstance(m, FlatTorus):
-        # member (mode, tag) is amp cos(kappa . x + phase), kappa = 2 pi mode /
-        # periods; a product of two modes up to mmax has frequencies up to
-        # 2 mmax, which a uniform grid integrates exactly with more than
-        # 2 mmax points per axis
-        modes = np.array([mode for mode, _ in basis.labels], dtype=float)
-        pts, w = grid_with_weights(
-            m, max(_DIR_GRAM_RESOLUTION, 2 * int(np.max(np.abs(modes))) + 1))
-        kappa = 2.0 * np.pi * modes / np.asarray(m.periods)
-        phase = np.array([-0.5 * np.pi if tag == "sin" else 0.0
-                          for _, tag in basis.labels])
-        arg = kappa @ pts.T + phase[:, None]
-        amp = np.sqrt(2.0 / m.volume)
-        vals, dvals = amp * np.cos(arg), -amp * np.sin(arg)
-        # the flat metric is the identity: Dir = (kappa kappa^T) * (d d^T)
-        return ((kappa @ kappa.T) * ((dvals * w) @ dvals.T),
-                (vals * w) @ vals.T)
-    pts, w = grid_with_weights(m, _DIR_GRAM_RESOLUTION)
-    vals = np.stack([field_values(f, pts) for f in basis.members])
-    grads = np.stack([field_gradients(f, pts) for f in basis.members])
-    wginv = np.linalg.inv(metric_values(m, pts)) * w[:, None, None]
-    gram = np.einsum("ip,jp,p->ij", vals, vals, w)
-    # one matrix product over the flattened (point, component) axis
-    flux = np.einsum("ipa,pab->ipb", grads, wginv)
-    dir_ = flux.reshape(basis.size, -1) @ grads.reshape(basis.size, -1).T
-    return dir_, gram
-
-
 def hessian_Fk(background: ModelMetric, k: int, basis: SpectralBasis) -> HessianForm:
     """Second conformal variation of F_k at an Einstein metric over a basis.
 
@@ -240,8 +187,8 @@ def _second_variation(background: ModelMetric, k: int, basis: SpectralBasis,
                       functional: str, pref: float, exact_diag) -> HessianForm:
     """H = pref * (cL * Dir + 2k v_k * Gram) at an Einstein background.
 
-    When the basis lives on the background itself, Dir and Gram are
-    assembled by quadrature and H is checked against the closed-form
+    When the basis lives on the background itself, Dir and Gram are the
+    basis's quadrature pair and H is checked against the closed-form
     diagonal exact_diag(a) * (lambda_l - 2na); otherwise (noncompact
     backgrounds probed through a surrogate spectrum) the orthonormal
     basis gives Gram = I and Dir = diag(eigenvalues) directly.
@@ -260,7 +207,7 @@ def _second_variation(background: ModelMetric, k: int, basis: SpectralBasis,
 
     on_model = basis.model == background
     if on_model:
-        dir_, gram = _basis_dir_gram(basis)
+        dir_, gram = basis.dir_gram
     else:
         dir_, gram = np.diag(basis.eigenvalues), np.eye(basis.size)
     H = pref * (cL * dir_ + 2.0 * k * vk * gram)

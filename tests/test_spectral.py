@@ -19,7 +19,7 @@ from confvol.spectral import (
     sphere_pair_matrices,
     torus_basis,
 )
-from conftest import raises_exit
+from conftest import grid_dir_gram, raises_exit
 
 
 def _quad_gram(m, basis, resolution=16):
@@ -110,6 +110,7 @@ def _raw_zonal_basis(m, lmax=8):
     structure = tuple(((l, ax, 1.0),) for l in range(1, lmax + 1) for ax in (0, 1))
     return SpectralBasis(model=m, members=(None,) * len(structure),
                          eigenvalues=np.zeros(len(structure)), labels=(),
+                         assemble=lambda basis: sphere_pair_matrices(m, basis),
                          zonal_structure=structure)
 
 
@@ -199,6 +200,16 @@ def test_product_basis():
     assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-9
     # lowest eigenvalue on each factor is l(l+1)/r^2 = 2
     assert basis.first_eigenvalue() == pytest.approx(2.0, rel=1e-12)
+
+
+def test_product_dir_gram_matches_member_closures():
+    # each factor's block, scaled by what a lift integrates to over the
+    # other factors, against the members on the product grid (exact for
+    # degree-2 harmonics at resolution 4); entries across factors vanish
+    m = ProductOfSpheres(((2, 1.0), (3, np.sqrt(2.0))))
+    basis = product_basis(m, lmax=2)
+    for got, ref in zip(basis.dir_gram, grid_dir_gram(m, basis, 4)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_field_gradients_shape_and_value():

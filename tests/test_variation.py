@@ -13,14 +13,14 @@ from confvol.models import (
     sphere_volume,
     zonal_field,
 )
-from confvol import series, variation
+from confvol import series, spectral, variation
 from confvol.cli import cli_dispatch
 from confvol.curvature import curvature_pack
-from confvol.quadrature import grid_with_weights, integrate
+from confvol.quadrature import integrate
 from confvol.series import einstein_series, einstein_vk_exact, v_direct
-from confvol.spectral import (basis_for, field_gradients, field_values,
-                              sphere_basis, sphere_pair_matrices, torus_basis)
-from conftest import raises_exit
+from confvol.spectral import (basis_for, field_values, sphere_basis,
+                              sphere_pair_matrices, torus_basis)
+from conftest import grid_dir_gram, raises_exit
 from confvol.variation import (
     classify_sign_Fk,
     classify_sign_V,
@@ -246,17 +246,25 @@ def test_diagonal_gate(monkeypatch):
         return (1.0 + 1e-6) * dir_, gram
 
     m = RoundSphere(5, 1.0)
-    monkeypatch.setattr(variation, "sphere_pair_matrices", skewed)
+    monkeypatch.setattr(spectral, "sphere_pair_matrices", skewed)
     with raises_exit(2, "deviates from exact diagonal"):
         hessian_Fk(m, 1, sphere_basis(m, lmax=3))
 
 
-def test_product_hessian_at_default_resolution():
-    # the Gauss-Jacobi sphere grid integrates the factor harmonics exactly,
-    # so the assembled S^2 x S^2 Hessian meets the diagonal gate at once
-    p = ProductOfSpheres(((2, 1.0), (2, 1.0)))
-    H = hessian_Fk(p, 1, basis_for(p, lmax=2))
-    assert H.classification == "positive definite"
+def test_product_hessians_meet_the_gate_at_lmax_8():
+    # each factor's exact Gauss-Jacobi pair sits on its own diagonal block,
+    # so no product grid aliases the degree-8 harmonics
+    for factors in (((2, 1.0), (2, 1.0)), ((2, 1.0), (3, np.sqrt(2.0))),
+                    ((3, 1.0), (3, 1.0))):
+        p = ProductOfSpheres(factors)
+        basis = basis_for(p, lmax=8)
+        n = p.n
+        for k in (1, 2):
+            if 2 * k != n:
+                H = hessian_Fk(p, k, basis)
+                assert H.classification == classify_sign_Fk(n, k, +1.0), (n, k)
+        if n % 2 == 0:
+            assert hessian_V(p, basis).classification == classify_sign_V(n, +1.0)
 
 
 def test_torus_hessian_does_not_alias():
@@ -269,18 +277,12 @@ def test_torus_hessian_does_not_alias():
 
 
 def test_torus_dir_gram_from_labels_matches_members():
-    # the torus route evaluates the modes named by the labels; they must
-    # stay the functions the member closures compute
+    # the torus pair evaluates the modes and phases torus_basis recorded;
+    # they must stay the functions the member closures compute
     for periods, mmax in (((1.0, 2.0), 2), ((1, 1, 1), 1)):
         t = FlatTorus(periods)
         basis = torus_basis(t, mmax=mmax)
-        dir_, gram = variation._basis_dir_gram(basis)
-        pts, w = grid_with_weights(t, 8)
-        vals = np.stack([field_values(f, pts) for f in basis.members])
-        grads = np.stack([field_gradients(f, pts) for f in basis.members])
-        ref_gram = (vals * w) @ vals.T
-        ref_dir = np.einsum("ipa,jpa,p->ij", grads, grads, w)
-        for got, ref in ((dir_, ref_dir), (gram, ref_gram)):
+        for got, ref in zip(basis.dir_gram, grid_dir_gram(t, basis, 8)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -291,7 +293,7 @@ def test_one_dir_gram_assembly_per_basis(monkeypatch, capsys):
         calls.append(m.n)
         return sphere_pair_matrices(m, basis)
 
-    monkeypatch.setattr(variation, "sphere_pair_matrices", counted)
+    monkeypatch.setattr(spectral, "sphere_pair_matrices", counted)
     assert cli_dispatch(["signtable", "--nmin", "3", "--nmax", "5"]) == 0
     capsys.readouterr()
     assert calls == [3, 4, 5]

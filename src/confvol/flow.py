@@ -30,7 +30,7 @@ linearly implicit step, removes the cap).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,17 +62,19 @@ class TorusGrid:
     (the first axis is c2c in rfftn too), with d_2, d_3, ... = +-0.  Other
     lengths leave rounding off the axis, so such grids keep the n-D path.
     `total` sums the grid's own array, each line value repeated `copies`
-    times in grid order, so volume, mean and variance keep the grid's bits;
-    max_eigenvalue, and with it dt, stays the grid's.
+    times in grid order, in the one pairwise reduction np.sum makes, so
+    volume, mean and variance keep the grid's bits; `cells` and
+    max_eigenvalue, and with it dt, stay the grid's.
     """
 
     def __init__(self, torus: FlatTorus, shape=None):
         self.base = torus
-        n = torus.n
+        self.n = n = torus.n
         self.shape = tuple(shape) if shape is not None else (16,) * n
         axes = [np.arange(N) / N * p for N, p in zip(self.shape, torus.periods)]
         grids = np.meshgrid(*axes, indexing="ij")
         self.points = np.stack([g.ravel() for g in grids], axis=1)
+        self.cells = len(self.points)
         freqs = [2.0 * np.pi * np.fft.fftfreq(N, d=p / N)
                  for N, p in zip(self.shape, torus.periods)]
         self.k2 = sum(k ** 2 for k in np.meshgrid(*freqs, indexing="ij"))
@@ -115,19 +117,18 @@ class TorusGrid:
         if k != 1:
             raise ConfvolError(
                 "torus flow evaluates v_k spectrally for k = 1 only")
-        n = self.base.n
         lap, grad2 = self._spectral(omega)
-        return np.exp(-2.0 * omega) * (-lap - 0.5 * (n - 2) * grad2)
+        return np.exp(-2.0 * omega) * (-lap - 0.5 * (self.n - 2) * grad2)
 
     def density(self, omega):
-        return np.exp(self.base.n * omega)
+        return np.exp(self.n * omega)
 
     def total(self, values):
-        return np.sum(values if self.copies == 1
-                      else np.repeat(values, self.copies))
+        return np.add.reduce(values if self.copies == 1
+                             else values.repeat(self.copies))
 
     def volume(self, total):
-        return self.base_volume * float(total / (len(self.points) * self.copies))
+        return self.base_volume * float(total / self.cells)
 
     def project(self, omega):
         return omega
@@ -137,7 +138,7 @@ class SphereZonal:
     """Zonal fields omega = f(y_axis) on a round sphere, 1D spectral grid."""
 
     def __init__(self, sphere: RoundSphere, nodes: int = 48, degree: int = 16):
-        self.base = sphere
+        self.base, self.n = sphere, sphere.n
         n, L = sphere.n, sphere.radius
         xs, ws = gauss_jacobi(nodes, 0.0)
         self.t = xs
@@ -176,7 +177,7 @@ class SphereZonal:
         return zonal_field(self.base, poly, 0)
 
     def vk(self, omega, k):
-        n, L = self.base.n, self.base.radius
+        n, L = self.n, self.base.radius
         coef = self.analysis @ omega
         if k == 1:
             lap = self.synth @ (-self.eigs * coef)
@@ -190,10 +191,10 @@ class SphereZonal:
         return v_direct(deformed, k, points=self.points) * (-2.0) ** k
 
     def density(self, omega):
-        return self.w * np.exp(self.base.n * omega)
+        return self.w * np.exp(self.n * omega)
 
     def total(self, values):
-        return np.sum(values)
+        return np.add.reduce(values)
 
     def volume(self, total):
         return float(total)
@@ -202,9 +203,9 @@ class SphereZonal:
         return self.synth @ (self.analysis @ omega)
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """omega and vk hold one value per disc.points: N_1 on a torus line."""
+class FlowState(NamedTuple):
+    """omega and vk hold one value per disc.points: N_1 on a torus line;
+    sup_deviation is the largest |vk - mean_vk|, computed with the state."""
 
     disc: object
     omega: np.ndarray
@@ -214,10 +215,7 @@ class FlowState:
     vk: np.ndarray
     variance: float
     mean_vk: float
-
-    @property
-    def sup_deviation(self) -> float:
-        return float(np.max(np.abs(self.vk - self.mean_vk)))
+    sup_deviation: float
 
 
 def _state(disc, omega, k: int, step: int) -> FlowState:
@@ -225,19 +223,19 @@ def _state(disc, omega, k: int, step: int) -> FlowState:
     evaluate v_k with its mean and variance under one volume density."""
     omega = disc.project(omega)
     ratio = disc.volume(disc.total(disc.density(omega))) / disc.base_volume
-    omega = omega - np.log(ratio) / disc.base.n
+    omega = omega - np.log(ratio) / disc.n
     vk = disc.vk(omega, k)
     density = disc.density(omega)
     total = disc.total(density)
     mean = float(disc.total(vk * density) / total)
-    var = float(disc.total((vk - mean) ** 2 * density) / total)
-    return FlowState(disc=disc, omega=omega, k=k, step=step,
-                     volume=disc.volume(total), vk=vk, variance=var,
-                     mean_vk=mean)
+    dev = vk - mean
+    var = float(disc.total(dev ** 2 * density) / total)
+    return FlowState(disc, omega, k, step, disc.volume(total), vk, var, mean,
+                     float(np.maximum.reduce(np.abs(dev))))
 
 
 def make_state(disc, omega0, k: int) -> FlowState:
-    n = disc.base.n
+    n = disc.n
     if n < 2:
         raise ConfvolError(f"n = {n} must be at least 2: v_1 = R / (2(n - 1))")
     if n == 2 * k:
@@ -271,8 +269,7 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
     return nxt
 
 
-@dataclass(frozen=True)
-class FlowReport:
+class FlowReport(NamedTuple):
     converged: bool
     steps: int
     accepted: int

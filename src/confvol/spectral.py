@@ -7,7 +7,8 @@ sphere monomial integrals, which have a closed Gamma-function form, so the
 orthonormalization is exact.  Tori use Fourier modes; products of spheres
 lift factor harmonics.  Each constructor gives its basis the assembler of
 its quadrature Dirichlet/Gram pair: Gauss-Jacobi rules of lmax + 1 nodes on
-spheres, exact for these polynomials, a uniform grid on tori, and each
+spheres, exact for these polynomials, a uniform grid of 2 mmax + 1 points
+per axis on tori (at most 1,001 nodes for 1,000 members), and each
 factor's pair as a diagonal block on products.
 """
 
@@ -67,7 +68,6 @@ class SpectralBasis:
 
 
 _MAX_MEMBERS = 1000      # Dir/Gram assembly costs members^2 x nodes
-_MAX_TORUS_WORK = 20_000_000    # members x grid nodes of a torus Dir/Gram pair
 _AXES_PER_DEGREE = 2     # zonal axes of each sphere basis degree above 1
 
 
@@ -303,11 +303,7 @@ def torus_basis(m: FlatTorus, mmax: int = 4) -> SpectralBasis:
         # integrates exactly with more than 2 mmax points per axis
         from .quadrature import grid_with_weights    # quadrature imports spectral
 
-        resolution = max(8, 2 * mmax + 1)
-        check_size(f"the torus Dir/Gram work (members x nodes) at mmax = {mmax} "
-                   f"in dimension {m.n}", basis.size * resolution ** m.n,
-                   _MAX_TORUS_WORK)
-        pts, w = grid_with_weights(m, resolution)
+        pts, w = grid_with_weights(m, 2 * mmax + 1)
         wavenumbers = np.array([mode for mode, _ in labels], dtype=float)
         kappa = 2.0 * np.pi * wavenumbers / np.asarray(m.periods)
         arg = kappa @ pts.T + np.array(phases)[:, None]

@@ -248,30 +248,46 @@ def test_guards():
 
 
 def test_state_measure_bitwise_unchanged():
-    # one density per state gives the volume, mean and variance that
-    # per-quantity exponentials gave, bit for bit
-    # on the grid; a field constant off the x_1 axis is carried on its line,
-    # whose sums must still be the grid's
-    torus, sphere = FlatTorus((1.0, 2.0, 1.0)), RoundSphere(5, 1.0)
-    x1_only = np.repeat(np.random.default_rng(5).standard_normal(8), 32)
-    for disc, k, omega in ((discretize(torus, shape=(8, 6, 4)), 1, None),
-                           (discretize(torus, shape=(8, 8, 4)), 1, x1_only),
-                           (discretize(sphere), 1, None),
-                           (discretize(sphere), 2, None)):
-        n = disc.base.n
-        rng = np.random.default_rng(11)
-        if omega is None:
-            omega = disc.project(rng.standard_normal(len(disc.points)))
-        state = make_state(disc, 0.05 * omega, k)
-        assert len(state.omega) == (8 if omega is x1_only else len(omega))
-        om, vk = (np.repeat(x, len(omega) // len(state.omega))
-                  for x in (state.omega, state.vk))
-        if isinstance(disc.base, FlatTorus):
-            w = np.exp(n * om)
-            volume = disc.base_volume * float(np.mean(np.exp(n * om)))
-        else:
-            w = disc.w * np.exp(n * om)
-            volume = float(np.sum(disc.w * np.exp(n * om)))
-        mean = float(np.sum(vk * w) / np.sum(w))
-        var = float(np.sum((vk - mean) ** 2 * w) / np.sum(w))
-        assert (state.volume, state.mean_vk, state.variance) == (volume, mean, var)
+    # every field _state makes, at a start and at a trial step, against
+    # full-grid formulas: np.sum over each line value repeated to its
+    # x_2..x_n copies, one density per state, and the largest deviation of
+    # the stored v_k from its mean
+    torus, odd = FlatTorus((1.0, 1.0, 1.0)), FlatTorus((1.0, 2.0, 1.0))
+    x1_mode = fourier_field(torus, (1, 0, 0), amplitude=0.05)
+    x1_only = 0.05 * np.repeat(np.random.default_rng(5).standard_normal(8), 32)
+    sphere, rough = discretize(RoundSphere(5, 1.0)), discretize(odd, shape=(8, 6, 4))
+    rng = np.random.default_rng(11)
+    for disc, k, omega0, length in (
+            (discretize(torus), 1, x1_mode, 16),
+            (discretize(torus, shape=(12,) * 3), 1, x1_mode, 12 ** 3),
+            (rough, 1, 0.05 * rng.standard_normal(len(rough.points)), 8 * 6 * 4),
+            (discretize(odd, shape=(8, 8, 4)), 1, x1_only, 8),
+            (sphere, 1, 0.05 * rng.standard_normal(48), 48),
+            (sphere, 2, 0.05 * rng.standard_normal(48), 48)):
+        state = make_state(disc, omega0, k)
+        disc, n = state.disc, state.disc.base.n
+        copies = getattr(disc, "copies", 1)
+        assert len(state.omega) == length
+
+        def total(values):
+            return np.sum(np.repeat(values, copies))
+
+        def volume(w):
+            if isinstance(disc, TorusGrid):
+                return disc.base_volume * float(np.mean(np.repeat(w, copies)))
+            return float(total(w))
+
+        trial = state.omega - 1e-3 / disc.max_eigenvalue * (state.vk - state.mean_vk)
+        for step, omega in ((0, state.omega), (1, trial)):
+            got = flow._state(disc, omega, k, step)
+            omega = disc.project(omega)
+            omega = omega - np.log(volume(disc.density(omega)) / disc.base_volume) / n
+            vk = disc.vk(omega, k)
+            w = disc.density(omega)
+            mean = float(total(vk * w) / total(w))
+            var = float(total((vk - mean) ** 2 * w) / total(w))
+            assert got.disc is disc and (got.k, got.step) == (k, step)
+            assert got.omega.tobytes() == omega.tobytes()
+            assert got.vk.tobytes() == vk.tobytes()
+            assert (got.volume, got.mean_vk, got.variance, got.sup_deviation) == \
+                (volume(w), mean, var, float(np.max(np.abs(vk - mean))))

@@ -193,6 +193,17 @@ def test_torus_basis():
         assert np.max(np.abs(lap + lam * field_values(f, pts))) < 1e-9 * max(1.0, lam)
 
 
+def test_torus_pair_is_exact_at_two_mmax_plus_one_points():
+    # products of two modes up to mmax reach frequency 2 mmax, which
+    # 2 mmax + 1 points per axis integrate exactly (2 mmax points alias)
+    for periods, mmax in (((1.0, 1.0, 1.0), 2), ((1.0,) * 5, 1), ((1.0, 2.0), 4)):
+        basis = torus_basis(FlatTorus(periods), mmax=mmax)
+        dirichlet, gram = basis.dir_gram
+        lam = basis.eigenvalues
+        assert np.max(np.abs(gram - np.eye(basis.size))) <= 1e-13, periods
+        assert np.max(np.abs(dirichlet - np.diag(lam))) <= 1e-13 * np.max(lam), periods
+
+
 def test_product_basis():
     m = ProductOfSpheres(((2, 1.0), (2, 1.0)))
     basis = product_basis(m, lmax=2)
